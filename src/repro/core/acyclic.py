@@ -26,7 +26,12 @@ deterministically: :func:`enumerate_plans` lists every *peel plan* (a
 choice of leaf per reachable query structure — exactly the information
 a branch of the nondeterministic machine uses), and
 :func:`acyclic_join_best` runs each plan on a fresh device, returning
-the minimum I/O cost alongside per-plan measurements.
+the minimum I/O cost alongside per-plan measurements.  A run consults
+only the structures its recursion reaches, so plans that agree on every
+leaf choice the recursion asked for take the same branch; they share
+one execution.  :attr:`BestRun.runs` and
+:attr:`BestRun.round_robin_io` still count every plan, which is what
+the paper's round-robin simulation pays.
 
 Correctness note on buds (deviation, documented in DESIGN.md).  The
 paper's line 3–4 drops a bud outright, which is only sound if every
@@ -40,7 +45,7 @@ participating tuple at emit time, keeping the emit model exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from repro.core.emit import Emitter
@@ -205,7 +210,7 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
         return
 
     leaf = pick(query, inst)
-    if not find_leaves(query) or leaf not in find_leaves(query):
+    if leaf not in find_leaves(query):
         raise ValueError(f"chooser returned {leaf!r}, not a leaf of "
                          f"{dict(query.edges)}")
     _peel_leaf(query, inst, emit, pick, leaf, literal_buds=literal_buds,
@@ -565,9 +570,9 @@ class BestRun:
         return len(self.runs) * self.best.io
 
 
-# em-cost: N^6/(M^5*B) + N/B -- every peel plan (a query-constant
-# number, capped by ``limit``) runs one Algorithm 2 branch on a cloned
-# device, then the best branch runs once for real
+# em-cost: N^6/(M^5*B) + N/B -- every distinct branch among the peel
+# plans (a query-constant number, capped by ``limit``) runs once on a
+# cloned device, then the best branch runs once for real
 def acyclic_join_best(query: JoinQuery, instance: Instance,
                       emitter: Emitter | None = None, *,
                       limit: int | None = None) -> BestRun:
@@ -575,7 +580,11 @@ def acyclic_join_best(query: JoinQuery, instance: Instance,
 
     Each plan is *explored* on a fresh device (same ``M``, ``B``) with
     the input relations copied free of charge, so measured per-branch
-    I/O is clean.  All branches are checked to emit identical result
+    I/O is clean.  The recursion is a deterministic function of the
+    instance and the leaves its chooser returns, so a plan that gives
+    the same leaf as an already explored plan at every structure that
+    run asked about shares that run's measurement instead of repeating
+    it.  All executed branches are checked to emit identical result
     sets.  When ``emitter`` is given, the best branch is then run for
     real on the *original* instance — its device is charged exactly the
     best branch's cost, which is the quantity Theorem 3 bounds (the
@@ -584,21 +593,40 @@ def acyclic_join_best(query: JoinQuery, instance: Instance,
     """
     from repro.core.emit import CountingEmitter
 
-    plans = enumerate_plans(query, limit=limit)
-    if not plans:
-        plans = [{}]
+    plans = enumerate_plans(query, limit=limit) or [{}]
+    # One entry per executed branch: the plan's answer for each
+    # structure the recursion asked about (None for the first-leaf
+    # fallback, itself fixed by the structure), and the measured run.
+    executed: list[tuple[dict[PlanKey, str | None], PlanRun]] = []
     runs: list[PlanRun] = []
     # em-loop-bound: 1 -- the peel-plan count depends only on query
     # structure (and is capped by ``limit``), a query-size constant in
     # data-complexity terms
     for plan in plans:
-        dev, inst = clone_instance(instance)
-        counter = CountingEmitter()
-        acyclic_join(query, inst, counter, chooser=plan_chooser(plan))
-        runs.append(PlanRun(plan=plan, reads=dev.stats.reads,
-                            writes=dev.stats.writes, emitted=counter.count,
-                            checksum=counter.checksum))
-    signatures = {(r.emitted, r.checksum) for r in runs}
+        # em-loop-bound: 1 -- at most one executed branch per peel
+        # plan, and the plan count is a query-size constant
+        for asked, done in executed:
+            if all(plan.get(k) == leaf for k, leaf in asked.items()):
+                runs.append(replace(done, plan=plan))
+                break
+        else:
+            asked = {}
+
+            def choose(q: JoinQuery, _inst: Instance, _plan: Plan = plan,
+                       _asked: dict = asked) -> str:
+                key = q.structure_key()
+                _asked[key] = _plan.get(key)
+                return _asked[key] or find_leaves(q)[0]
+
+            dev, inst = clone_instance(instance)
+            counter = CountingEmitter()
+            acyclic_join(query, inst, counter, chooser=choose)
+            run = PlanRun(plan=plan, reads=dev.stats.reads,
+                          writes=dev.stats.writes, emitted=counter.count,
+                          checksum=counter.checksum)
+            executed.append((asked, run))
+            runs.append(run)
+    signatures = {(r.emitted, r.checksum) for _, r in executed}
     if len(signatures) > 1:
         raise AssertionError(
             f"peel plans disagree on the result set: {sorted(signatures)}")
@@ -611,6 +639,7 @@ def acyclic_join_best(query: JoinQuery, instance: Instance,
         for r in runs:
             branch_io.observe(r.io)
         metrics.counter("acyclic.branches").inc(len(runs))
+        metrics.counter("acyclic.branches_run").inc(len(executed))
     if emitter is not None:
         acyclic_join(query, instance, emitter,
                      chooser=plan_chooser(runs[best_index].plan))

@@ -11,9 +11,11 @@ from repro.core import (AssignmentEmitter, CountingEmitter, acyclic_join,
                         largest_leaf_chooser, plan_chooser,
                         smallest_leaf_chooser)
 from repro.internal import join_query
+from repro.obs import MetricsRegistry
 from repro.query import (JoinQuery, dumbbell_query, line_query,
                          lollipop_query, star_query, triangle_query)
-from repro.workloads import schemas_for, skewed_instance, uniform_instance
+from repro.workloads import (schemas_for, skewed_instance,
+                             star_worstcase_instance, uniform_instance)
 
 from conftest import make_random_data, run_and_compare
 
@@ -28,6 +30,9 @@ QUERY_ZOO = {
     "lollipop3": lollipop_query(3),
     "dumbbell": dumbbell_query(3, 6),
 }
+
+MEMO_ZOO = {f"L{k}": line_query(k) for k in (3, 4, 5)} | {
+    f"star{k}": star_query(k) for k in (2, 3, 4)}
 
 
 class TestCorrectness:
@@ -210,6 +215,41 @@ class TestPlans:
         acyclic_join_best(q, inst, em)
         assert em.assignment_set() == join_query(q, data, schemas)
         assert device.stats.total > before  # best branch charged here
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(sorted(MEMO_ZOO)),
+           st.sampled_from([(4, 2), (8, 2), (8, 4)]),
+           st.sampled_from([4, 16]))
+    def test_shared_runs_match_fresh_runs(self, seed, name, mb, limit):
+        # Plans that agree on every leaf choice the recursion asked for
+        # share one execution; each reported run must still equal a
+        # fresh run of its own plan.
+        q = MEMO_ZOO[name]
+        M, B = mb
+        schemas, data = make_random_data(q, 12, 4, seed)
+        inst = Instance.from_dicts(Device(M=M, B=B), schemas, data)
+        best = acyclic_join_best(q, inst, limit=limit)
+        assert [r.plan for r in best.runs] == enumerate_plans(q, limit)
+        for run in best.runs:
+            dev, fresh = clone_instance(inst)
+            em = CountingEmitter()
+            acyclic_join(q, fresh, em, chooser=plan_chooser(run.plan))
+            assert ((run.reads, run.writes, run.emitted, run.checksum)
+                    == (dev.stats.reads, dev.stats.writes, em.count,
+                        em.checksum))
+
+    def test_theorem4_star_runs_four_distinct_branches(self):
+        schemas, data = star_worstcase_instance([16, 16, 16])
+        device = Device(M=64, B=8, metrics=MetricsRegistry())
+        inst = Instance.from_dicts(device, schemas, data)
+        em = CountingEmitter()
+        best = acyclic_join_best(star_query(3), inst, em, limit=16)
+        assert len(best.runs) == 16
+        assert device.metrics.counter("acyclic.branches").value == 16
+        assert device.metrics.counter("acyclic.branches_run").value == 4
+        assert (best.best_index, best.io, best.round_robin_io) == (1, 40, 640)
+        assert device.stats.total == best.io
+        assert em.count == 16 ** 3
 
     def test_clone_instance_copies_freely(self):
         q = line_query(2)
