@@ -10,6 +10,7 @@ shrinks independently.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterable, Iterator, Mapping, TYPE_CHECKING
 
 from repro.data.relation import Relation
@@ -53,15 +54,23 @@ class Instance(Mapping[str, Relation]):
         """Build an instance from ``{name: attr tuple}`` and ``{name: rows}``.
 
         Input relations are materialized without charging I/O (they
-        pre-exist on disk in the model).
+        pre-exist on disk in the model).  Relations are sets: a
+        duplicate row raises :class:`ValueError`, since the algorithms'
+        answers on bags depend on the plan.
         """
         missing = set(schemas) - set(data)
         if missing:
             raise ValueError(f"no data supplied for relations {sorted(missing)}")
         rels = {}
         for name, attrs in schemas.items():
+            rows = list(map(tuple, data[name]))
+            if len(set(rows)) != len(rows):
+                dup = next(t for t, n in Counter(rows).items() if n > 1)
+                raise ValueError(
+                    f"relation {name!r} has duplicate row {dup!r}; "
+                    "relations are sets")
             schema = RelationSchema(name, tuple(attrs))
-            rels[name] = Relation.from_tuples(device, schema, data[name])
+            rels[name] = Relation.from_tuples(device, schema, rows)
         return cls(rels)
 
     def replace(self, **rebinds: Relation) -> "Instance":

@@ -283,14 +283,6 @@ class SequentialReader:
         self._pos += 1
         return t
 
-    def read_up_to(self, n: int) -> list[Tuple]:
-        """Read at most ``n`` further tuples (fewer at end of segment)."""
-        out = []
-        # em-loop-bound: M -- callers request at most a memory-load
-        while len(out) < n and not self.exhausted:
-            out.append(self.next())
-        return out
-
     # em-cost: amortized M/B -- callers request at most a memory-load,
     # and each page of the block is charged exactly once
     def read_block(self, n: int) -> list[Tuple]:

@@ -5,13 +5,12 @@ merge them with fan-in ``M/B - 1`` until a single run remains.  Total
 cost is ``O((N/B) log_{M/B}(N/M))`` I/Os — the ``sort(N)`` bound the
 paper's Õ-notation absorbs (Section 1.1).
 
-Both phases are block-at-a-time when the device's ``block_mode`` is on
-(the default): run formation reads each ``M``-chunk as one block, and
-the tournament merge feeds the heap from materialized page blocks and
-flushes the output a page block at a time.  The tuple-at-a-time
-reference paths remain for ``block_mode=False``; both charge identical
-I/Os *in the identical order* — the sequence of page accesses, not
-just their count, is observable through the buffer pool.
+Both phases are block-at-a-time: run formation reads each ``M``-chunk
+as one block, and the tournament merge feeds the heap from materialized
+page blocks and flushes the output a page block at a time.  They charge
+the I/Os a tuple-at-a-time sort would, *in the identical order* — the
+sequence of page accesses, not just their count, is observable through
+the buffer pool, and ``tests/golden_io_streams.json`` pins it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ def _form_runs(segment: FileSegment, key: Key,
                name: str | None) -> list[EMFile]:
     """Phase 1: read ``M`` tuples at a time, sort in memory, write runs."""
     device = segment.device
-    block_mode = device.block_mode
     run_lengths = device.metrics.histogram("sort.run_tuples")
     runs: list[EMFile] = []
     reader = segment.reader()
@@ -64,18 +62,12 @@ def _form_runs(segment: FileSegment, key: Key,
             # the read itself, not just the sort that follows.
             n = min(device.M, reader.remaining())
             with device.memory.hold(n):
-                chunk = (reader.read_block(n) if block_mode
-                         else reader.read_up_to(n))
+                chunk = reader.read_block(n)
                 chunk.sort(key=key)
                 run = device.new_file(
                     None if name is None else f"{name}.run{i}")
                 with run.writer() as w:
-                    if block_mode:
-                        w.append_block(chunk)
-                    else:
-                        # em-loop-bound: M -- the chunk fits in memory
-                        for t in chunk:
-                            w.append(t)
+                    w.append_block(chunk)
             run_lengths.observe(n)
             runs.append(run)
             i += 1
@@ -131,74 +123,54 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
     # Each open run holds one buffered page; the output holds one more.
     with device.memory.hold((len(runs) + 1) * B):
         with out.writer() as w:
-            if device.block_mode:
-                # Same tournament as the scalar path below — the heap
-                # entries, tie-breaking counter, and pop → flush →
-                # refill order must match exactly, because with a
-                # buffer pool the *sequence* of page accesses (not just
-                # their count) is observable.  Only the granularity
-                # changes: each run feeds from a materialized page
-                # block (charged when fetched, exactly when a
-                # tuple-at-a-time reader would cross the boundary) and
-                # the output flushes a full page block at the same
-                # B-tuple boundaries the scalar writer flushes at.
-                readers = [r.reader() for r in runs]
-                bufs: list[list[Tuple]] = [[] for _ in runs]
-                kbufs: list[list[Any]] = [[] for _ in runs]
-                bpos = [0] * len(runs)
-                counter = itertools.count()
-                heappush, heappop = heapq.heappush, heapq.heappop
-                heap: list[tuple[Any, int, int, Tuple]] = []
-                for idx, rd in enumerate(readers):
+            # The pop → flush → refill order is pinned by the golden
+            # streams: with a buffer pool the *sequence* of page
+            # accesses (not just their count) is observable.  Each
+            # run feeds from a materialized page block, charged when
+            # fetched — exactly when a tuple-at-a-time reader would
+            # cross the boundary — and the output flushes a full page
+            # block at the B-tuple boundaries ``append`` flushes at.
+            readers = [r.reader() for r in runs]
+            bufs: list[list[Tuple]] = [[] for _ in runs]
+            kbufs: list[list[Any]] = [[] for _ in runs]
+            bpos = [0] * len(runs)
+            counter = itertools.count()
+            heappush, heappop = heapq.heappush, heapq.heappop
+            heap: list[tuple[Any, int, int, Tuple]] = []
+            for idx, rd in enumerate(readers):
+                if not rd.exhausted:
+                    buf = rd.read_page_block()
+                    bufs[idx] = buf
+                    kbufs[idx] = list(map(key, buf))
+                    bpos[idx] = 1
+                    heappush(heap, (kbufs[idx][0], next(counter),
+                                    idx, buf[0]))
+            outbuf: list[Tuple] = []
+            append_out = outbuf.append
+            while heap:
+                _, _, idx, t = heappop(heap)
+                append_out(t)
+                if len(outbuf) == B:
+                    w.append_block(outbuf)
+                    outbuf.clear()
+                buf = bufs[idx]
+                i = bpos[idx]
+                if i < len(buf):
+                    bpos[idx] = i + 1
+                    heappush(heap, (kbufs[idx][i], next(counter),
+                                    idx, buf[i]))
+                else:
+                    rd = readers[idx]
                     if not rd.exhausted:
                         buf = rd.read_page_block()
                         bufs[idx] = buf
-                        kbufs[idx] = list(map(key, buf))
+                        kb = list(map(key, buf))
+                        kbufs[idx] = kb
                         bpos[idx] = 1
-                        heappush(heap, (kbufs[idx][0], next(counter),
+                        heappush(heap, (kb[0], next(counter),
                                         idx, buf[0]))
-                outbuf: list[Tuple] = []
-                append_out = outbuf.append
-                while heap:
-                    _, _, idx, t = heappop(heap)
-                    append_out(t)
-                    if len(outbuf) == B:
-                        w.append_block(outbuf)
-                        outbuf.clear()
-                    buf = bufs[idx]
-                    i = bpos[idx]
-                    if i < len(buf):
-                        bpos[idx] = i + 1
-                        heappush(heap, (kbufs[idx][i], next(counter),
-                                        idx, buf[i]))
-                    else:
-                        rd = readers[idx]
-                        if not rd.exhausted:
-                            buf = rd.read_page_block()
-                            bufs[idx] = buf
-                            kb = list(map(key, buf))
-                            kbufs[idx] = kb
-                            bpos[idx] = 1
-                            heappush(heap, (kb[0], next(counter),
-                                            idx, buf[0]))
-                if outbuf:
-                    w.append_block(outbuf)
-            else:
-                readers = [r.reader() for r in runs]
-                counter = itertools.count()
-                heap: list[tuple[Any, int, int, Tuple]] = []
-                for idx, rd in enumerate(readers):
-                    if not rd.exhausted:
-                        t = rd.next()
-                        heapq.heappush(heap, (key(t), next(counter), idx, t))
-                while heap:
-                    _, _, idx, t = heapq.heappop(heap)
-                    w.append(t)
-                    rd = readers[idx]
-                    if not rd.exhausted:
-                        t2 = rd.next()
-                        heapq.heappush(heap,
-                                       (key(t2), next(counter), idx, t2))
+            if outbuf:
+                w.append_block(outbuf)
     return out
 
 

@@ -1,8 +1,13 @@
 """Unit tests for schemas, relations, and instances."""
 
+import random
+
 import pytest
 
 from repro import Device, Instance, Relation, RelationSchema
+from repro.core import CountingEmitter, acyclic_join_best
+from repro.query import line_query
+from repro.workloads import schemas_for
 
 
 class TestRelationSchema:
@@ -118,3 +123,22 @@ class TestInstance:
         assert inst.value_of(result, "v3") == 3
         with pytest.raises(KeyError):
             inst.value_of(result, "v9")
+
+    def test_duplicate_rows_rejected(self, small_device):
+        # Regression: bag inputs used to give plan-dependent answers —
+        # acyclic_join_best's peel plans disagreed (1426 vs 1598 results
+        # at M=8, B=2; the bag answer is 1806, the set answer 340).
+        q = line_query(3)
+        rng = random.Random(7)
+        schemas = schemas_for(q)
+        data = {e: [tuple(rng.randrange(6) for _ in attrs)
+                    for _ in range(40)]
+                for e, attrs in schemas.items()}
+        with pytest.raises(ValueError,
+                           match=r"relation 'e1' has duplicate row \("):
+            Instance.from_dicts(Device(M=8, B=2), schemas, data)
+        sets = {e: sorted(set(rows)) for e, rows in data.items()}
+        inst = Instance.from_dicts(Device(M=8, B=2), schemas, sets)
+        emitter = CountingEmitter()
+        acyclic_join_best(q, inst, emitter)
+        assert emitter.count == 340

@@ -90,7 +90,7 @@ class EMFileMachine(RuleBasedStateMachine):
         reader = f.reader()
         out = []
         while not reader.exhausted:
-            out.extend(reader.read_up_to(k))
+            out.extend(reader.read_block(k))
         assert out == self.model[name]
 
     @invariant()
