@@ -11,8 +11,9 @@ This benchmark quantifies that on the Figure-3 line-3 workload
 * **serial**: the CLI model.  Every query builds a fresh
   :class:`QueryService`, loads the CSVs, runs one-shot, and tears
   down.
-* **service**: one engine, 48 queries dealt over persistent worker
-  sessions at concurrency 1 / 4 / 16, shared pool off and on.
+* **service**: one engine, 48 queries dealt over 1 / 4 / 16
+  persistent worker sessions (``concurrency``; run in request order
+  on one thread), shared pool off and on.
 
 Reported per configuration: queries/sec and per-query wall p50/p99
 (informational — they move with the host) plus the model-level
@@ -23,9 +24,9 @@ counters, which are *deterministic* and pinned in
   207 I/Os and 256 results — the byte-identity guarantee;
 * pool on, any concurrency: the 17 base-relation pages miss exactly
   once service-wide, every other logical read hits, each query writes
-  back its own 80 intermediate pages, and nothing is evicted
-  (aggregates are schedule-independent because request ``i`` always
-  runs on worker ``i mod c`` and frames are keyed by shared labels);
+  back its own 80 intermediate pages, and nothing is evicted (request
+  ``i`` always runs on worker ``i mod c`` and frames are keyed by
+  shared labels);
 * flight recorder on (the default) vs off: identical counters — the
   recorder observes lifecycle records, it never charges the device.
 

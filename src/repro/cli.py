@@ -27,9 +27,6 @@ Six subcommands::
         [--list-rules] [--effects signatures.json] \\
         [--check-effects effects-baseline.json] \\
         [--write-effects-baseline effects-baseline.json] \\
-        [--locks lock_graph.json] \\
-        [--check-locks locks-baseline.json] \\
-        [--write-locks-baseline locks-baseline.json] \\
         [--costs cost_table.json] \\
         [--check-costs costs-baseline.json] \\
         [--write-costs-baseline costs-baseline.json]
@@ -37,7 +34,6 @@ Six subcommands::
     python -m repro serve --table R=follows.csv --table S=lives.csv \\
         [-M 4096 -B 64] [--host 127.0.0.1 --port 8707] \\
         [--pool-frames 256 --pool-policy lru --max-pin-share 0.5] \\
-        [--admission-policy fifo --admission-timeout 30] \\
         [--instance default] [--workers 8] \\
         [--fitted benchmarks/BENCH_fitted.json] \\
         [--flight-records 256] [--slow-query-ms 100] \\
@@ -81,13 +77,7 @@ versioned JSON document — the CI artifact next to the lint report;
 ``--check-effects`` diffs the live table against a committed archive
 and fails when a function's effects changed without a matching
 ``# em-effects:`` declaration update (``--write-effects-baseline``
-regenerates the archive).  ``--locks PATH`` dumps the emrace
-lock-discipline document (thread roots, the lock inventory with
-guarded fields, the lock-order graph, per-function thread/lock
-signatures) behind EM012–EM016; ``--check-locks`` diffs it against
-the committed ``locks-baseline.json`` and fails on cycles, guard
-moves, strictness changes, or new lock-order edges
-(``--write-locks-baseline`` regenerates it).  ``--costs PATH`` dumps
+regenerates the archive).  ``--costs PATH`` dumps
 the emcost symbolic I/O-cost table (per-function derived bounds in
 the paper's ``N``/``M``/``B``/``OUT`` vocabulary next to their
 ``# em-cost:`` declarations — the input the cost-based planner
@@ -101,13 +91,16 @@ justify`` placeholder.  ``serve`` keeps a
 :class:`~repro.server.QueryService` alive behind a small HTTP surface:
 ``POST /query`` (JSON in/out, optional sticky sessions), ``GET
 /metrics`` (Prometheus text), ``/stats``, ``/catalog`` and
-``/healthz``; ``-M`` is the *global* admission budget shared by all
-concurrent queries (per-query machines come from the request), and
-``--pool-frames`` turns on the shared cross-query buffer pool.
+``/healthz``.  One thread serves every request and runs each query to
+completion before reading the next.  ``-M`` is the *global* admission
+budget (per-query machines come from the request): a query whose need
+can never fit gets 422, one that does not fit what is held right now
+gets 503 with ``Retry-After``.  ``--pool-frames`` turns on the shared
+cross-query buffer pool.
 ``--fitted`` arms ``POST /query?explain=1``; ``--flight-records`` /
 ``--slow-query-ms`` size the query flight recorder behind ``GET
 /debug/queries``; ``--quota OWNER=INFLIGHT[:SHARE]`` (repeatable) and
-``--default-quota INFLIGHT[:SHARE]`` cap per-tenant concurrency and
+``--default-quota INFLIGHT[:SHARE]`` cap a tenant's open grants and
 budget share.
 """
 
@@ -125,10 +118,8 @@ from repro.em.device import Device
 from repro.em.policies import POLICIES
 from repro.lint import (RULES, Baseline, compact_cost_signatures,
                         compact_effect_signatures,
-                        compact_lock_signatures,
                         compare_cost_signatures,
-                        compare_effect_signatures,
-                        compare_lock_signatures, lint_paths,
+                        compare_effect_signatures, lint_paths,
                         load_baseline, to_human, to_json, write_baseline)
 from repro.obs import (MetricsRegistry, ProfiledEmitter, SpanProfiler,
                        Tracer, to_prometheus, write_chrome_trace)
@@ -296,20 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "committed archive at PATH; exit 1 when a "
                            "function's effects changed without a "
                            "matching '# em-effects:' declaration update")
-    lint.add_argument("--locks", metavar="PATH",
-                      help="dump the emrace lock-graph document "
-                           "(locks, guarded fields, lock-order edges, "
-                           "per-function thread/lock signatures) as "
-                           "JSON to PATH ('-' for stdout)")
-    lint.add_argument("--check-locks", metavar="PATH",
-                      help="diff the live lock graph against a "
-                           "committed baseline; fail on cycles, guard "
-                           "moves, strictness changes, or new "
-                           "lock-order edges")
-    lint.add_argument("--write-locks-baseline", metavar="PATH",
-                      help="write the compact lock signature archive "
-                           "(the --check-locks input) to PATH and "
-                           "continue")
     lint.add_argument("--write-effects-baseline", metavar="PATH",
                       help="write the compact effect-signature archive "
                            "(the --check-effects input) to PATH and "
@@ -341,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 'default')")
     serve.add_argument("-M", type=int, default=4096,
                        help="GLOBAL memory budget in tuples shared by "
-                            "all concurrent queries (default 4096)")
+                            "all granted queries (default 4096)")
     serve.add_argument("-B", type=int, default=64,
                        help="block size in tuples (default 64)")
     serve.add_argument("--host", default="127.0.0.1",
@@ -359,14 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pin-share", type=float, default=0.5,
                        help="fraction of pool frames one session may "
                             "pin (default 0.5)")
-    serve.add_argument("--admission-policy",
-                       choices=("fifo", "smallest-first"),
-                       default="fifo",
-                       help="queue order for queries waiting on the "
-                            "budget (default fifo)")
-    serve.add_argument("--admission-timeout", type=float, default=30.0,
-                       help="seconds a query waits for budget before "
-                            "503 (default 30)")
     serve.add_argument("--workers", type=int, default=8,
                        help="worker sessions for batched execution "
                             "(default 8)")
@@ -385,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota", action="append", default=[],
                        metavar="OWNER=INFLIGHT[:SHARE]",
                        help="per-tenant admission quota (repeatable): "
-                            "max concurrent queries, optionally ':' a "
+                            "max open grants, optionally ':' a "
                             "budget share in (0, 1]")
     serve.add_argument("--default-quota", metavar="INFLIGHT[:SHARE]",
                        help="quota applied to tenants without an "
@@ -866,7 +835,7 @@ def _placeholder_failures(doc: object, trail: str = "") -> list[str]:
 
 def _drift_gate(kind: str, committed_path: str, live_doc: dict,
                 compare) -> list[str] | None:  # em-effects: HOST_ONLY -- reads committed archives, prints the diff
-    """One --check-* drift gate, shared by effects, locks and costs.
+    """One --check-* drift gate, shared by effects and costs.
 
     Returns the failure lines (empty = gate passed) or ``None`` when
     the committed archive cannot be read (the caller exits 2, the
@@ -916,7 +885,6 @@ def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the c
 
     result = lint_paths(args.paths, root=args.root, baseline=baseline)
     for dump_path, doc in ((args.effects, result.signatures),
-                           (args.locks, result.locks),
                            (args.costs, result.costs)):
         if dump_path:
             _dump_json_doc(doc, dump_path)
@@ -925,22 +893,15 @@ def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the c
         _write_archive(args.write_effects_baseline, compact,
                        f"{len(compact['signatures'])} effect "
                        f"signature(s)")
-    if args.write_locks_baseline:
-        compact = compact_lock_signatures(result.locks)
-        _write_archive(args.write_locks_baseline, compact,
-                       f"{len(compact['locks'])} lock(s) and "
-                       f"{len(compact['edges'])} order edge(s)")
     if args.write_costs_baseline:
         compact = compact_cost_signatures(result.costs)
         _write_archive(args.write_costs_baseline, compact,
                        f"{len(compact['costs'])} cost signature(s)")
-    # The three drift gates share one compare-and-report shape: load
+    # The two drift gates share one compare-and-report shape: load
     # the committed archive (exit 2 when unreadable), reject
     # placeholder justifications, diff, print notices and FAIL lines.
     gate_failures: list[str] = []
     for kind, committed_path, live_doc, compare in (
-            ("locks", args.check_locks, result.locks,
-             compare_lock_signatures),
             ("effects", args.check_effects, result.signatures,
              compare_effect_signatures),
             ("costs", args.check_costs, result.costs,
@@ -956,8 +917,7 @@ def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the c
     # --write-baseline placeholder were never reviewed and must not
     # pass a CI-strict run silently.  (Plain runs stay lenient so the
     # write-baseline-then-iterate workflow keeps working.)
-    gated_run = bool(args.check_locks or args.check_effects
-                     or args.check_costs)
+    gated_run = bool(args.check_effects or args.check_costs)
     for entry in (baseline.placeholder_entries() if gated_run else ()):
         line = (f"lint: FAIL: {entry.path}: {entry.code} "
                 f"[{entry.scope}] baseline entry still carries the "
@@ -977,7 +937,7 @@ def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the c
 
 def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long-lived host process: sockets, stdout, CSV loading; measured I/O happens inside sessions
     # Imported here so `repro run` and friends never pay for the
-    # service layer (threading machinery, HTTP plumbing).
+    # service layer (HTTP plumbing, sessions, the shared pool).
     from repro.analysis.predict import load_fitted
     from repro.server import QueryService, Quota, make_server
 
@@ -1028,8 +988,7 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
     svc = QueryService(
         M=args.M, B=args.B, pool_frames=args.pool_frames,
         pool_policy=args.pool_policy, max_pin_share=args.max_pin_share,
-        admission_policy=args.admission_policy,
-        admission_timeout=args.admission_timeout, workers=args.workers,
+        workers=args.workers,
         flight_records=args.flight_records,
         slow_query_ms=args.slow_query_ms, default_quota=default_quota,
         fitted=fitted)
@@ -1053,8 +1012,7 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
     pool = (f"pool={args.pool_frames} frames ({args.pool_policy})"
             if args.pool_frames else "pool=off")
     print(f"serve: listening on http://{args.host}:{server.server_port} "
-          f"(M={args.M}, B={args.B}, {pool}, "
-          f"admission={args.admission_policy})")
+          f"(M={args.M}, B={args.B}, {pool})")
     print("serve: routes: GET /metrics /healthz /stats /catalog "
           "/debug/queries[/<id>], POST /query[?explain=1] — "
           "Ctrl-C to stop")

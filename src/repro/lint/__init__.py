@@ -38,14 +38,6 @@ EM010    no wall-clock/randomness *reachable* from a counted path
 EM011    ``# em-effects:`` declarations must name real effects,
          match the inferred reality, and never be called from
          counted paths when ``HOST_ONLY``
-EM012    writes to ``# em-guarded-by:`` fields must hold the guard
-EM013    multi-threaded monitor classes must declare every shared
-         field they mutate
-EM014    the global lock-order graph must stay acyclic
-EM015    no blocking work (waits, charges, raw I/O, sleeps) while
-         holding a strict (non-``coarse``) lock
-EM016    lock/guard/holds declarations must name real locks and
-         attach to real constructs
 EM017    algorithm entry points with charge-reachable I/O must
          carry an ``# em-cost:`` declaration
 EM018    the derived symbolic I/O cost must not exceed the
@@ -58,17 +50,16 @@ EM021    every Device charge site must be reachable from a
          cost-declared function
 =======  ============================================================
 
+EM012–EM016 are retired: they checked the lock discipline of a
+threaded service, and the service now runs on one thread with no
+locks.
+
 EM007–EM011 run on a second, whole-program pass
 (:mod:`repro.lint.callgraph` + :mod:`repro.lint.effects`) that
 builds a project-wide call graph and infers per-function effect
 signatures by fixpoint over SCCs; ``repro lint --effects`` dumps
-the full signature table as versioned JSON.  EM012–EM016 are the
-third pass, *emrace* (:mod:`repro.lint.threads` +
-:mod:`repro.lint.locks`): thread roots are inferred and propagated
-over the same call graph, lock facts flow through a precise typed
-resolution, and ``repro lint --locks`` dumps the lock-graph
-document the ``--check-locks`` drift gate pins.  EM017–EM021 are
-the fourth pass, *emcost* (:mod:`repro.lint.symbolic` +
+the full signature table as versioned JSON.  EM017–EM021 are the
+third pass, *emcost* (:mod:`repro.lint.symbolic` +
 :mod:`repro.lint.costs`): every charge site is mapped through loop
 nests and call chains to a per-function symbolic I/O bound in the
 paper's own vocabulary (``N``, ``M``, ``B``, ``OUT``, ``log``),
@@ -89,13 +80,9 @@ from repro.lint.effects import (EFFECTS_SCHEMA_VERSION, EffectFinding,
                                 compact_effect_signatures,
                                 compare_effect_signatures, evaluate,
                                 signature_table)
-from repro.lint.locks import (LOCKS_SCHEMA_VERSION, LockFinding,
-                              compact_lock_signatures,
-                              compare_lock_signatures, evaluate_locks)
 from repro.lint.registry import RULES, Rule
 from repro.lint.symbolic import (Cost, CostSyntaxError, Term,
                                  evaluate_cost, parse_cost)
-from repro.lint.threads import ThreadAnalysis, infer_threads
 from repro.lint.report import REPORT_SCHEMA_VERSION, to_human, to_json
 from repro.lint.visitor import (LintResult, Violation, check_source,
                                 lint_paths)
@@ -109,9 +96,6 @@ __all__ = [
     "build_program", "EffectFinding", "evaluate", "signature_table",
     "compact_effect_signatures", "compare_effect_signatures",
     "EFFECTS_SCHEMA_VERSION",
-    "ThreadAnalysis", "infer_threads", "LockFinding", "evaluate_locks",
-    "compact_lock_signatures", "compare_lock_signatures",
-    "LOCKS_SCHEMA_VERSION",
     "Cost", "Term", "parse_cost", "evaluate_cost", "CostSyntaxError",
     "CostFinding", "evaluate_costs", "compact_cost_signatures",
     "compare_cost_signatures", "COSTS_SCHEMA_VERSION",

@@ -110,11 +110,6 @@ PURE_BASE_METHODS: dict[str, frozenset[str]] = {
 #: survives).
 RawCall = tuple[str, str, int]
 
-#: A ``threading.Thread(target=...)`` site: (kind, target text, line),
-#: same kinds as :data:`RawCall` ("name"/"dotted"/"attr") plus
-#: "opaque" for a lambda or computed target.
-ThreadTarget = tuple[str, str, int]
-
 
 @dataclass
 class FunctionNode:
@@ -134,10 +129,6 @@ class FunctionNode:
     #: Declaration tokens that are not valid effect names (EM011).
     bad_declared: tuple[str, ...] = ()
     raw_calls: list[RawCall] = field(default_factory=list)
-    #: ``threading.Thread(target=...)`` sites in this function's body
-    #: (nested defs fold in, so a thread spawning a closure records
-    #: the enclosing function).
-    thread_targets: list[ThreadTarget] = field(default_factory=list)
     #: Effects evident in this function's own body.
     intrinsic: set[str] = field(default_factory=set)
     # Filled in by link():
@@ -336,47 +327,12 @@ class _Collector(ast.NodeVisitor):
                 return True
         return False
 
-    def _is_thread_ctor(self, func: ast.expr) -> bool:
-        """Does this call expression construct ``threading.Thread``?"""
-        if isinstance(func, ast.Name):
-            return self.imports.get(func.id) == "threading.Thread"
-        if isinstance(func, ast.Attribute) and func.attr == "Thread":
-            dotted = rules.dotted_name(func)
-            if dotted is None:
-                return False
-            base = dotted.rsplit(".", 1)[0]
-            return self.imports.get(base) == "threading"
-        return False
-
-    def _record_thread_target(self, fn: FunctionNode,
-                              node: ast.Call) -> None:
-        target: ast.expr | None = None
-        for kw in node.keywords:
-            if kw.arg == "target":
-                target = kw.value
-                break
-        if target is None:
-            fn.thread_targets.append(("opaque", "", node.lineno))
-        elif isinstance(target, ast.Name):
-            fn.thread_targets.append(("name", target.id, node.lineno))
-        elif isinstance(target, ast.Attribute):
-            dotted = rules.dotted_name(target)
-            if dotted is not None:
-                fn.thread_targets.append(("dotted", dotted, node.lineno))
-            else:
-                fn.thread_targets.append(
-                    ("attr", target.attr, node.lineno))
-        else:
-            fn.thread_targets.append(("opaque", "", node.lineno))
-
     def visit_Call(self, node: ast.Call) -> None:
         fn = self._node
         if fn is None:
             self.generic_visit(node)
             return
         func = node.func
-        if self._is_thread_ctor(func):
-            self._record_thread_target(fn, node)
         if isinstance(func, ast.Name):
             if func.id == "open":
                 fn.intrinsic.add("PHYS_IO")

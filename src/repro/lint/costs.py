@@ -1,16 +1,15 @@
 """*emcost* — static symbolic I/O-cost certification (EM017–EM021).
 
-The fourth whole-program pass.  Where emflow asks *which* effects a
-function has and emrace asks *under which locks*, emcost asks *how
-much charged I/O* a call chain can perform, as a symbolic bound in
-the paper's own vocabulary (:mod:`repro.lint.symbolic`): every
-``Device.charge_read``/``charge_write`` site costs one block
-transfer, costs flow up call chains (reverse-topologically over
-SCCs), and loop nests multiply their bodies by a bound.  The result
-is a per-function symbolic upper bound that is checked against
-``# em-cost:`` declarations on the algorithm entry points — the
-static half of the Table-1 contract whose dynamic half is the fitted
-slope gate.
+The third pass.  Where emflow asks *which* effects a function has,
+emcost asks *how much charged I/O* a call chain can perform, as a
+symbolic bound in the paper's own vocabulary
+(:mod:`repro.lint.symbolic`): every ``Device.charge_read``/
+``charge_write`` site costs one block transfer, costs flow up call
+chains (reverse-topologically over SCCs), and loop nests multiply
+their bodies by a bound.  The result is a per-function symbolic
+upper bound that is checked against ``# em-cost:`` declarations on
+the algorithm entry points — the static half of the Table-1 contract
+whose dynamic half is the fitted slope gate.
 
 Annotation grammar (all comments, attached to the construct's first
 line or to a comment-only line directly above it):
@@ -895,7 +894,7 @@ def evaluate_costs(
     for qn, f in funcs.items():
         _Collector(program, f, yields_by_qn, findings).collect()
 
-    # Orphaned annotations: documentation rot, like EM016.
+    # Orphaned annotations: documentation rot.
     for path, anns in anns_by_module:
         for ann in anns.orphans():
             kind = "loop-bound" if ann.kind == "loop" else ann.kind

@@ -194,73 +194,6 @@ _register(Rule(
 ))
 
 _register(Rule(
-    code="EM012",
-    name="unguarded-write",
-    summary="write to an em-guarded-by field without the guard lock "
-            "held, or a call into an em-holds method without its "
-            "required lock",
-    layers=(),
-    rationale="A guarded field is shared across thread roots; one "
-              "unguarded mutation is a data race that can corrupt "
-              "IOStats counters or pool metadata and silently break "
-              "the byte-identical baseline guarantees the service "
-              "layer pins in CI.",
-))
-
-_register(Rule(
-    code="EM013",
-    name="undeclared-shared-field",
-    summary="a monitor class mutates a field outside __init__ with "
-            "no em-guarded-by declaration",
-    layers=(),
-    rationale="Classes owning a lock and reachable from multiple "
-              "thread roots hold shared state by construction; every "
-              "mutable field must carry an explicit guard (or a "
-              "justified `none` escape) so the race analysis — and "
-              "the next reader — knows the synchronization story.",
-))
-
-_register(Rule(
-    code="EM014",
-    name="lock-order-cycle",
-    summary="cycle in the acquires-while-holding lock-order graph, "
-            "or re-acquisition of a non-reentrant Lock",
-    layers=(),
-    rationale="Two threads taking the same pair of locks in opposite "
-              "orders deadlock under load — precisely the regime the "
-              "admission controller and shared pool exist for.  The "
-              "lock-order graph must stay acyclic, checked statically "
-              "and pinned in locks-baseline.json.",
-))
-
-_register(Rule(
-    code="EM015",
-    name="blocking-under-lock",
-    summary="blocking work (Condition.wait, device charges, "
-            "file/socket I/O, sleeps) reachable while holding a "
-            "strict lock",
-    layers=(),
-    rationale="Holding a lock across blocking work serializes every "
-              "thread behind one waiter's I/O or wait, collapsing "
-              "service throughput.  Locks designed to be held across "
-              "blocking work (per-session serialization, charge "
-              "routing) declare `# em-lock: coarse -- why`.",
-))
-
-_register(Rule(
-    code="EM016",
-    name="lock-declaration-drift",
-    summary="emrace annotation errors: guards naming nonexistent "
-            "lock attributes, unjustified `none` escapes, unknown "
-            "em-lock flags, orphaned annotation comments",
-    layers=(),
-    rationale="The guarded-by/holds annotations are the concurrency "
-              "contract's audit trail; a declaration naming a lock "
-              "that no longer exists is documentation rot that makes "
-              "every other emrace guarantee unverifiable.",
-))
-
-_register(Rule(
     code="EM017",
     name="undeclared-cost-root",
     summary="algorithm entry point with charge-reachable I/O but no "

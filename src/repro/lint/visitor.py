@@ -69,10 +69,6 @@ class LintResult:
     #: :func:`repro.lint.effects.signature_table`); ``None`` only for
     #: results built outside :func:`lint_paths`.
     signatures: dict[str, object] | None = None
-    #: The emrace lock-graph document (see
-    #: :func:`repro.lint.locks.evaluate_locks`); ``None`` only for
-    #: results built outside :func:`lint_paths`.
-    locks: dict[str, object] | None = None
     #: The emcost symbolic cost table (see
     #: :func:`repro.lint.costs.evaluate_costs`); ``None`` only for
     #: results built outside :func:`lint_paths`.
@@ -369,7 +365,7 @@ def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
     violations; entries that no longer match anything are reported as
     stale (fix the baseline, it documents reality).
     """
-    from repro.lint import costs, effects, locks, threads
+    from repro.lint import costs, effects
     from repro.lint.callgraph import build_program
 
     rootp = Path(root)
@@ -396,18 +392,7 @@ def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
             code=finding.code, path=finding.path, line=finding.line,
             col=0, message=finding.message, scope=finding.scope))
     result.signatures = effects.signature_table(program)
-    # Third pass: thread-root inference + lock discipline (emrace,
-    # EM012–EM016).
-    analysis = threads.infer_threads(
-        program, {rel: source for rel, source, _t, _p in modules})
-    lock_findings, locks_doc = locks.evaluate_locks(
-        program, modules, analysis)
-    for lf in lock_findings:
-        per_file.setdefault(lf.path, []).append(Violation(
-            code=lf.code, path=lf.path, line=lf.line, col=0,
-            message=lf.message, scope=lf.scope))
-    result.locks = locks_doc
-    # Fourth pass: symbolic I/O-cost certification (emcost,
+    # Third pass: symbolic I/O-cost certification (emcost,
     # EM017–EM021).
     cost_findings, costs_doc = costs.evaluate_costs(program, modules)
     for cf in cost_findings:

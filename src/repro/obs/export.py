@@ -127,7 +127,7 @@ def metrics_payload(source) -> bytes:
     return text.encode("utf-8")
 
 
-def make_metrics_handler(source):  # em-thread-root: http
+def make_metrics_handler(source):
     """A request handler class serving ``source`` at ``GET /metrics``."""
     from http.server import BaseHTTPRequestHandler
 

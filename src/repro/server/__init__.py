@@ -2,13 +2,14 @@
 
 The cost model charges every algorithm against one memory budget ``M``
 and one block size ``B``.  A one-shot CLI run owns that machine alone;
-this package multiplexes *concurrent sessions* over it:
+this package serves many sessions from it, one query at a time, each
+run to completion:
 
 * :mod:`repro.server.catalog` — load an instance once, serve many
   queries (ref-counting, eviction, generations);
 * :mod:`repro.server.admission` — the global budget ``M`` is enforced
-  across in-flight queries: declare your planner-estimated need, get a
-  grant, a queue slot, or a rejection;
+  across granted queries: declare your planner-estimated need, get a
+  grant or an immediate refusal;
 * :mod:`repro.server.pool` — one cross-query buffer pool, with each
   session's charges routed to its own :class:`~repro.em.stats.IOStats`;
 * :mod:`repro.server.session` — parse → classify → plan → execute with
@@ -16,7 +17,7 @@ this package multiplexes *concurrent sessions* over it:
 * :mod:`repro.server.flight` — the query flight recorder: one bounded
   ring of per-query lifecycle records behind ``/debug/queries``;
 * :mod:`repro.server.service` — the engine tying those together, plus
-  the thread-based batch executor;
+  the batch executor;
 * :mod:`repro.server.http` — ``/metrics`` (Prometheus text), ``/query``
   (JSON) and friends, behind ``repro serve``.
 """

@@ -1,50 +1,35 @@
-"""Admission control: concurrent queries under one global budget ``M``.
+"""Admission control: queries under one global budget ``M``.
 
 The paper's algorithms each assume a private memory of ``M`` tuples.  A
-service multiplexing concurrent queries over one machine must keep that
-promise *globally*: at every instant the sum of memory granted to
-in-flight queries stays within the configured budget.  Queries declare
-their planner-estimated need (:func:`repro.core.planner.
-estimate_memory_need`) and the controller grants, queues, or rejects:
+service holding several queries' grants at once must keep that promise
+*globally*: the sum of memory granted to in-flight queries stays within
+the configured budget.  Queries declare their planner-estimated need
+(:func:`repro.core.planner.estimate_memory_need`) and the controller
+answers at once — it never waits:
 
-* ``need > budget`` — :class:`AdmissionRejected`: the query can never
-  run on this machine (the paper would say ``M`` is too small for it);
-* budget available and the fairness policy agrees — granted at once;
-* otherwise — queued; granted when releases free enough budget, or
-  :class:`AdmissionTimeout` after the caller's patience runs out.
+* the need can never fit — :class:`AdmissionRejected`: it exceeds the
+  budget (the paper would say ``M`` is too small for it) or the owner's
+  ``max_share`` of it;
+* the need fits in principle but the budget, or the owner's in-flight
+  quota, is held right now — :class:`AdmissionTimeout`: try again once
+  the holders release;
+* otherwise — granted.
 
-Two queue policies:
+The service runs every query to completion on one thread, so a query
+only meets held budget when a caller keeps a grant across calls (an
+embedder reserving memory, a quota-capped tenant's open grants).
 
-* ``"fifo"`` — strict arrival order.  No starvation, but a large query
-  at the head blocks smaller ones that would fit behind it (head-of-line
-  blocking, accepted for the no-starvation guarantee);
-* ``"smallest-first"`` — minimum declared need first.  Maximal
-  concurrency; may starve large queries under sustained small-query
-  load.
-
-Fairness is also **per-tenant**: a :class:`Quota` caps an owner's
-concurrent queries (``max_inflight``) and/or its share of the budget
-(``max_share``).  A quota-blocked waiter is *skipped*, not served —
-one tenant at its cap never stalls the tenants queued behind it
-(unlike budget-blocked fifo head-of-line, which is kept deliberately
-for the no-starvation guarantee).
-
-The controller is a plain monitor (one lock + condition); grants are
-tickets so a double release is caught instead of silently inflating the
-budget.
+Fairness is **per-tenant**: a :class:`Quota` caps an owner's
+concurrent grants (``max_inflight``) and/or its share of the budget
+(``max_share``).  Grants are tickets so a double release is caught
+instead of silently inflating the budget.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-POLICIES = ("fifo", "smallest-first")
-
-_UNSET = object()
 
 
 class AdmissionError(RuntimeError):
@@ -52,11 +37,11 @@ class AdmissionError(RuntimeError):
 
 
 class AdmissionRejected(AdmissionError):
-    """The declared need exceeds the global budget outright."""
+    """The declared need can never fit (budget or quota share)."""
 
 
 class AdmissionTimeout(AdmissionError):
-    """The queue did not drain within the caller's timeout."""
+    """The need does not fit what is free right now."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +51,6 @@ class Grant:
     amount: int
     ticket: int
     owner: str | None = None
-    #: False when the grant came out of the wait queue (the caller's
-    #: admission outcome was "queued", not "granted").
-    immediate: bool = True
 
 
 @dataclass(frozen=True)
@@ -93,66 +75,45 @@ class Quota:
 
 
 class AdmissionController:
-    """Grants shares of one memory budget to concurrent queries."""
+    """Grants shares of one memory budget; grants or refuses at once."""
 
-    def __init__(self, budget: int, *, policy: str = "fifo",
-                 default_timeout: float | None = 30.0,
+    def __init__(self, budget: int, *,
                  default_quota: Quota | None = None) -> None:
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown admission policy {policy!r}; pick from {POLICIES}")
         self.budget = budget
-        self.policy = policy
-        self.default_timeout = default_timeout
         self.default_quota = default_quota
-        self._cond = threading.Condition()
-        self._granted = 0  # em-guarded-by: _cond
-        self._active: set[int] = set()  # em-guarded-by: _cond
-        # (need, ticket, owner); ticket is unique so tuple comparison
-        # (smallest-first's min()) never reaches the owner element.
-        self._queue: list[tuple[int, int, str | None]] = []  # em-guarded-by: _cond
+        self._granted = 0
+        self._active: set[int] = set()
         self._tickets = itertools.count(1)
-        self._quotas: dict[str, Quota] = {}  # em-guarded-by: _cond
-        self._owner_inflight: dict[str, int] = {}  # em-guarded-by: _cond
-        self._owner_granted: dict[str, int] = {}  # em-guarded-by: _cond
-        self.stats = {"admitted": 0, "rejected": 0,  # em-guarded-by: _cond
+        self._quotas: dict[str, Quota] = {}
+        self._owner_inflight: dict[str, int] = {}
+        self._owner_granted: dict[str, int] = {}
+        self.stats = {"admitted": 0, "rejected": 0,
                       "timeouts": 0, "released": 0, "peak_granted": 0,
-                      "peak_queue": 0, "quota_rejections": 0}
+                      "quota_rejections": 0}
 
     # -- introspection -------------------------------------------------
 
     @property
     def granted(self) -> int:
         """Budget currently handed out, in tuples."""
-        with self._cond:
-            return self._granted
+        return self._granted
 
     @property
     def available(self) -> int:
-        with self._cond:
-            return self.budget - self._granted
-
-    @property
-    def queue_depth(self) -> int:
-        with self._cond:
-            return len(self._queue)
+        return self.budget - self._granted
 
     def snapshot(self) -> dict[str, object]:
-        with self._cond:
-            doc = {"budget": self.budget, "policy": self.policy,
-                   "granted": self._granted,
-                   "available": self.budget - self._granted,
-                   "in_flight": len(self._active),
-                   "queue_depth": len(self._queue), **self.stats}
-            owners = sorted(set(self._quotas) | set(self._owner_inflight))
-            if owners or self.default_quota is not None:
-                doc["quotas"] = {o: self._quota_state_locked(o)
-                                 for o in owners}
-                if self.default_quota is not None:
-                    doc["default_quota"] = self.default_quota.as_dict()
-            return doc
+        doc = {"budget": self.budget, "granted": self._granted,
+               "available": self.budget - self._granted,
+               "in_flight": len(self._active), **self.stats}
+        owners = sorted(set(self._quotas) | set(self._owner_inflight))
+        if owners or self.default_quota is not None:
+            doc["quotas"] = {o: self._quota_state(o) for o in owners}
+            if self.default_quota is not None:
+                doc["default_quota"] = self.default_quota.as_dict()
+        return doc
 
     # -- per-owner quotas ----------------------------------------------
 
@@ -160,37 +121,32 @@ class AdmissionController:
                   max_share: float | None = None) -> Quota | None:
         """Install (or, with both limits ``None``, clear) an owner's
         quota.  Takes effect for the owner's *next* acquire."""
-        with self._cond:
-            if max_inflight is None and max_share is None:
-                self._quotas.pop(owner, None)
-                self._cond.notify_all()  # clearing a cap can unblock
-                return None
-            quota = Quota(max_inflight=max_inflight, max_share=max_share)
-            self._quotas[owner] = quota
-            return quota
+        if max_inflight is None and max_share is None:
+            self._quotas.pop(owner, None)
+            return None
+        quota = Quota(max_inflight=max_inflight, max_share=max_share)
+        self._quotas[owner] = quota
+        return quota
 
     def quota_for(self, owner: str | None) -> Quota | None:
         """The quota an acquire by ``owner`` is checked against."""
         if owner is None:
             return None
-        with self._cond:
-            return self._quotas.get(owner, self.default_quota)
+        return self._quotas.get(owner, self.default_quota)
 
     def quota_state(self, owner: str | None) -> dict | None:
         """Live usage vs limits for one owner; ``None`` when unlimited
         and idle (nothing worth recording)."""
-        if owner is None:
+        if owner is None or (owner not in self._quotas
+                             and self.default_quota is None
+                             and owner not in self._owner_inflight):
             return None
-        with self._cond:
-            if (owner not in self._quotas and self.default_quota is None
-                    and owner not in self._owner_inflight):
-                return None
-            return self._quota_state_locked(owner)
+        return self._quota_state(owner)
 
-    def _quota_state_locked(self, owner: str) -> dict:  # em-holds: _cond
+    def _quota_state(self, owner: str) -> dict:
         state: dict = {"inflight": self._owner_inflight.get(owner, 0),
                        "granted": self._owner_granted.get(owner, 0)}
-        quota = self._quotas.get(owner, self.default_quota)
+        quota = self.quota_for(owner)
         if quota is not None:
             state.update(quota.as_dict())
         return state
@@ -199,84 +155,52 @@ class AdmissionController:
 
     def try_acquire(self, need: int, *,
                     owner: str | None = None) -> Grant | None:
-        """Non-blocking: a grant if budget, queue order and quota allow,
-        else ``None`` (never queues)."""
+        """Like :meth:`acquire`, but ``None`` instead of
+        :class:`AdmissionTimeout` when the need does not fit now."""
         self._validate(need, owner)
-        with self._cond:
-            if (self._queue or self._granted + need > self.budget
-                    or not self._quota_allows(owner, need)):
-                return None
-            return self._grant(need, owner=owner)
+        if not self._fits(need, owner):
+            return None
+        return self._grant(need, owner)
 
-    def acquire(self, need: int, *, timeout: object = _UNSET,
-                owner: str | None = None) -> Grant:
-        """Block until ``need`` tuples are granted, or fail.
+    def acquire(self, need: int, *, owner: str | None = None) -> Grant:
+        """Grant ``need`` tuples now, or raise.
 
-        ``timeout=None`` waits forever; the default is the controller's
-        ``default_timeout``.  ``timeout=0`` degrades to the non-blocking
-        fast path (but raises instead of returning ``None``).
+        :class:`AdmissionRejected` when the need can never fit,
+        :class:`AdmissionTimeout` when it does not fit what is free
+        right now.
         """
         self._validate(need, owner)
-        patience = self.default_timeout if timeout is _UNSET else timeout
-        deadline = (None if patience is None
-                    else time.monotonic() + float(patience))
-        entry = (need, next(self._tickets), owner)
-        immediate = True
-        with self._cond:
-            self._queue.append(entry)
-            if len(self._queue) > self.stats["peak_queue"]:
-                self.stats["peak_queue"] = len(self._queue)
-            try:
-                while True:
-                    if (self._my_turn(entry)
-                            and self._granted + need <= self.budget):
-                        self._queue.remove(entry)
-                        return self._grant(need, ticket=entry[1],
-                                           owner=owner,
-                                           immediate=immediate)
-                    immediate = False
-                    remaining = (None if deadline is None
-                                 else deadline - time.monotonic())
-                    if remaining is not None and remaining <= 0:
-                        self._queue.remove(entry)
-                        self.stats["timeouts"] += 1
-                        # Our departure may unblock whoever queued behind.
-                        self._cond.notify_all()
-                        raise AdmissionTimeout(
-                            f"no {need} tuples freed within {patience}s "
-                            f"(granted {self._granted}/{self.budget}, "
-                            f"queue depth {len(self._queue)})")
-                    self._cond.wait(remaining)
-            except BaseException:
-                if entry in self._queue:  # interrupted while waiting
-                    self._queue.remove(entry)
-                    self._cond.notify_all()
-                raise
+        if not self._fits(need, owner):
+            self.stats["timeouts"] += 1
+            held = (f"owner {owner!r} is at its quota"
+                    if self._granted + need <= self.budget
+                    else f"granted {self._granted}/{self.budget}")
+            raise AdmissionTimeout(
+                f"no {need} tuples free now ({held}); retry after a "
+                f"release")
+        return self._grant(need, owner)
 
     def release(self, grant: Grant) -> None:
-        """Return a grant's budget; wakes every queued waiter."""
-        with self._cond:
-            if grant.ticket not in self._active:
-                raise AdmissionError(
-                    f"release of inactive grant {grant} (double release?)")
-            self._active.remove(grant.ticket)
-            self._granted -= grant.amount
-            if grant.owner is not None:
-                left = self._owner_inflight.get(grant.owner, 0) - 1
-                if left > 0:
-                    self._owner_inflight[grant.owner] = left
-                    self._owner_granted[grant.owner] -= grant.amount
-                else:
-                    self._owner_inflight.pop(grant.owner, None)
-                    self._owner_granted.pop(grant.owner, None)
-            self.stats["released"] += 1
-            self._cond.notify_all()
+        """Return a grant's budget."""
+        if grant.ticket not in self._active:
+            raise AdmissionError(
+                f"release of inactive grant {grant} (double release?)")
+        self._active.remove(grant.ticket)
+        self._granted -= grant.amount
+        if grant.owner is not None:
+            left = self._owner_inflight.get(grant.owner, 0) - 1
+            if left > 0:
+                self._owner_inflight[grant.owner] = left
+                self._owner_granted[grant.owner] -= grant.amount
+            else:
+                self._owner_inflight.pop(grant.owner, None)
+                self._owner_granted.pop(grant.owner, None)
+        self.stats["released"] += 1
 
     @contextmanager
-    def admit(self, need: int, *, timeout: object = _UNSET,
-              owner: str | None = None):
+    def admit(self, need: int, *, owner: str | None = None):
         """``with admission.admit(need):`` — acquire and always release."""
-        grant = self.acquire(need, timeout=timeout, owner=owner)
+        grant = self.acquire(need, owner=owner)
         try:
             yield grant
         finally:
@@ -288,58 +212,38 @@ class AdmissionController:
         if need < 0:
             raise ValueError(f"memory need must be >= 0, got {need}")
         if need > self.budget:
-            with self._cond:
-                self.stats["rejected"] += 1
+            self.stats["rejected"] += 1
             raise AdmissionRejected(
                 f"query needs {need} tuples but the global budget is "
                 f"{self.budget}; no release can ever satisfy it")
         quota = self.quota_for(owner)
         if (quota is not None and quota.max_share is not None
                 and need > quota.max_share * self.budget):
-            with self._cond:
-                self.stats["rejected"] += 1
-                self.stats["quota_rejections"] += 1
+            self.stats["rejected"] += 1
+            self.stats["quota_rejections"] += 1
             raise AdmissionRejected(
                 f"query needs {need} tuples but owner {owner!r} is "
                 f"capped at {quota.max_share:g} of the {self.budget}-"
                 f"tuple budget; no release can ever satisfy it")
 
-    def _quota_allows(self, owner: str | None,  # em-holds: _cond
-                      need: int) -> bool:
-        if owner is None:
-            return True
-        quota = self._quotas.get(owner, self.default_quota)
+    def _fits(self, need: int, owner: str | None) -> bool:
+        """Budget and the owner's quota both allow ``need`` now."""
+        if self._granted + need > self.budget:
+            return False
+        quota = self.quota_for(owner)
         if quota is None:
             return True
         if (quota.max_inflight is not None
                 and self._owner_inflight.get(owner, 0)
                 >= quota.max_inflight):
             return False
-        if (quota.max_share is not None
-                and self._owner_granted.get(owner, 0) + need
-                > quota.max_share * self.budget):
-            return False
-        return True
+        return (quota.max_share is None
+                or self._owner_granted.get(owner, 0) + need
+                <= quota.max_share * self.budget)
 
-    def _my_turn(self,  # em-holds: _cond
-                 entry: tuple[int, int, str | None]) -> bool:
-        # Quota-blocked waiters are invisible to the ordering: a tenant
-        # at its cap never stalls the tenants queued behind it.
-        eligible = [e for e in self._queue
-                    if self._quota_allows(e[2], e[0])]
-        if not eligible:
-            return False
-        if self.policy == "fifo":
-            return eligible[0] is entry
-        return min(eligible) == entry  # (need, ticket) natural order
-
-    def _grant(self, need: int,  # em-holds: _cond
-               ticket: int | None = None,
-               owner: str | None = None,
-               immediate: bool = True) -> Grant:
-        grant = Grant(amount=need,
-                      ticket=next(self._tickets) if ticket is None
-                      else ticket, owner=owner, immediate=immediate)
+    def _grant(self, need: int, owner: str | None) -> Grant:
+        grant = Grant(amount=need, ticket=next(self._tickets),
+                      owner=owner)
         self._granted += need
         self._active.add(grant.ticket)
         if owner is not None:
@@ -354,4 +258,4 @@ class AdmissionController:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"AdmissionController(budget={self.budget}, "
-                f"granted={self._granted}, queue={len(self._queue)})")
+                f"granted={self._granted})")

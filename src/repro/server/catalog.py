@@ -16,7 +16,6 @@ can tell they are stale.
 
 from __future__ import annotations
 
-import threading
 from typing import Mapping
 
 from repro.data.io import read_csv_rows
@@ -62,16 +61,15 @@ class CatalogEntry:
 
 
 class Catalog:
-    """Named, ref-counted, evictable instances (thread-safe)."""
+    """Named, ref-counted, evictable instances."""
 
     def __init__(self, *, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
         # Insertion/refresh order doubles as least-recently-acquired.
-        self._entries: dict[str, CatalogEntry] = {}  # em-guarded-by: _lock
-        self.stats = {"loads": 0, "hits": 0,  # em-guarded-by: _lock
+        self._entries: dict[str, CatalogEntry] = {}
+        self.stats = {"loads": 0, "hits": 0,
                       "evictions": 0, "replaced": 0}
 
     # -- loading -------------------------------------------------------
@@ -80,21 +78,20 @@ class Catalog:
             rows: Mapping[str, list[tuple]], *,
             replace: bool = False) -> CatalogEntry:
         """Register a dataset from in-memory rows."""
-        with self._lock:
-            old = self._entries.get(name)
-            if old is not None and not replace:
-                raise CatalogError(
-                    f"instance {name!r} is already loaded "
-                    f"(pass replace=True to supersede it)")
-            generation = 1 if old is None else old.generation + 1
-            entry = CatalogEntry(name, layouts, rows, generation)
-            if old is not None:
-                self.stats["replaced"] += 1
-                del self._entries[name]  # re-insert at the fresh end
-            self._entries[name] = entry
-            self.stats["loads"] += 1
-            self._evict_over_capacity()
-            return entry
+        old = self._entries.get(name)
+        if old is not None and not replace:
+            raise CatalogError(
+                f"instance {name!r} is already loaded "
+                f"(pass replace=True to supersede it)")
+        generation = 1 if old is None else old.generation + 1
+        entry = CatalogEntry(name, layouts, rows, generation)
+        if old is not None:
+            self.stats["replaced"] += 1
+            del self._entries[name]  # re-insert at the fresh end
+        self._entries[name] = entry
+        self.stats["loads"] += 1
+        self._evict_over_capacity()
+        return entry
 
     def load_csv(self, name: str,  # em-effects: HOST_ONLY -- reads host CSVs once, outside any measured run
                  tables: Mapping[str, str], *,
@@ -119,62 +116,6 @@ class Catalog:
 
     def get(self, name: str) -> CatalogEntry:
         """Look up without pinning (introspection only)."""
-        with self._lock:
-            return self._get(name)
-
-    def acquire(self, name: str) -> CatalogEntry:
-        """Pin an entry for use; pairs with :meth:`release`."""
-        with self._lock:
-            entry = self._get(name)
-            entry.pins += 1
-            self.stats["hits"] += 1
-            # Refresh recency: move to the most-recently-acquired end.
-            del self._entries[name]
-            self._entries[name] = entry
-            return entry
-
-    def release(self, entry: CatalogEntry) -> None:
-        with self._lock:
-            if entry.pins <= 0:
-                raise CatalogError(
-                    f"release of instance {entry.name!r} without a "
-                    f"matching acquire")
-            entry.pins -= 1
-
-    # -- eviction ------------------------------------------------------
-
-    def evict(self, name: str, *, force: bool = False) -> bool:
-        """Drop an entry; refuses (returns False) while it is pinned,
-        unless ``force``."""
-        with self._lock:
-            entry = self._get(name)
-            if entry.pins > 0 and not force:
-                return False
-            del self._entries[name]
-            self.stats["evictions"] += 1
-            return True
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
-
-    def info(self) -> dict[str, object]:
-        with self._lock:
-            return {"capacity": self.capacity,
-                    "entries": [e.info() for e in self._entries.values()],
-                    **self.stats}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._entries
-
-    # -- internals -----------------------------------------------------
-
-    def _get(self, name: str) -> CatalogEntry:  # em-holds: _lock
         entry = self._entries.get(name)
         if entry is None:
             raise CatalogError(
@@ -182,7 +123,52 @@ class Catalog:
                 f"(loaded: {sorted(self._entries)})")
         return entry
 
-    def _evict_over_capacity(self) -> None:  # em-holds: _lock
+    def acquire(self, name: str) -> CatalogEntry:
+        """Pin an entry for use; pairs with :meth:`release`."""
+        entry = self.get(name)
+        entry.pins += 1
+        self.stats["hits"] += 1
+        # Refresh recency: move to the most-recently-acquired end.
+        del self._entries[name]
+        self._entries[name] = entry
+        return entry
+
+    def release(self, entry: CatalogEntry) -> None:
+        if entry.pins <= 0:
+            raise CatalogError(
+                f"release of instance {entry.name!r} without a "
+                f"matching acquire")
+        entry.pins -= 1
+
+    # -- eviction ------------------------------------------------------
+
+    def evict(self, name: str, *, force: bool = False) -> bool:
+        """Drop an entry; refuses (returns False) while it is pinned,
+        unless ``force``."""
+        entry = self.get(name)
+        if entry.pins > 0 and not force:
+            return False
+        del self._entries[name]
+        self.stats["evictions"] += 1
+        return True
+
+    def names(self) -> list[str]:
+        return list(self._entries)
+
+    def info(self) -> dict[str, object]:
+        return {"capacity": self.capacity,
+                "entries": [e.info() for e in self._entries.values()],
+                **self.stats}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._entries
+
+    # -- internals -----------------------------------------------------
+
+    def _evict_over_capacity(self) -> None:
         """Drop least-recently-acquired unpinned entries over capacity.
 
         Pinned entries are immune, so the catalog may transiently sit

@@ -5,8 +5,8 @@ nothing so far observed a *query*.  A :class:`FlightRecorder` on the
 :class:`~repro.server.service.QueryService` closes that gap: every
 query executed through a session — including the ones admission
 rejects or times out — leaves a structured :class:`FlightRecord` with
-its arrival/grant/finish timeline, admission outcome (wait time, queue
-depth at arrival, quota state), owner-attributed pool cache deltas,
+its arrival/grant/finish timeline, admission outcome (wait time,
+quota state), owner-attributed pool cache deltas,
 per-phase I/O, peak memory, and result count.
 
 Like every observer in this tree the recorder is strictly passive: it
@@ -27,7 +27,6 @@ under heavy traffic.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -94,7 +93,7 @@ class FlightRecord:
 
 
 class FlightRecorder:
-    """Bounded, thread-safe ring of the newest query lifecycle records.
+    """Bounded ring of the newest query lifecycle records.
 
     ``slow_ms`` is the slow-query threshold: records whose ``total_ms``
     meets it are flagged ``slow`` and counted (``stats()["slow"]``).
@@ -111,11 +110,10 @@ class FlightRecorder:
         self.capacity = capacity
         self.slow_ms = slow_ms
         self.clock = clock
-        self._records: deque[FlightRecord] = deque(maxlen=capacity)  # em-guarded-by: _lock
+        self._records: deque[FlightRecord] = deque(maxlen=capacity)
         self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self.seen = 0  # em-guarded-by: _lock
-        self.slow_count = 0  # em-guarded-by: _lock
+        self.seen = 0
+        self.slow_count = 0
 
     # -- recording -----------------------------------------------------
 
@@ -123,57 +121,50 @@ class FlightRecorder:
         """Build, number, and store one record; returns it.
 
         Accepts every :class:`FlightRecord` field except ``id`` and
-        ``slow`` (assigned here).  Thread-safe; called by sessions on
-        arbitrary threads.
+        ``slow`` (assigned here).
         """
-        with self._lock:
-            slow = (self.slow_ms is not None
-                    and fields.get("total_ms", 0.0) >= self.slow_ms)
-            rec = FlightRecord(id=next(self._ids), slow=slow, **fields)
-            self._records.append(rec)
-            self.seen += 1
-            if slow:
-                self.slow_count += 1
-            return rec
+        slow = (self.slow_ms is not None
+                and fields.get("total_ms", 0.0) >= self.slow_ms)
+        rec = FlightRecord(id=next(self._ids), slow=slow, **fields)
+        self._records.append(rec)
+        self.seen += 1
+        if slow:
+            self.slow_count += 1
+        return rec
 
     # -- inspection ----------------------------------------------------
 
     @property
     def stored(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     @property
     def overwritten(self) -> int:
         """Records the ring has dropped to make room (loss honesty)."""
-        with self._lock:
-            return self.seen - len(self._records)
+        return self.seen - len(self._records)
 
     def records(self, n: int | None = None, *,
                 slow_only: bool = False) -> list[FlightRecord]:
         """The newest ``n`` stored records, newest first."""
-        with self._lock:
-            out = list(self._records)
+        out = list(self._records)
         out.reverse()
         if slow_only:
             out = [r for r in out if r.slow]
         return out if n is None else out[:max(0, n)]
 
     def get(self, record_id: int) -> FlightRecord | None:
-        with self._lock:
-            for rec in self._records:
-                if rec.id == record_id:
-                    return rec
+        for rec in self._records:
+            if rec.id == record_id:
+                return rec
         return None
 
     def stats(self) -> dict[str, object]:
         """Ring accounting: what was seen vs what is still readable."""
-        with self._lock:
-            stored = len(self._records)
-            return {"capacity": self.capacity, "seen": self.seen,
-                    "stored": stored,
-                    "overwritten": self.seen - stored,
-                    "slow_ms": self.slow_ms, "slow": self.slow_count}
+        stored = len(self._records)
+        return {"capacity": self.capacity, "seen": self.seen,
+                "stored": stored,
+                "overwritten": self.seen - stored,
+                "slow_ms": self.slow_ms, "slow": self.slow_count}
 
     def __len__(self) -> int:
         return self.stored

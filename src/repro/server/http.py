@@ -21,8 +21,7 @@ Routes (all rooted at the bind address of ``repro serve``):
        "M": 8, "B": 2,                 // per-query machine (optional)
        "session": "alice",             // sticky session (optional)
        "tenant": "team-a",             // admission owner (optional)
-       "collect": false,               // include result rows
-       "timeout_s": 5}                 // admission patience
+       "collect": false}               // include result rows
 
   Without ``session`` the query runs one-shot (open, run, close);
   with it, repeated requests share devices, instance caches and pins —
@@ -31,18 +30,26 @@ Routes (all rooted at the bind address of ``repro serve``):
   measured I/O per phase from the service's fitted Table-1 constants
   (or the reason no prediction applies).
 
-Admission failures map to HTTP the obvious way: a need larger than the
-global budget is 422 (no retry will help), a queue timeout is 503 with
-``Retry-After`` (the service is busy, try again).  Malformed bodies and
-unknown queries/instances are 400; anything unexpected inside the
-engine is a 500 JSON document, never a dropped connection.
+One thread serves every connection, and each query runs to completion
+before the next request is read: :class:`ServiceServer` is the stdlib
+``HTTPServer`` accept loop.  A client that stalls mid-request is
+dropped after :attr:`_Handler.timeout` seconds, so it cannot hold the
+loop for longer than that.
+
+Admission failures map to HTTP the obvious way: a need that can never
+fit (over the global budget or the tenant's share) is 422 (no retry
+will help); a need that does not fit the budget or the tenant's
+in-flight quota held right now is 503 with ``Retry-After`` (retry once
+the holders release).  Malformed bodies and unknown queries/instances
+are 400; anything unexpected inside the engine is a 500 JSON document,
+never a dropped connection.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
@@ -55,10 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.service import QueryService
 
 
-class ServiceServer(ThreadingHTTPServer):
+class ServiceServer(HTTPServer):
     """One HTTP front end bound to one :class:`QueryService`."""
-
-    daemon_threads = True
 
     def __init__(self, addr: tuple[str, int],
                  service: "QueryService") -> None:
@@ -68,6 +73,11 @@ class ServiceServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     server: ServiceServer
+
+    #: Seconds a socket read may block before the connection is
+    #: dropped: a silent or half-sent request must not stall the
+    #: single serving thread.
+    timeout = 5.0
 
     # -- plumbing ------------------------------------------------------
 
@@ -154,6 +164,9 @@ class _Handler(BaseHTTPRequestHandler):
             "explain", ["0"])[0] not in ("0", "", "false")
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                raise ValueError(f"negative Content-Length {length}")
             req = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(req, dict) or "query" not in req:
                 raise ValueError('the body needs a "query" field')
@@ -167,9 +180,6 @@ class _Handler(BaseHTTPRequestHandler):
                 kwargs["B"] = int(req["B"])
             if req.get("tenant") is not None:
                 kwargs["tenant"] = str(req["tenant"])
-            if "timeout_s" in req:
-                kwargs["timeout"] = (None if req["timeout_s"] is None
-                                     else float(req["timeout_s"]))
         except (TypeError, ValueError, json.JSONDecodeError) as exc:
             self._json(400, {"error": f"bad request body: {exc}"})
             return
@@ -191,8 +201,8 @@ class _Handler(BaseHTTPRequestHandler):
             # Only errors provably caused by the request map to 400;
             # anything else is the engine's fault and must say so
             # (a bare KeyError here used to masquerade as a client
-            # error, and an unexpected exception killed the handler
-            # thread mid-response).
+            # error, and an unexpected exception dropped the
+            # connection mid-response).
             self._json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all
             self._json(500, {"error": f"{type(exc).__name__}: {exc}",
@@ -215,7 +225,9 @@ def start_http_server(service: "QueryService", host: str = "127.0.0.1",
     """Bind and serve on a daemon thread (tests, embedding).
 
     Returns the server; ``server_port`` holds the bound port and
-    ``shutdown()`` stops the loop.
+    ``shutdown()`` stops the loop.  While it serves, that thread runs
+    the queries: other threads should only read the service, or touch
+    it between requests.
     """
     server = make_server(service, host, port)
 

@@ -21,14 +21,10 @@ session talks to it through a :class:`PoolView` — an object with the
 Page numbering depends on ``B``, so shared labels embed the block size
 and the catalog generation: sessions on a different ``B`` (or stale
 data) simply do not share frames rather than corrupting each other's.
-
-All entry points serialize on one lock; the pool itself is not
-thread-safe and the GIL does not make dict check-then-act atomic.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Hashable, TYPE_CHECKING
 
 from repro.em.bufferpool import BufferPool, PoolConfig
@@ -44,7 +40,7 @@ def shared_label(instance: str, generation: int, B: int, rel: str) -> str:
 
 
 class SharedPool:
-    """The service-wide pool plus the lock all views funnel through."""
+    """The service-wide pool every session view charges through."""
 
     def __init__(self, *, frames: int, policy: str = "lru", B: int,
                  max_pin_share: float | None = None,
@@ -57,9 +53,6 @@ class SharedPool:
         self.device = Device(M=max(B, frames * B), B=B, metrics=metrics)
         self.B = B
         self.pool = BufferPool(self.device, config)
-        # em-lock: coarse -- every charge funnels through it by design;
-        # the pool is the one service-wide serialization point.
-        self.lock = threading.Lock()
 
     def view(self, device: Device, owner: Hashable) -> "PoolView":
         """A session-facing view charging ``device``, pinning as
@@ -72,19 +65,17 @@ class SharedPool:
         return PoolView(self, device, owner)
 
     def stats(self) -> dict[str, object]:
-        with self.lock:
-            return {
-                "frames": self.pool.n_frames,
-                "resident_pages": self.pool.resident_pages,
-                "policy": self.pool.config.policy,
-                "max_pin_share": self.pool.config.max_pin_share,
-                "pins": {str(owner): counts for owner, counts in
-                         self.pool.pin_accounting().items()},
-            }
+        return {
+            "frames": self.pool.n_frames,
+            "resident_pages": self.pool.resident_pages,
+            "policy": self.pool.config.policy,
+            "max_pin_share": self.pool.config.max_pin_share,
+            "pins": {str(owner): counts for owner, counts in
+                     self.pool.pin_accounting().items()},
+        }
 
     def close(self) -> None:
-        with self.lock:
-            self.pool.close()
+        self.pool.close()
 
 
 class PoolView:
@@ -104,19 +95,18 @@ class PoolView:
         # EMFile (by identity) -> label.  Shared entries persist for the
         # view's lifetime; private ones are forgotten at end_query() so
         # dead temp files do not accumulate.
-        self._shared_labels: dict["EMFile", str] = {}  # em-guarded-by: shared.lock
-        self._private_labels: dict["EMFile", str] = {}  # em-guarded-by: shared.lock
-        self._private_set: set[str] = set()  # em-guarded-by: shared.lock
-        self._n_private = 0  # em-guarded-by: shared.lock
+        self._shared_labels: dict["EMFile", str] = {}
+        self._private_labels: dict["EMFile", str] = {}
+        self._private_set: set[str] = set()
+        self._n_private = 0
 
     # -- label management ---------------------------------------------
 
     def share(self, f: "EMFile", label: str) -> None:
         """Map this session's file onto a pool-wide shared label."""
-        with self.shared.lock:
-            self._shared_labels[f] = label
+        self._shared_labels[f] = label
 
-    def _label(self, f: "EMFile") -> str:  # em-holds: shared.lock
+    def _label(self, f: "EMFile") -> str:
         label = self._shared_labels.get(f)
         if label is not None:
             return label
@@ -134,19 +124,16 @@ class PoolView:
     # -- the Device pool surface --------------------------------------
 
     def read_page(self, f: "EMFile", page: int) -> None:
-        with self.shared.lock:
-            self.shared.pool.read_page(self._label(f), page,
-                                       via=self.device)
+        self.shared.pool.read_page(self._label(f), page,
+                                   via=self.device)
 
     def write_page(self, f: "EMFile", page: int) -> None:
-        with self.shared.lock:
-            self.shared.pool.write_page(self._label(f), page,
-                                        via=self.device)
+        self.shared.pool.write_page(self._label(f), page,
+                                    via=self.device)
 
     def flush(self) -> None:
         """Write back only this session's deferred dirty pages."""
-        with self.shared.lock:
-            self.shared.pool.flush(device=self.device)
+        self.shared.pool.flush(device=self.device)
 
     def clear(self) -> None:
         """Drop this view's private frames without write-back.
@@ -155,23 +142,20 @@ class PoolView:
         base pages are only ever clean (inputs materialize uncharged,
         bypassing the pool).
         """
-        with self.shared.lock:
-            self.shared.pool.drop_matching(
-                lambda key: key[0] in self._private_set,
-                include_dirty=True)
-            self._private_labels.clear()
-            self._private_set.clear()
+        self.shared.pool.drop_matching(
+            lambda key: key[0] in self._private_set,
+            include_dirty=True)
+        self._private_labels.clear()
+        self._private_set.clear()
 
     # -- session-facing extras ----------------------------------------
 
     def pin(self, f: "EMFile", page: int) -> None:
-        with self.shared.lock:
-            self.shared.pool.pin(self._label(f), page, via=self.device,
-                                 owner=self.owner)
+        self.shared.pool.pin(self._label(f), page, via=self.device,
+                             owner=self.owner)
 
     def unpin(self, f: "EMFile", page: int) -> None:
-        with self.shared.lock:
-            self.shared.pool.unpin(self._label(f), page, owner=self.owner)
+        self.shared.pool.unpin(self._label(f), page, owner=self.owner)
 
     def end_query(self) -> None:
         """Retire one query's working set: flush own dirty pages, then
@@ -182,21 +166,19 @@ class PoolView:
         and dropping them keeps pooled counters independent of what ran
         before on this session.
         """
-        with self.shared.lock:
-            pool = self.shared.pool
-            pool.flush(device=self.device)
-            pool.drop_matching(lambda key: key[0] in self._private_set)
-            self._private_labels.clear()
-            self._private_set.clear()
+        pool = self.shared.pool
+        pool.flush(device=self.device)
+        pool.drop_matching(lambda key: key[0] in self._private_set)
+        self._private_labels.clear()
+        self._private_set.clear()
 
     def close(self) -> None:
         """Session teardown: release only *this* session's pins, write
         back its dirty pages, and drop its private frames."""
-        with self.shared.lock:
-            pool = self.shared.pool
-            pool.release_owner(self.owner)
-            pool.flush(device=self.device)
-            pool.drop_matching(lambda key: key[0] in self._private_set)
-            self._private_labels.clear()
-            self._private_set.clear()
-            self._shared_labels.clear()
+        pool = self.shared.pool
+        pool.release_owner(self.owner)
+        pool.flush(device=self.device)
+        pool.drop_matching(lambda key: key[0] in self._private_set)
+        self._private_labels.clear()
+        self._private_set.clear()
+        self._shared_labels.clear()

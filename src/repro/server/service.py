@@ -6,7 +6,7 @@ requests.  It owns the pieces individual runs would otherwise rebuild:
 * the :class:`~repro.server.catalog.Catalog` of loaded instances (CSV
   parsed once, served to every session);
 * the :class:`~repro.server.admission.AdmissionController` enforcing
-  the *global* memory budget ``M`` across in-flight queries;
+  the *global* memory budget ``M`` across granted queries;
 * optionally one :class:`~repro.server.pool.SharedPool` of page frames
   that all sessions hit (``pool_frames > 0``);
 * a :class:`~repro.obs.metrics.MetricsRegistry` aggregating
@@ -17,18 +17,16 @@ requests.  It owns the pieces individual runs would otherwise rebuild:
   byte-identical either way (the recorder only copies deltas the
   session already computed).
 
-:meth:`execute_batch` is the thread-based executor: requests are dealt
-round-robin onto persistent worker sessions (deterministic assignment,
-so pooled aggregate counters are schedule-independent) and each
-worker's queue runs on its own thread.  Under the GIL the win is not
-parallel compute — it is amortization: instances materialize once per
-worker, hot pages hit the shared pool, and admission waits overlap.
+Every query runs to completion on the calling thread.
+:meth:`execute_batch` deals requests round-robin onto persistent
+worker sessions and runs them in request order; the win is
+amortization, not parallel compute: instances materialize once per
+worker and hot pages hit the shared pool.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Mapping
 
 from repro.obs.export import to_prometheus
@@ -51,8 +49,6 @@ class QueryService:
                  default_query_M: int | None = None,
                  pool_frames: int = 0, pool_policy: str = "lru",
                  max_pin_share: float | None = 0.5,
-                 admission_policy: str = "fifo",
-                 admission_timeout: float | None = 30.0,
                  catalog_capacity: int | None = None,
                  workers: int = 8, metrics: MetricsRegistry | None = None,
                  flight_records: int = 256,
@@ -73,12 +69,8 @@ class QueryService:
             else default_query_M
         self.workers = workers
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        # em-guarded-by: none -- Catalog serializes internally; .add()
-        # here is Catalog.add (a locked method), not a bare container.
         self.catalog = Catalog(capacity=catalog_capacity)
-        self.admission = AdmissionController(
-            M, policy=admission_policy, default_timeout=admission_timeout,
-            default_quota=default_quota)
+        self.admission = AdmissionController(M, default_quota=default_quota)
         self.flight = (FlightRecorder(flight_records,
                                       slow_ms=slow_query_ms)
                        if flight_records else None)
@@ -89,16 +81,12 @@ class QueryService:
                                 B=B, max_pin_share=max_pin_share,
                                 metrics=self.metrics)
                      if pool_frames else None)
-        self._sessions: dict[str, Session] = {}  # em-guarded-by: _lock
-        self._workers: list[Session] = []  # em-guarded-by: _lock
-        self._lock = threading.Lock()
-        # Registry updates are read-modify-write; sessions finish on
-        # arbitrary threads, so serialize the folds.
-        self._metrics_lock = threading.Lock()
+        self._sessions: dict[str, Session] = {}
+        self._workers: list[Session] = []
         self._session_ids = itertools.count(1)
-        self._worker_errors = 0  # em-guarded-by: _metrics_lock
-        self._serve_crash: str | None = None  # em-guarded-by: _metrics_lock
-        self.closed = False  # em-guarded-by: _lock
+        self._worker_errors = 0
+        self._serve_crash: str | None = None
+        self.closed = False
 
     # -- data ----------------------------------------------------------
 
@@ -125,28 +113,25 @@ class QueryService:
         live session by name is how stateless protocols (HTTP) keep a
         connection: same devices, same instance caches, same pins.
         """
-        with self._lock:
-            self._require_open()
-            if name is not None:
-                live = self._sessions.get(name)
-                if live is not None and not live.closed:
-                    return live
-            if name is None:
-                name = f"s{next(self._session_ids)}"
-            session = Session(self, name, tracer=tracer)
-            self._sessions[name] = session
-            return session
+        self._require_open()
+        if name is not None:
+            live = self._sessions.get(name)
+            if live is not None and not live.closed:
+                return live
+        if name is None:
+            name = f"s{next(self._session_ids)}"
+        session = Session(self, name, tracer=tracer)
+        self._sessions[name] = session
+        return session
 
     def close_session(self, name: str) -> None:
-        with self._lock:
-            session = self._sessions.pop(name, None)
+        session = self._sessions.pop(name, None)
         if session is None:
             raise ServiceError(f"no session named {name!r}")
         session.close()
 
     def sessions(self) -> list[str]:
-        with self._lock:
-            return sorted(self._sessions)
+        return sorted(self._sessions)
 
     # -- execution -----------------------------------------------------
 
@@ -167,11 +152,10 @@ class QueryService:
 
         Each request is a mapping of :meth:`Session.execute` keyword
         arguments plus ``"query"``.  Request ``i`` runs on worker
-        ``i % concurrency`` — a deterministic deal, so pooled aggregate
-        counters do not depend on thread timing — and each worker
-        drains its share in order on its own thread.  Results come back
-        in request order; the first worker exception (if any) is
-        re-raised after all threads join.
+        ``i % concurrency``, in request order on the calling thread.  A
+        worker stops at its first failure (its later requests are
+        skipped; other workers carry on); the lowest failing index is
+        re-raised as :class:`ServiceError` once the batch is done.
         """
         self._require_open()
         if not requests:
@@ -180,32 +164,23 @@ class QueryService:
                        len(requests)))
         workers = self._worker_sessions(c)
         results: list[QueryResult | None] = [None] * len(requests)
-        errors: list[tuple[int, BaseException]] = []
-
-        def drain(w: int) -> None:
-            for i in range(w, len(requests), c):
-                req = dict(requests[i])
-                query = req.pop("query", None)
-                try:
-                    if query is None:
-                        raise ServiceError(
-                            f"batch request {i} has no 'query'")
-                    results[i] = workers[w].execute(query, **req)
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append((i, exc))
-                    self._note_worker_error(workers[w].name, i, query,
-                                            req, exc)
-                    return
-
-        threads = [threading.Thread(target=drain, args=(w,),
-                                    name=f"repro-batch-w{w}")
-                   for w in range(c)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            i, exc = min(errors, key=lambda e: e[0])
+        failed: dict[int, tuple[int, BaseException]] = {}
+        for i, request in enumerate(requests):
+            w = i % c
+            if w in failed:
+                continue
+            req = dict(request)
+            query = req.pop("query", None)
+            try:
+                if query is None:
+                    raise ServiceError(f"batch request {i} has no 'query'")
+                results[i] = workers[w].execute(query, **req)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failed[w] = (i, exc)
+                self._note_worker_error(workers[w].name, i, query, req,
+                                        exc)
+        if failed:
+            i, exc = min(failed.values(), key=lambda e: e[0])
             raise ServiceError(
                 f"batch request {i} failed on worker "
                 f"{i % c}: {exc!r}") from exc
@@ -213,12 +188,11 @@ class QueryService:
 
     def _worker_sessions(self, c: int) -> list[Session]:
         """Persistent workers, grown on demand, reused across batches."""
-        with self._lock:
-            while len(self._workers) < c:
-                w = Session(self, f"w{len(self._workers)}")
-                self._sessions[w.name] = w
-                self._workers.append(w)
-            return self._workers[:c]
+        while len(self._workers) < c:
+            w = Session(self, f"w{len(self._workers)}")
+            self._sessions[w.name] = w
+            self._workers.append(w)
+        return self._workers[:c]
 
     def _note_worker_error(self, worker: str, index: int, query,
                            req: Mapping, exc: BaseException) -> None:
@@ -230,9 +204,8 @@ class QueryService:
         ``"query"`` key) additionally get a flight record here, so a
         poisoned query is never invisible.
         """
-        with self._metrics_lock:
-            self._worker_errors += 1
-            self.metrics.counter("service.worker_errors").inc()
+        self._worker_errors += 1
+        self.metrics.counter("service.worker_errors").inc()
         flight = self.flight
         if flight is None or getattr(exc, "_flight_recorded", False):
             return
@@ -246,9 +219,8 @@ class QueryService:
 
     def note_server_crash(self, exc: BaseException) -> None:
         """The HTTP serve thread died: make it visible in ``/stats``."""
-        with self._metrics_lock:
-            self._serve_crash = repr(exc)
-            self.metrics.counter("service.serve_crashes").inc()
+        self._serve_crash = repr(exc)
+        self.metrics.counter("service.serve_crashes").inc()
 
     # -- fairness ------------------------------------------------------
 
@@ -300,10 +272,6 @@ class QueryService:
 
     def _observe(self, result: QueryResult) -> None:
         """Fold one finished query into the service-wide registry."""
-        with self._metrics_lock:
-            self._observe_locked(result)
-
-    def _observe_locked(self, result: QueryResult) -> None:  # em-holds: _metrics_lock
         m = self.metrics
         m.counter("service.queries").inc()
         m.counter("service.results").inc(result.results)
@@ -317,18 +285,12 @@ class QueryService:
 
     def refresh_metrics(self) -> MetricsRegistry:
         """Update the point-in-time gauges, return the registry."""
-        with self._metrics_lock:
-            return self._refresh_metrics_locked()
-
-    def _refresh_metrics_locked(self) -> MetricsRegistry:  # em-holds: _metrics_lock
         m = self.metrics
         adm = self.admission.snapshot()
         m.gauge("admission.granted_tuples").set(adm["granted"])
-        m.gauge("admission.queue_depth").set(adm["queue_depth"])
         m.gauge("admission.in_flight").set(adm["in_flight"])
         m.gauge("catalog.entries").set(len(self.catalog.names()))
-        with self._lock:
-            m.gauge("service.sessions").set(len(self._sessions))
+        m.gauge("service.sessions").set(len(self._sessions))
         if self.pool is not None:
             m.gauge("pool.resident_pages").set(
                 self.pool.pool.resident_pages)
@@ -345,35 +307,29 @@ class QueryService:
 
     def stats(self) -> dict[str, object]:
         """The ``/stats`` payload: one JSON view of the whole engine."""
-        with self._lock:
-            sessions = [s.stats() for s in self._sessions.values()]
-        with self._metrics_lock:
-            errors = {"worker_errors": self._worker_errors,
-                      "serve_crash": self._serve_crash}
         return {
             "machine": {"M": self.M, "B": self.B,
                         "default_query_M": self.default_query_M},
             "admission": self.admission.snapshot(),
             "catalog": self.catalog.info(),
             "pool": None if self.pool is None else self.pool.stats(),
-            "sessions": sessions,
+            "sessions": [s.stats() for s in self._sessions.values()],
             "flight": None if self.flight is None
             else self.flight.stats(),
-            "errors": errors,
+            "errors": {"worker_errors": self._worker_errors,
+                       "serve_crash": self._serve_crash},
         }
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-            self._workers.clear()
-        for s in sessions:
+        if self.closed:
+            return
+        self.closed = True
+        for s in self._sessions.values():
             s.close()
+        self._sessions.clear()
+        self._workers.clear()
         if self.pool is not None:
             self.pool.close()
 

@@ -14,7 +14,7 @@ Per query the session:
 1. parses the text (or accepts a ready :class:`JoinQuery`) and checks
    it against the catalog entry's layouts;
 2. declares its planner-estimated memory need to the admission
-   controller and waits for a grant;
+   controller, which grants or refuses at once;
 3. materializes the instance onto its device (cached per catalog
    generation — uncharged, inputs pre-exist in the model);
 4. runs :func:`repro.core.planner.execute` and, when pooled, retires
@@ -27,7 +27,6 @@ Per query the session:
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -45,9 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.catalog import CatalogEntry
     from repro.server.pool import PoolView
     from repro.server.service import QueryService
-
-_UNSET = object()
-
 
 class SessionClosed(RuntimeError):
     """The session was closed; open a new one."""
@@ -94,134 +90,110 @@ class QueryResult:
 
 class Session:
     """A named connection to a :class:`~repro.server.service.
-    QueryService`.  Queries within one session run serially (the
-    session lock); concurrency comes from many sessions."""
+    QueryService`.  Each query runs to completion before the next
+    starts; sessions keep devices, instance caches and pins between
+    queries."""
 
     def __init__(self, service: "QueryService", name: str, *,
                  tracer=None) -> None:
         self._service = service
         self.name = name
         self._tracer = tracer
-        # em-lock: coarse -- held across admission waits and device
-        # charges by design: queries within one session run serially.
-        self._lock = threading.Lock()
-        self._devices: dict[tuple[int, int], "Device"] = {}  # em-guarded-by: _lock
-        self._views: dict[tuple[int, int], "PoolView"] = {}  # em-guarded-by: _lock
+        self._devices: dict[tuple[int, int], "Device"] = {}
+        self._views: dict[tuple[int, int], "PoolView"] = {}
         # (instance, generation, M, B) -> materialized Instance
-        self._instances: dict[tuple[str, int, int, int], Instance] = {}  # em-guarded-by: _lock
-        self._pinned: list[tuple[object, object, int]] = []  # em-guarded-by: _lock
-        self.queries = 0  # em-guarded-by: _lock
-        self.closed = False  # em-guarded-by: _lock
+        self._instances: dict[tuple[str, int, int, int], Instance] = {}
+        self._pinned: list[tuple[object, object, int]] = []
+        self.queries = 0
+        self.closed = False
 
     # -- the query path ------------------------------------------------
 
     def execute(self, query: "JoinQuery | str", *,
                 instance: str = "default", M: int | None = None,
                 B: int | None = None, collect: bool = False,
-                reduce_first: bool = True, timeout: object = _UNSET,
+                reduce_first: bool = True,
                 tenant: str | None = None) -> QueryResult:
-        """Run one query; blocks on the session lock and on admission.
+        """Run one query to completion.
 
         ``tenant`` names the admission owner for quota accounting; it
         defaults to the session name, so one-shot HTTP sessions can
         still share a tenant's quota by declaring it explicitly.
         """
-        with self._lock:
-            if self.closed:
-                raise SessionClosed(f"session {self.name!r} is closed")
-            svc = self._service
-            flight = svc.flight
-            owner = self.name if tenant is None else tenant
-            arrival = time.time() if flight is not None else 0.0
-            t0 = time.perf_counter()
-            if isinstance(query, str):
-                text = query
-                q, layouts = parse_query_and_layouts(text)
-            else:
-                q, layouts = query, None
-                text = format_query(q)
-            M = svc.default_query_M if M is None else M
-            B = svc.B if B is None else B
-            entry = svc.catalog.acquire(instance)
+        if self.closed:
+            raise SessionClosed(f"session {self.name!r} is closed")
+        svc = self._service
+        flight = svc.flight
+        owner = self.name if tenant is None else tenant
+        arrival = time.time() if flight is not None else 0.0
+        t0 = time.perf_counter()
+        if isinstance(query, str):
+            text = query
+            q, layouts = parse_query_and_layouts(text)
+        else:
+            q, layouts = query, None
+            text = format_query(q)
+        M = svc.default_query_M if M is None else M
+        B = svc.B if B is None else B
+        entry = svc.catalog.acquire(instance)
+        try:
+            self._check_layouts(q, layouts, entry)
+            need = estimate_memory_need(q, M=M, B=B)
+            wait0 = time.perf_counter()
             try:
-                self._check_layouts(q, layouts, entry)
-                need = estimate_memory_need(q, M=M, B=B)
-                depth = svc.admission.queue_depth
-                wait0 = time.perf_counter()
-                try:
-                    if timeout is _UNSET:  # defer to controller default
-                        grant = svc.admission.acquire(need, owner=owner)
-                    else:
-                        grant = svc.admission.acquire(
-                            need, owner=owner, timeout=timeout)
-                except AdmissionRejected as exc:
-                    self._record_flight(
-                        svc, owner=owner, text=text, instance=instance,
-                        status="rejected", arrival=arrival, t0=t0,
-                        wait0=wait0, M=M, B=B, need=need, depth=depth,
-                        error=str(exc), exc=exc)
-                    raise
-                except AdmissionTimeout as exc:
-                    self._record_flight(
-                        svc, owner=owner, text=text, instance=instance,
-                        status="timeout", arrival=arrival, t0=t0,
-                        wait0=wait0, M=M, B=B, need=need, depth=depth,
-                        error=str(exc), exc=exc)
-                    raise
-                wait_s = time.perf_counter() - wait0
-                try:
-                    try:
-                        result = self._run(q, text, entry, instance, M,
-                                           B, collect, reduce_first)
-                    except Exception as exc:
-                        self._record_flight(
-                            svc, owner=owner, text=text,
-                            instance=instance, status="error",
-                            arrival=arrival, t0=t0, wait0=wait0, M=M,
-                            B=B, need=need, depth=depth,
-                            outcome=("granted" if grant.immediate
-                                     else "queued"),
-                            wait_s=wait_s, error=str(exc), exc=exc)
-                        raise
-                finally:
-                    svc.admission.release(grant)
+                grant = svc.admission.acquire(need, owner=owner)
+            except (AdmissionRejected, AdmissionTimeout) as exc:
+                status = ("rejected" if isinstance(exc, AdmissionRejected)
+                          else "timeout")
+                self._record_flight(
+                    svc, owner=owner, text=text, instance=instance,
+                    status=status, arrival=arrival, t0=t0, wait0=wait0,
+                    M=M, B=B, need=need, error=str(exc), exc=exc)
+                raise
+            wait_s = time.perf_counter() - wait0
+            try:
+                result = self._run(q, text, entry, instance, M, B,
+                                   collect, reduce_first)
+            except Exception as exc:
+                self._record_flight(
+                    svc, owner=owner, text=text, instance=instance,
+                    status="error", arrival=arrival, t0=t0, wait0=wait0,
+                    M=M, B=B, need=need, wait_s=wait_s, error=str(exc),
+                    exc=exc)
+                raise
             finally:
-                svc.catalog.release(entry)
-            self.queries += 1
-            admission = {"need": need,
-                         "wait_ms": round(wait_s * 1e3, 3),
-                         "outcome": ("granted" if grant.immediate
-                                     else "queued"),
-                         "queue_depth_at_arrival": depth}
-            quota = svc.admission.quota_state(owner)
-            if quota is not None:
-                admission["quota"] = quota
-            result = dataclasses.replace(
-                result, wall_s=time.perf_counter() - t0,
-                admission=admission)
-            if flight is not None:
-                rec = flight.record(
-                    session=self.name, owner=owner, query=text,
-                    instance=instance, status="ok",
-                    arrival_unix=arrival,
-                    wait_ms=admission["wait_ms"],
-                    run_ms=round((time.perf_counter() - wait0 - wait_s)
-                                 * 1e3, 3),
-                    total_ms=round(result.wall_s * 1e3, 3),
-                    admission=admission, machine=result.machine,
-                    shape=result.shape, algorithm=result.algorithm,
-                    results=result.results, io=result.io,
-                    phases=result.phases, peak_mem=result.peak_mem,
-                    cache=result.cache)
-                result = dataclasses.replace(result, flight_id=rec.id)
-            svc._observe(result)
-            return result
+                svc.admission.release(grant)
+        finally:
+            svc.catalog.release(entry)
+        self.queries += 1
+        admission = {"need": need, "wait_ms": round(wait_s * 1e3, 3),
+                     "outcome": "granted"}
+        quota = svc.admission.quota_state(owner)
+        if quota is not None:
+            admission["quota"] = quota
+        result = dataclasses.replace(
+            result, wall_s=time.perf_counter() - t0, admission=admission)
+        if flight is not None:
+            rec = flight.record(
+                session=self.name, owner=owner, query=text,
+                instance=instance, status="ok", arrival_unix=arrival,
+                wait_ms=admission["wait_ms"],
+                run_ms=round((time.perf_counter() - wait0 - wait_s)
+                             * 1e3, 3),
+                total_ms=round(result.wall_s * 1e3, 3),
+                admission=admission, machine=result.machine,
+                shape=result.shape, algorithm=result.algorithm,
+                results=result.results, io=result.io,
+                phases=result.phases, peak_mem=result.peak_mem,
+                cache=result.cache)
+            result = dataclasses.replace(result, flight_id=rec.id)
+        svc._observe(result)
+        return result
 
     def _record_flight(self, svc: "QueryService", *, owner: str,
                        text: str, instance: str, status: str,
                        arrival: float, t0: float, wait0: float,
-                       M: int, B: int, need: int, depth: int,
-                       outcome: str | None = None, wait_s: float = 0.0,
+                       M: int, B: int, need: int, wait_s: float = 0.0,
                        error: str | None = None,
                        exc: BaseException | None = None) -> None:
         """Record a query that never produced a :class:`QueryResult`
@@ -234,13 +206,13 @@ class Session:
             # already recorded is not recorded a second time.
             exc._flight_recorded = True  # type: ignore[attr-defined]
         now = time.perf_counter()
+        outcome = "granted"
         if status in ("rejected", "timeout"):
             wait_s = now - wait0
             outcome = status
         admission = {"need": need,
                      "wait_ms": round(wait_s * 1e3, 3),
-                     "outcome": outcome,
-                     "queue_depth_at_arrival": depth}
+                     "outcome": outcome}
         quota = svc.admission.quota_state(owner)
         if quota is not None:
             admission["quota"] = quota
@@ -252,7 +224,7 @@ class Session:
             total_ms=round((now - t0) * 1e3, 3), admission=admission,
             machine={"M": M, "B": B}, error=error)
 
-    def _run(self, q: JoinQuery, text: str,  # em-holds: _lock
+    def _run(self, q: JoinQuery, text: str,
              entry: "CatalogEntry", instance: str, M: int, B: int,
              collect: bool, reduce_first: bool) -> QueryResult:
         device = self._device(M, B)
@@ -301,62 +273,59 @@ class Session:
         :meth:`unpin_relation` or session close.  Returns the number of
         pages pinned.  Requires the service to run with a shared pool.
         """
-        with self._lock:
-            if self.closed:
-                raise SessionClosed(f"session {self.name!r} is closed")
-            svc = self._service
-            M = svc.default_query_M if M is None else M
-            B = svc.B if B is None else B
-            device = self._device(M, B)
-            view = self._views.get((M, B))
-            if view is None:
-                raise RuntimeError(
-                    "pin_relation needs a shared pool "
-                    "(service started with pool_frames=0)")
-            entry = svc.catalog.acquire(instance)
-            try:
-                inst = self._materialize(entry, device, instance)
-                segment = inst[relation].data
-                f = segment.file
-                pages = segment.n_pages
-                for page in range(pages):
-                    view.pin(f, page)
-                    self._pinned.append((view, f, page))
-                return pages
-            finally:
-                svc.catalog.release(entry)
+        if self.closed:
+            raise SessionClosed(f"session {self.name!r} is closed")
+        svc = self._service
+        M = svc.default_query_M if M is None else M
+        B = svc.B if B is None else B
+        device = self._device(M, B)
+        view = self._views.get((M, B))
+        if view is None:
+            raise RuntimeError(
+                "pin_relation needs a shared pool "
+                "(service started with pool_frames=0)")
+        entry = svc.catalog.acquire(instance)
+        try:
+            inst = self._materialize(entry, device, instance)
+            segment = inst[relation].data
+            f = segment.file
+            pages = segment.n_pages
+            for page in range(pages):
+                view.pin(f, page)
+                self._pinned.append((view, f, page))
+            return pages
+        finally:
+            svc.catalog.release(entry)
 
     def unpin_relation(self, relation: str, *,
                        instance: str = "default") -> int:
         """Release this session's pins on a relation's pages."""
-        with self._lock:
-            remaining, dropped = [], 0
-            for view, f, page in self._pinned:
-                name = getattr(f, "name", None)
-                if name == relation:
-                    view.unpin(f, page)
-                    dropped += 1
-                else:
-                    remaining.append((view, f, page))
-            self._pinned = remaining
-            return dropped
+        remaining, dropped = [], 0
+        for view, f, page in self._pinned:
+            name = getattr(f, "name", None)
+            if name == relation:
+                view.unpin(f, page)
+                dropped += 1
+            else:
+                remaining.append((view, f, page))
+        self._pinned = remaining
+        return dropped
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
         """Flush and drop this session's pool footprint; its pins only."""
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            self._pinned.clear()
-            for view in self._views.values():
-                view.close()  # releases exactly this session's pins
-            for device in self._devices.values():
-                device.detach_pool()
-            self._views.clear()
-            self._devices.clear()
-            self._instances.clear()
+        if self.closed:
+            return
+        self.closed = True
+        self._pinned.clear()
+        for view in self._views.values():
+            view.close()  # releases exactly this session's pins
+        for device in self._devices.values():
+            device.detach_pool()
+        self._views.clear()
+        self._devices.clear()
+        self._instances.clear()
 
     def stats(self) -> dict[str, object]:
         return {"name": self.name, "queries": self.queries,
@@ -368,15 +337,14 @@ class Session:
 
     # -- internals -----------------------------------------------------
 
-    def _device(self, M: int, B: int) -> "Device":  # em-holds: _lock
+    def _device(self, M: int, B: int) -> "Device":
         from repro.em.device import Device
 
         device = self._devices.get((M, B))
         if device is None:
-            # No shared registry on session devices: instrument updates
-            # from algorithm code would race across session threads.
-            # Service-level aggregation happens in QueryService._observe
-            # under its own lock.
+            # No shared registry on session devices: service-level
+            # aggregation happens once per query in
+            # QueryService._observe.
             device = Device(M=M, B=B)
             if self._tracer is not None:
                 device.attach_tracer(self._tracer)
@@ -388,7 +356,7 @@ class Session:
             self._devices[(M, B)] = device
         return device
 
-    def _materialize(self, entry: "CatalogEntry",  # em-holds: _lock
+    def _materialize(self, entry: "CatalogEntry",
                      device: "Device", instance: str) -> Instance:
         key = (instance, entry.generation, device.M, device.B)
         inst = self._instances.get(key)

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.lint import (Baseline, BaselineEntry, LOCKS_SCHEMA_VERSION,
-                        RULES, check_source, compact_lock_signatures,
-                        compare_lock_signatures, lint_paths,
-                        load_baseline, to_json, write_baseline)
+from repro.lint import (Baseline, BaselineEntry, RULES, check_source,
+                        lint_paths, load_baseline, to_json,
+                        write_baseline)
 from repro.lint.report import REPORT_SCHEMA_VERSION
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -36,11 +35,6 @@ BAD_FIXTURES = {
               FIXTURE_SRC / "repro/obs/clock_helper.py"),
     "EM011": (FIXTURE_SRC / "repro/core/bad_em011.py",
               FIXTURE_SRC / "repro/obs/host_dump.py"),
-    "EM012": (FIXTURE_SRC / "repro/server/bad_em012.py",),
-    "EM013": (FIXTURE_SRC / "repro/server/bad_em013.py",),
-    "EM014": (FIXTURE_SRC / "repro/server/bad_em014.py",),
-    "EM015": (FIXTURE_SRC / "repro/server/bad_em015.py",),
-    "EM016": (FIXTURE_SRC / "repro/server/bad_em016.py",),
     "EM017": (FIXTURE_SRC / "repro/core/bad_em017.py",
               FIXTURE_SRC / "repro/em/cost_helpers.py"),
     "EM018": (FIXTURE_SRC / "repro/core/bad_em018.py",
@@ -156,69 +150,6 @@ class TestRuleSemantics:
         src = "PHASES = make_phases()\n"
         (v,) = check_source(src, "src/repro/core/x.py")
         assert v.code == "EM006"
-
-
-# --------------------------------------------------------------- emrace
-
-
-class TestEmrace:
-    """The lock-discipline pass: acceptance edges and the drift gate
-    (the per-rule rejection fixtures run with the others above)."""
-
-    def test_holds_contract_accepted(self):
-        result = lint_paths([FIXTURE_SRC / "repro/server/holds_ok.py"],
-                            root=FIXTURES)
-        assert result.clean
-
-    def test_locks_document_schema_and_cycle(self):
-        result = lint_paths([FIXTURE_SRC / "repro/server/bad_em014.py"],
-                            root=FIXTURES)
-        doc = result.locks
-        assert set(doc) == {"schema_version", "roots", "locks",
-                            "fields", "order", "functions", "summary"}
-        assert doc["schema_version"] == LOCKS_SCHEMA_VERSION
-        assert len(doc["order"]["cycles"]) == 1
-        assert len(doc["locks"]) == 2
-
-    def test_compact_signature_key_set(self):
-        result = lint_paths([FIXTURE_SRC / "repro/server/holds_ok.py"],
-                            root=FIXTURES)
-        sig = compact_lock_signatures(result.locks)
-        assert set(sig) == {"schema_version", "roots", "locks",
-                            "fields", "edges"}
-        (lid,) = sig["locks"]
-        assert sig["locks"][lid]["kind"] == "lock"
-        assert sig["fields"] == {
-            "repro.server.holds_ok.Store.items":
-                "repro.server.holds_ok.Store._lock"}
-
-    def test_compare_same_tree_is_quiet(self):
-        result = lint_paths([FIXTURE_SRC / "repro/server/holds_ok.py"],
-                            root=FIXTURES)
-        sig = compact_lock_signatures(result.locks)
-        failures, notices = compare_lock_signatures(sig, result.locks)
-        assert failures == [] and notices == []
-
-    def test_compare_flags_cycle_and_new_edge_as_failures(self):
-        result = lint_paths([FIXTURE_SRC / "repro/server/bad_em014.py"],
-                            root=FIXTURES)
-        committed = compact_lock_signatures(result.locks)
-        committed["edges"] = []  # the committed world had no edges
-        failures, _ = compare_lock_signatures(committed, result.locks)
-        assert any("cycle" in f for f in failures)
-        assert any("edge" in f for f in failures)
-
-    def test_compare_kind_change_fails_addition_notices(self):
-        result = lint_paths([FIXTURE_SRC / "repro/server/holds_ok.py"],
-                            root=FIXTURES)
-        committed = compact_lock_signatures(result.locks)
-        (lid,) = committed["locks"]
-        committed["locks"][lid]["coarse"] = True
-        committed["fields"].pop("repro.server.holds_ok.Store.items")
-        failures, notices = compare_lock_signatures(committed,
-                                                    result.locks)
-        assert any("kind/coarse" in f for f in failures)
-        assert any("declared guarded by" in n for n in notices)
 
 
 # -------------------------------------------------------------- pragmas

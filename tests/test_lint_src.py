@@ -99,63 +99,6 @@ def test_host_only_declarations_cover_every_export_writer():
         assert funcs[qual]["declared"] == ["HOST_ONLY"], qual
 
 
-# --------------------------------------------- lock discipline (emrace)
-
-
-def test_every_server_lock_guards_at_least_one_field():
-    """A lock nobody declares a field against protects nothing — each
-    ``threading.Lock``/``Condition`` attribute in server/ must carry
-    at least one ``em-guarded-by`` declaration."""
-    result = lint_paths([SRC], root=ROOT)
-    locks = result.locks["locks"]
-    server = {lid: e for lid, e in locks.items()
-              if e["path"].startswith("src/repro/server/")}
-    assert len(server) >= 7
-    naked = [lid for lid, e in server.items() if not e["guards"]]
-    assert naked == [], f"server locks guarding no declared field: {naked}"
-
-
-def test_server_lock_order_graph_is_acyclic():
-    """The service layer's global lock order admits no deadlock."""
-    result = lint_paths([SRC], root=ROOT)
-    assert result.locks["order"]["cycles"] == []
-    assert result.locks["summary"]["order_edges"] >= 5
-
-
-def test_thread_roots_cover_the_service_entry_points():
-    """The inferred thread roots name every way work enters: main,
-    the HTTP handler pool, and the batch drain workers."""
-    result = lint_paths([SRC], root=ROOT)
-    roots = result.locks["roots"]
-    assert "main" in roots and "http" in roots
-    assert "thread:QueryService.execute_batch" in roots
-    assert ("repro.server.service.QueryService.execute_batch"
-            in roots["thread:QueryService.execute_batch"])
-
-
-def test_committed_locks_baseline_matches_reality():
-    """The drift gate's committed archive agrees with a fresh pass."""
-    from repro.lint import compact_lock_signatures, compare_lock_signatures
-    committed = json.loads(
-        (ROOT / "locks-baseline.json").read_text(encoding="utf-8"))
-    result = lint_paths([SRC], root=ROOT)
-    failures, notices = compare_lock_signatures(committed, result.locks)
-    assert failures == [], failures
-    assert notices == [], notices
-    assert committed == compact_lock_signatures(result.locks)
-
-
-def test_coarse_locks_are_exactly_the_sanctioned_two():
-    """Coarse (held-across-blocking) locks are an explicit, short
-    list: the session serializer and the shared-pool funnel.  Adding
-    one is a design decision, not an annotation convenience."""
-    result = lint_paths([SRC], root=ROOT)
-    coarse = sorted(lid for lid, e in result.locks["locks"].items()
-                    if e["coarse"])
-    assert coarse == ["repro.server.pool.SharedPool.lock",
-                      "repro.server.session.Session._lock"]
-
-
 # ----------------------------------------------- symbolic costs (emcost)
 
 

@@ -1,5 +1,8 @@
 """The service layer: catalog, sessions, shared pool, HTTP surface.
 
+The service runs every query to completion on one thread; the only
+thread it ever starts is ``start_http_server``'s serving loop.
+
 The headline assertion is the ISSUE's acceptance criterion: a query
 run through a server session reports I/O counters *byte-identical* to
 a solo run — checked against the committed ``BENCH_table1.json``
@@ -8,6 +11,10 @@ regression in either path trips it.
 """
 
 import json
+import re
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -18,11 +25,12 @@ from repro.em import BufferPoolError
 from repro.query import line_query
 from repro.server import (AdmissionRejected, AdmissionTimeout, Catalog,
                           CatalogError, QueryService, ServiceError,
-                          SessionClosed, start_http_server)
+                          Session, SessionClosed, start_http_server)
 from repro.workloads import fig3_line3_instance
 
-BENCH_TABLE1 = (Path(__file__).resolve().parent.parent
-                / "benchmarks" / "BENCH_table1.json")
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_TABLE1 = ROOT / "benchmarks" / "BENCH_table1.json"
+BENCH_SERVICE = ROOT / "benchmarks" / "BENCH_service.json"
 
 M, B = 8, 2  # the pinned line3_planner machine
 
@@ -238,9 +246,9 @@ class TestAdmissionThroughSessions:
         with line3_service() as svc:
             hog = svc.admission.acquire(256)  # hold the whole budget
             with pytest.raises(AdmissionTimeout):
-                svc.execute(line_query(3), M=M, B=B, timeout=0.05)
+                svc.execute(line_query(3), M=M, B=B)  # refused at once
             svc.admission.release(hog)
-            r = svc.execute(line_query(3), M=M, B=B, timeout=5)
+            r = svc.execute(line_query(3), M=M, B=B)
             assert r.results == 256
 
     def test_wait_time_reported(self):
@@ -333,6 +341,142 @@ class TestSessionsAndService:
         assert any(s["name"] == "alice" for s in doc["sessions"])
 
 
+# ------------------------------------------------ batches on one thread
+
+
+class TestBatchOnOneThread:
+    @pytest.mark.parametrize("c", [1, 4, 16])
+    def test_execute_batch_spawns_no_threads(self, c, monkeypatch):
+        """The batch deal runs on the calling thread, and the pooled
+        aggregate still equals the pinned ``BENCH_service.json``
+        block at every worker count."""
+        pinned = json.loads(BENCH_SERVICE.read_text(encoding="utf-8"))
+        det = pinned["deterministic"]
+        machine = det["machine"]
+        svc = QueryService(M=machine["global_M"], B=machine["B"],
+                           default_query_M=machine["M"],
+                           pool_frames=machine["pool_frames"],
+                           workers=16)
+        svc.add_instance("default", *fig3_line3_instance(16, 16))
+        before = threading.active_count()
+        during: list[int] = []
+        execute = Session.execute
+
+        def counting(self, *args, **kwargs):
+            during.append(threading.active_count())
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "execute", counting)
+        with svc:
+            rs = svc.execute_batch(
+                [{"query": line_query(3)}] * det["n_queries"],
+                concurrency=c)
+        assert set(during) == {before}
+        assert threading.active_count() == before
+        want = det["service_pool_on"]["cache_aggregate"]
+        assert {k: sum(r.cache[k] for r in rs) for k in want} == want
+        assert {r.session for r in rs} == {f"w{w}" for w in range(c)}
+
+    def test_failed_worker_stops_others_carry_on(self):
+        """Worker 1 stops at its first failure; worker 0 still runs
+        all of its requests, and the lowest failing index is raised."""
+        with line3_service() as svc:
+            good = {"query": line_query(3), "M": M, "B": B}
+            bad = {"query": "e9(v1,v2)"}
+            with pytest.raises(ServiceError, match="request 1 failed "
+                                                   "on worker 1"):
+                svc.execute_batch([good, bad, good, bad, good],
+                                  concurrency=2)
+            queries = {s["name"]: s["queries"]
+                       for s in svc.stats()["sessions"]}
+            assert queries == {"w0": 3, "w1": 0}
+            assert svc.stats()["errors"]["worker_errors"] == 1
+
+
+def test_service_layer_holds_no_locks():
+    """The engine takes no locks: one thread runs every query."""
+    pattern = re.compile(r"threading\.(Lock|RLock|Condition)")
+    offenders = [str(p) for p in (ROOT / "src" / "repro").rglob("*.py")
+                 if pattern.search(p.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+# ------------------------------------------- worker error propagation
+
+
+class TestWorkerErrorSurfacing:
+    def test_poisoned_query_lands_in_stats_and_flight(self):
+        """A batch request naming an unknown relation fails *before*
+        the session's own flight recording; the worker channel must
+        still surface it in /stats and the flight log."""
+        with line3_service() as svc:
+            good = {"query": line_query(3), "M": M, "B": B}
+            with pytest.raises(ServiceError, match="request 1"):
+                svc.execute_batch([good, {"query": "e9(v1,v2)"}, good])
+            assert svc.stats()["errors"]["worker_errors"] == 1
+            errs = [r for r in svc.flight.records()
+                    if r.status == "error"]
+            assert len(errs) == 1
+            assert errs[0].query == "e9(v1,v2)"
+            assert "request 1" in errs[0].error
+
+    def test_missing_query_key_is_reported_not_silent(self):
+        with line3_service() as svc:
+            good = {"query": line_query(3), "M": M, "B": B}
+            with pytest.raises(ServiceError, match="request 1"):
+                svc.execute_batch([good, {"M": M, "B": B}, good])
+            assert svc.stats()["errors"]["worker_errors"] == 1
+            (rec,) = [r for r in svc.flight.records()
+                      if r.status == "error"]
+            assert rec.query == "<missing>"
+
+    def test_session_recorded_failures_are_not_double_recorded(self):
+        """An admission rejection already leaves a flight record via
+        the session; the worker channel must only bump the counter."""
+        svc = QueryService(M=2, B=2, default_query_M=M)
+        schemas, data = fig3_line3_instance(16, 16)
+        svc.add_instance("default", schemas, data)
+        with svc:
+            with pytest.raises(ServiceError):
+                svc.execute_batch([{"query": line_query(3),
+                                    "M": M, "B": B}])
+            stats = svc.flight.stats()
+            assert stats["seen"] == 1  # the session's own record
+            (rec,) = svc.flight.records()
+            assert rec.status == "rejected"
+            assert svc.stats()["errors"]["worker_errors"] == 1
+
+    def test_note_server_crash_surfaces_in_stats(self):
+        with line3_service() as svc:
+            assert svc.stats()["errors"]["serve_crash"] is None
+            svc.note_server_crash(RuntimeError("boom"))
+            assert "boom" in svc.stats()["errors"]["serve_crash"]
+
+    def test_http_serve_thread_crash_is_reported(self, monkeypatch):
+        """If the serve loop dies, the reason must appear in /stats
+        instead of vanishing with the daemon thread."""
+        from repro.server import http as http_mod
+
+        def boom(self, *a, **k):
+            raise RuntimeError("serve loop died")
+
+        monkeypatch.setattr(http_mod.ServiceServer, "serve_forever",
+                            boom)
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda *_args: None)  # keep the log quiet
+        with line3_service() as svc:
+            server = http_mod.start_http_server(svc)
+            try:
+                for _ in range(200):
+                    crash = svc.stats()["errors"]["serve_crash"]
+                    if crash:
+                        break
+                    time.sleep(0.005)
+                assert "serve loop died" in crash
+            finally:
+                server.server_close()
+
+
 # --------------------------------------------------------------- http
 
 
@@ -413,8 +557,7 @@ class TestHttp:
     def test_non_numeric_machine_params_400(self, http_service):
         _, base = http_service
         for doc in ({"query": self.QUERY, "M": "eight", "B": B},
-                    {"query": self.QUERY, "M": M, "B": B,
-                     "timeout_s": "soon"},
+                    {"query": self.QUERY, "M": M, "B": "two"},
                     {"query": self.QUERY, "M": [8], "B": B}):
             with pytest.raises(urllib.error.HTTPError) as e:
                 _post(base, doc)
@@ -469,9 +612,43 @@ class TestHttp:
         hog = svc.admission.acquire(256)  # hold the whole budget
         try:
             with pytest.raises(urllib.error.HTTPError) as e:
-                _post(base, {"query": self.QUERY, "M": M, "B": B,
-                             "timeout_s": 0.05})
+                _post(base, {"query": self.QUERY, "M": M, "B": B})
             assert e.value.code == 503
             assert e.value.headers["Retry-After"] == "1"
         finally:
             svc.admission.release(hog)
+
+    def test_negative_content_length_400(self, http_service):
+        """``rfile.read(-1)`` reads until EOF: a negative length must
+        be refused, not block the only serving thread."""
+        _, base = http_service
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /query HTTP/1.0\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            with sock.makefile("rb") as reply:
+                status_line = reply.readline()
+        assert status_line.split()[1] == b"400"
+        with urllib.request.urlopen(base + "/healthz", timeout=3) as resp:
+            assert resp.status == 200
+
+    def test_stalled_client_does_not_block_the_server(
+            self, http_service, monkeypatch):
+        """A connection that sends nothing, and one that sends only
+        part of its body, are dropped after the handler's read
+        timeout; a normal query behind them still succeeds."""
+        from repro.server import http as http_mod
+
+        assert 0 < http_mod._Handler.timeout <= 30
+        monkeypatch.setattr(http_mod._Handler, "timeout", 0.2)
+        _, base = http_service
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port)) as silent, \
+                socket.create_connection(("127.0.0.1", port)) as partial:
+            partial.sendall(b"POST /query HTTP/1.0\r\n"
+                            b"Content-Length: 100\r\n\r\n{")
+            status, doc = _post(base, {"query": self.QUERY, "M": M,
+                                       "B": B})
+            assert status == 200 and doc["results"] == 256
+            assert silent.recv(1) == b""  # the server hung up on it
