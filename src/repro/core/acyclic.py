@@ -33,6 +33,14 @@ one execution.  :attr:`BestRun.runs` and
 :attr:`BestRun.round_robin_io` still count every plan, which is what
 the paper's round-robin simulation pays.
 
+Emission.  Every result of a peel is one child result crossed with a
+memory-resident list (an island or heavy chunk, or the light tuples
+matching one ``v`` value), so results travel up the recursion as
+factorized blocks ``(base, factors)`` — see :data:`EmitFn` — and reach
+the emitter through :func:`~repro.core.emit.emit_product` in the same
+nested-loop order a per-result emit produces.  Nothing builds one dict
+per result unless the emitter itself asks for them.
+
 Correctness note on buds (deviation, documented in DESIGN.md).  The
 paper's line 3–4 drops a bud outright, which is only sound if every
 value of the bud's attribute appearing elsewhere also appears in the
@@ -46,9 +54,12 @@ participating tuple at emit time, keeping the emit model exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Callable, Mapping
 
-from repro.core.emit import Emitter
+from repro.core.emit import Emitter, Factors, emit_product
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.em.device import Device
@@ -63,7 +74,10 @@ from repro.query.hypergraph import JoinQuery, require_berge_acyclic
 #: Phase names this module attributes I/O to (emlint EM006).
 PHASES = ("semijoin",)
 
-EmitFn = Callable[[Mapping[str, tuple]], None]
+#: Algorithm 2's internal emit: a factorized block ``(base, factors)``
+#: — the cross product of ``base`` with every factor's tuple list, last
+#: factor varying fastest (see :func:`repro.core.emit.emit_product`).
+EmitFn = Callable[[Mapping[str, tuple], Factors], None]
 Chooser = Callable[[JoinQuery, Instance], str]
 PlanKey = frozenset
 Plan = dict[PlanKey, str]
@@ -101,7 +115,7 @@ def acyclic_join(query: JoinQuery, instance: Instance, emitter: Emitter,
         return
     device = instance[edges[0]].device
     with device.span("acyclic_join", kind="algorithm", edges=len(edges)):
-        _run(query, instance, emitter.emit, pick,
+        _run(query, instance, partial(emit_product, emitter), pick,
              literal_buds=paper_literal_buds, trace=trace)
 
 
@@ -189,8 +203,8 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
         e = edges[0]
         if trace is not None:
             trace.record(depth, "scan", e, f"{len(inst[e])} tuples")
-        for t in inst[e].data.scan():
-            emit({e: t})
+        for block in inst[e].data.scan_blocks():
+            emit({}, ((e, block),))
         return
 
     buds = find_buds(query)
@@ -247,16 +261,51 @@ def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
     probe = sharers[0]
     probe_idx = rebound[probe].schema.index(w)
 
-    def child_emit(result: Mapping[str, tuple]) -> None:
-        w_val = result[probe][probe_idx]
+    def emit_with_bud(base: Mapping[str, tuple], factors: Factors,
+                      w_val) -> None:
         t = tuple(w_val if i == w_idx else fixed[a]
                   for i, a in enumerate(bud_schema.attributes))
-        out = dict(result)
-        out[bud] = t
-        emit(out)
+        emit({**base, bud: t}, factors)
+
+    def child_emit(base: Mapping[str, tuple], factors: Factors) -> None:
+        _per_probe_value(emit_with_bud, base, factors, probe, probe_idx)
 
     _run(query.drop_edges([bud]), Instance(rebound), child_emit, pick,
          literal_buds=literal, trace=trace, depth=depth + 1)
+
+
+def _per_probe_value(emit_at: Callable[[Mapping[str, tuple], Factors,
+                                        object], None],
+                     base: Mapping[str, tuple], factors: Factors,
+                     probe: str, col: int) -> None:
+    """Call ``emit_at(base, factors, value)`` per probe value, in order.
+
+    ``value`` is column ``col`` of the probe edge's tuple.  A block
+    whose probe tuple is fixed in ``base``, or whose probe factor holds
+    one value throughout, passes through whole.  Otherwise the probe's
+    factor is split into runs of consecutive equal values.  If that
+    factor is not the outermost, the factors outside it are expanded
+    into ``base`` first, so the results keep their nested-loop order.
+    """
+    t = base.get(probe)
+    if t is not None:
+        emit_at(base, factors, t[col])
+        return
+    k = next(i for i, (e, _) in enumerate(factors) if e == probe)
+    tuples = factors[k][1]
+    values = list(map(itemgetter(col), tuples))
+    if values.count(values[0]) == len(values):
+        emit_at(base, factors, values[0])
+        return
+    runs = [(v, [u for _, u in run])
+            for v, run in groupby(zip(values, tuples), itemgetter(0))]
+    outer, inner = factors[:k], factors[k + 1:]
+    outer_edges = [e for e, _ in outer]
+    for combo in product(*(ts for _, ts in outer)):
+        outer_base = dict(base)
+        outer_base.update(zip(outer_edges, combo))
+        for v, run in runs:
+            emit_at(outer_base, ((probe, run), *inner), v)
 
 
 def _merge_semijoin(rel: Relation, filter_rel: Relation,
@@ -269,8 +318,8 @@ def _merge_semijoin(rel: Relation, filter_rel: Relation,
     matches = semijoin_matches(rel.data.reader(), filter_rel.data.reader(),
                                rel.key(attr), filter_rel.key(attr))
     with rel.device.phases.phase("semijoin"):
-        return rel.rewrite(matches, label=f"sj_{filter_rel.name}",
-                           sorted_on=attr)
+        return rel.rewrite_blocks(matches, label=f"sj_{filter_rel.name}",
+                                  sorted_on=attr)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +334,9 @@ def _peel_island(query: JoinQuery, inst: Instance, emit: EmitFn,
     child_inst = inst.drop(island)
     for chunk in load_chunks(inst[island].data, inst[island].device.M):
 
-        def child_emit(result: Mapping[str, tuple]) -> None:
-            out = dict(result)
-            for t in chunk:
-                out[island] = t
-                emit(dict(out))
+        def child_emit(base: Mapping[str, tuple], factors: Factors,
+                       _chunk=chunk) -> None:
+            emit(base, (*factors, (island, _chunk)))
 
         _run(child_q, child_inst, child_emit, pick,
              literal_buds=literal_buds, trace=trace, depth=depth + 1)
@@ -370,11 +417,9 @@ def _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
         child_inst = Instance(rebound)
         for chunk in load_group_chunks(rel_e.data, g, M):
 
-            def child_emit(result, _chunk=chunk):
-                out = dict(result)
-                for t in _chunk:          # all share v = a: cross-combine
-                    out[leaf] = t
-                    emit(dict(out))
+            def child_emit(base, factors, _chunk=chunk):
+                # all of _chunk shares v = a: cross-combine
+                emit(base, (*factors, (leaf, _chunk)))
 
             _run(child_q, child_inst, child_emit, pick,
                  literal_buds=literal_buds, trace=trace, depth=depth + 1)
@@ -422,12 +467,13 @@ def _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
             continue
         child_inst = Instance(rebound)
 
-        def child_emit(result, _by_value=by_value):
-            w_val = result[probe][probe_idx]
-            out = dict(result)
-            for t in _by_value.get(w_val, ()):
-                out[leaf] = t
-                emit(dict(out))
+        def emit_matches(base, factors, w_val, _by_value=by_value):
+            matches = _by_value.get(w_val)
+            if matches:
+                emit(base, (*factors, (leaf, matches)))
+
+        def child_emit(base, factors, _emit_at=emit_matches):
+            _per_probe_value(_emit_at, base, factors, probe, probe_idx)
 
         _run(child_q, child_inst, child_emit, pick,
              literal_buds=literal_buds, trace=trace, depth=depth + 1)

@@ -5,6 +5,18 @@ participating tuples, which must reside in memory at the time of the
 call but need not be written to disk.  A result is represented as a
 mapping from edge name to that relation's participating tuple.
 
+Results reach an emitter one of three ways, all with the same meaning:
+
+* ``emit(result)`` — one result;
+* :func:`emit_block` — a block of results, in order;
+* :func:`emit_product` — a *factorized* block ``(base, factors)``:
+  ``base`` fixes some edges' tuples, each ``(edge, tuples)`` factor
+  ranges over a memory-resident tuple list, and the block is their
+  cross product, last factor varying fastest.  Algorithm 2's peels
+  produce exactly this shape (one child result crossed with a loaded
+  chunk), so a result count or checksum never has to see the results
+  one at a time.
+
 Emitters:
 
 * :class:`CountingEmitter` — counts results and keeps an
@@ -18,9 +30,15 @@ Emitters:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from itertools import product, repeat
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 Result = Mapping[str, tuple]
+#: The varying part of a factorized block: ``(edge, tuples)`` pairs.
+Factors = Sequence[tuple[str, Sequence[tuple]]]
+
+_MASK = (1 << 64) - 1
 
 
 class Emitter(Protocol):
@@ -49,13 +67,42 @@ def emit_block(emitter: "Emitter", results: Iterable[Result]) -> None:
             emit(r)
 
 
+def emit_product(emitter: "Emitter", base: Result,
+                 factors: Factors) -> None:
+    """Hand a factorized block of results to ``emitter``.
+
+    Emitters that implement ``emit_product`` take the block as is;
+    any other emitter gets it expanded, in order, through
+    :func:`emit_block`.  Semantically identical to emitting every
+    result of :func:`expand_product` in order.
+    """
+    bulk = getattr(emitter, "emit_product", None)
+    if bulk is not None:
+        bulk(base, factors)
+    else:
+        emit_block(emitter, expand_product(base, factors))
+
+
+def expand_product(base: Result, factors: Factors) -> Iterator[dict]:
+    """The results of a factorized block, last factor varying fastest."""
+    edges = [e for e, _ in factors]
+    for combo in product(*(ts for _, ts in factors)):
+        r = dict(base)
+        r.update(zip(edges, combo))
+        yield r
+
+
 class CountingEmitter:
     """Counts emitted results with an order-insensitive checksum.
 
-    The checksum XORs a hash of each result's canonical form, so equal
-    result *sets* produce equal ``(count, checksum)`` pairs regardless
-    of emission order, and duplicate emissions are detectable through
-    the count.
+    The checksum is ``Σ_results Π_(e,t)∈result hash((e, t)) mod 2**64``.
+    Equal result *multisets* produce equal ``(count, checksum)`` pairs
+    regardless of emission order or of the emit path that delivered
+    them.  Because each result's term is a product, a factorized
+    block's terms sum to ``hash-product(base) × Π_f Σ_(t∈f)
+    hash((edge_f, t))``: one pass over its factor lists, no step per
+    result.  The value depends on the interpreter's hash seed, so it
+    is only compared within one process.
     """
 
     def __init__(self) -> None:
@@ -64,15 +111,24 @@ class CountingEmitter:
 
     def emit(self, result: Result) -> None:
         self.count += 1
-        self.checksum ^= hash(frozenset(result.items()))
+        self.checksum = (self.checksum
+                         + prod(map(hash, result.items()))) & _MASK
 
     def emit_block(self, results: Iterable[Result]) -> None:
-        checksum, n = self.checksum, 0
-        for r in results:
-            checksum ^= hash(frozenset(r.items()))
-            n += 1
-        self.checksum = checksum
+        # Each result's term, composed at C level; blocks carry dicts.
+        results = results if isinstance(results, list) else list(results)
+        self.count += len(results)
+        terms = map(prod, map(map, repeat(hash), map(dict.items, results)))
+        self.checksum = (self.checksum + sum(terms)) & _MASK
+
+    def emit_product(self, base: Result, factors: Factors) -> None:
+        n = 1
+        h = prod(map(hash, base.items()))
+        for edge, ts in factors:
+            n *= len(ts)
+            h = h * sum(map(hash, zip(repeat(edge), ts))) & _MASK
         self.count += n
+        self.checksum = (self.checksum + h) & _MASK
 
     def signature(self) -> tuple[int, int]:
         return (self.count, self.checksum)

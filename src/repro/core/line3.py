@@ -20,7 +20,7 @@ Emitted results carry all three participating tuples (emit model).
 
 from __future__ import annotations
 
-from repro.core.emit import CallbackEmitter, Emitter, emit_block
+from repro.core.emit import CallbackEmitter, Emitter, emit_product
 from repro.core.twoway import sort_merge_join
 from repro.data.instance import Instance
 from repro.data.relation import Relation
@@ -99,10 +99,8 @@ def _heavy_values(r1s, r2s, r3s, v2, v3, heavy_groups, groups2,
         n1, n2, n3 = r1s.name, r2s.name, r3s.name
         for chunk in load_chunks(seg1, M):
             for block in t_file.scan_blocks():
-                emit_block(emitter, [
-                    {n1: t1, n2: t2, n3: t3}
-                    for t2, t3 in block
-                    for t1 in chunk])  # all share v2 = a: cross-combine
+                for t2, t3 in block:  # all of chunk shares v2 = a
+                    emit_product(emitter, {n2: t2, n3: t3}, ((n1, chunk),))
 
 
 def _light_values(r1s, r2s, r3s, v2, v3, light_groups, emitter) -> None:

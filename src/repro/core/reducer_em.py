@@ -49,5 +49,5 @@ def _semijoin_em(rel: Relation, filt: Relation, attr: str) -> Relation:
     filt_s = filt.sort_by(attr)
     matches = semijoin_matches(rel_s.data.reader(), filt_s.data.reader(),
                                rel_s.key(attr), filt_s.key(attr))
-    return rel_s.rewrite(matches, label=f"red_{filt.name}",
-                         sorted_on=attr)
+    return rel_s.rewrite_blocks(matches, label=f"red_{filt.name}",
+                                sorted_on=attr)

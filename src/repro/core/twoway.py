@@ -19,7 +19,7 @@ relations share no heavy value, the hybrid costs just
 
 from __future__ import annotations
 
-from repro.core.emit import Emitter, emit_block
+from repro.core.emit import Emitter, emit_block, emit_product
 from repro.data.relation import Relation
 from repro.em.loaders import Group, group_boundaries, load_chunks
 
@@ -53,9 +53,8 @@ def nested_loop_join(r1: Relation, r2: Relation, emitter: Emitter) -> None:
         for chunk in load_chunks(outer.data, device.M):
             if attr is None:
                 for block in inner.data.scan_blocks():
-                    emit_block(emitter, [
-                        {o_name: t_out, i_name: t_in}
-                        for t_in in block for t_out in chunk])
+                    emit_product(emitter, {},
+                                 ((i_name, block), (o_name, chunk)))
             else:
                 by_value: dict[object, list[tuple]] = {}
                 for t in chunk:
@@ -109,17 +108,14 @@ def _join_groups(s1: Relation, g1: Group, s2: Relation, g2: Group,
     if g1.count >= M and g2.count >= M:
         for chunk in load_chunks(seg1, M):
             for block in seg2.scan_blocks():
-                emit_block(emitter, [{n1: t1, n2: t2}
-                                     for t2 in block for t1 in chunk])
+                emit_product(emitter, {}, ((n2, block), (n1, chunk)))
     elif g1.count <= g2.count:
         with s1.device.memory.hold(g1.count):
             resident = seg1.reader().read_block(g1.count)
             for block in seg2.scan_blocks():
-                emit_block(emitter, [{n1: t1, n2: t2}
-                                     for t2 in block for t1 in resident])
+                emit_product(emitter, {}, ((n2, block), (n1, resident)))
     else:
         with s2.device.memory.hold(g2.count):
             resident = seg2.reader().read_block(g2.count)
             for block in seg1.scan_blocks():
-                emit_block(emitter, [{n1: t1, n2: t2}
-                                     for t1 in block for t2 in resident])
+                emit_product(emitter, {}, ((n1, block), (n2, resident)))

@@ -15,7 +15,7 @@ is either its one remaining query attribute or a fixed column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, TYPE_CHECKING
+from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.data.schema import RelationSchema
 from repro.em.file import EMFile, FileSegment
@@ -110,6 +110,23 @@ class Relation:
                 sorted_on: str | None = None) -> "Relation":
         """Write ``tuples`` to a new file (charged) with the same schema."""
         f = self.device.file_from_tuples(tuples, f"{self.name}.{label}")
+        return replace(self, data=f.whole(), sorted_on=sorted_on)
+
+    # em-cost: N/B -- one write per page of the appended blocks
+    def rewrite_blocks(self, blocks: Iterable[Sequence[tuple]], *,
+                       label: str = "tmp",
+                       sorted_on: str | None = None) -> "Relation":
+        """:meth:`rewrite` for tuples arriving in blocks.
+
+        Each block is appended whole, charging the same page writes at
+        the same points as appending its tuples one by one.
+        """
+        f = self.device.new_file(f"{self.name}.{label}")
+        with f.writer() as w:
+            # em-loop-bound: N/B -- the blocks partition the written
+            # tuples; append_block charges one write per page filled
+            for block in blocks:
+                w.append_block(block)
         return replace(self, data=f.whole(), sorted_on=sorted_on)
 
     # -- uncharged helpers (oracles and tests only) ----------------------

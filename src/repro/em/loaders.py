@@ -21,14 +21,16 @@ identifies groups (and hence heavy values) after a sort.
 
 Two cursor kernels serve the semijoins of the reducer and the join
 algorithms: :func:`semijoin_matches` (one merge pass of two sorted
-cursors) and :func:`take_through` (the value-bounded prefix of a shared
-sorted cursor that the light-value loops of Algorithms 1 and 2 filter).
+cursors, yielding the matches in blocks) and :func:`take_through` (the
+value-bounded prefix of a shared sorted cursor that the light-value
+loops of Algorithms 1 and 2 filter).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Iterator
 
 from repro.em.file import FileSegment, SequentialReader, Tuple
@@ -188,43 +190,50 @@ def scan_matching(segment: FileSegment, key: Key,
 
 # em-cost: N/B -- one merge pass: both cursors only move forward, so
 # each page of either input is charged once
-# em-yields: N
+# em-yields: N/B
 def semijoin_matches(left: SequentialReader, right: SequentialReader,
-                     key_l: Key, key_r: Key) -> Iterator[Tuple]:
-    """Stream the tuples of ``left`` whose key occurs in ``right``.
+                     key_l: Key, key_r: Key) -> Iterator[list[Tuple]]:
+    """Stream, in blocks, the tuples of ``left`` whose key occurs in ``right``.
 
     Both cursors must be sorted on their keys.  They advance through
     materialized page blocks, each page charged once when entered —
     the same pages, in the same order, as a tuple-at-a-time merge that
-    peeks at the right cursor.  The right side keeps its current page's
-    keys precomputed, so the per-left-tuple advance is one
-    :func:`bisect` within the page.
+    peeks at the right cursor.  A left page is resolved against the
+    current right page in one pass: its keys up to the right page's
+    last key can only occur in that page, so :func:`bisect_right`
+    bounds them and set membership picks the matches.  That block is
+    yielded *before* the next right page is fetched, so a consumer
+    appending each block writes its pages at exactly the points a
+    tuple-at-a-time merge would.
     """
-    rblock: list = []
-    rkeys: list = []
-    ri = 0
+    rlast: Any = None      # the current right page's last key
+    rkeys: set = set()     # and all of its keys
+    fetched = right_done = False
     # em-loop-bound: N/B -- one left page block per iteration
     while not left.exhausted:
         lblock = left.read_page_block()
+        if right_done:
+            continue  # nothing left to match; the left scan still pays
+        lkeys = list(map(key_l, lblock))
+        i, n = 0, len(lblock)
         # em-loop-bound: 1 -- the right cursor advances monotonically,
         # so all probe fetches across the whole pass total one scan;
         # the inner advance is counted in whole-pass units
-        for t, kv in zip(lblock, map(key_l, lblock)):
-            # em-loop-bound: 1 -- fetches at most one new right page
-            # beyond the shared single pass
-            while True:
-                if ri >= len(rblock):
-                    if right.exhausted:
-                        rblock, rkeys, ri = [], [], 0
-                        break
-                    rblock = right.read_page_block()
-                    rkeys = list(map(key_r, rblock))
-                    ri = 0
-                ri = bisect_left(rkeys, kv, ri)
-                if ri < len(rkeys):
+        while i < n:
+            if not fetched or lkeys[i] > rlast:
+                if right.exhausted:
+                    right_done = True
                     break
-            if ri < len(rblock) and rkeys[ri] == kv:
-                yield t
+                page_keys = list(map(key_r, right.read_page_block()))
+                rlast, rkeys = page_keys[-1], set(page_keys)
+                fetched = True
+                continue
+            j = bisect_right(lkeys, rlast, i)
+            matched = list(compress(lblock[i:j],
+                                    map(rkeys.__contains__, lkeys[i:j])))
+            if matched:
+                yield matched
+            i = j
 
 
 # em-cost: amortized N/B -- callers share one cursor across calls with

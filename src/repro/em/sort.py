@@ -31,9 +31,12 @@ def external_sort(source: EMFile | FileSegment, key: Key,
                   name: str | None = None) -> EMFile:
     """Sort ``source`` by ``key`` into a new file on the same device.
 
-    The sort is stable within the limits of the run-merge structure
-    (run formation chunks the source in order and the tournament breaks
-    ties by run index).
+    The sort is **not** stable.  Run formation is (each chunk is
+    sorted in source order), but the tournament breaks ties by heap
+    push order: with ``M=2, B=1`` the input ``(5,a) (5,b) (5,c) (9,z)``
+    forms runs ``[a, b]`` and ``[c, z]``, and ``c`` enters the heap
+    before ``b`` replaces ``a``, so the output is ``a, c, b, z``.
+    ``tests/test_em_sort.py`` pins this tie order.
     """
     if isinstance(source, EMFile):
         source = source.whole()

@@ -34,6 +34,8 @@ unattributed remainder reconstructs ``stats.total`` exactly
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 import time
 from typing import Any, Callable, Iterator
 
@@ -324,6 +326,29 @@ class ProfiledEmitter:
         """
         results = results if isinstance(results, list) else list(results)
         self._profiler.add_tuples(len(results))
+        self._deliver(results)
+
+    def emit_product(self, base, factors) -> None:
+        """Tick once per result of a factorized block, then delegate it.
+
+        Defined explicitly for the same reason as :meth:`emit_block`.
+        An inner emitter without ``emit_product`` gets the block
+        expanded in order, last factor varying fastest.
+        """
+        self._profiler.add_tuples(math.prod(len(ts) for _, ts in factors))
+        inner_product = getattr(self._inner, "emit_product", None)
+        if inner_product is not None:
+            inner_product(base, factors)
+            return
+        edges = [e for e, _ in factors]
+        results = []
+        for combo in itertools.product(*(ts for _, ts in factors)):
+            r = dict(base)
+            r.update(zip(edges, combo))
+            results.append(r)
+        self._deliver(results)
+
+    def _deliver(self, results: list) -> None:
         inner_bulk = getattr(self._inner, "emit_block", None)
         if inner_bulk is not None:
             inner_bulk(results)

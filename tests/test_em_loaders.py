@@ -1,10 +1,15 @@
 """Unit tests for the Section 2.3 chunk loaders and skew handling."""
 
+import random
+from bisect import bisect_left
+
 import pytest
 
-from repro.em import (Device, group_boundaries, load_chunks,
+from repro.em import (Device, PoolConfig, group_boundaries, load_chunks,
                       load_group_chunks, load_light_chunks, scan_matching,
                       split_heavy_light)
+from repro.em.loaders import semijoin_matches
+from repro.obs.tracer import Tracer
 
 
 def sorted_file(device, rows, name="r"):
@@ -139,3 +144,77 @@ class TestScanMatching:
         out = list(scan_matching(f.whole(), key0, {1, 3}))
         assert all(t[0] in (1, 3) for t in out)
         assert len(out) == 10
+
+
+def _reference_semijoin(left, right, key_l, key_r):
+    """The tuple-at-a-time merge: each left tuple advances the right
+    cursor with a bisect inside its current page block."""
+    rblock, rkeys, ri = [], [], 0
+    while not left.exhausted:
+        lblock = left.read_page_block()
+        for t, kv in zip(lblock, map(key_l, lblock)):
+            while True:
+                if ri >= len(rblock):
+                    if right.exhausted:
+                        rblock, rkeys, ri = [], [], 0
+                        break
+                    rblock = right.read_page_block()
+                    rkeys = list(map(key_r, rblock))
+                    ri = 0
+                ri = bisect_left(rkeys, kv, ri)
+                if ri < len(rkeys):
+                    break
+            if ri < len(rblock) and rkeys[ri] == kv:
+                yield t
+
+
+def _traced_semijoin(left_rows, right_rows, B, pool, reference):
+    tracer = Tracer(capacity=1_000_000)
+    config = PoolConfig(frames=3, policy="lru") if pool else None
+    device = Device(M=4 * B, B=B, tracer=tracer, buffer_pool=config)
+    left = device.file_from_tuples_free(sorted(left_rows), "left")
+    right = device.file_from_tuples_free(sorted(right_rows), "right")
+    out = device.new_file("out")
+    with out.writer() as w:
+        if reference:
+            for t in _reference_semijoin(left.reader(), right.reader(),
+                                         key0, key0):
+                w.append(t)
+        else:
+            for block in semijoin_matches(left.reader(), right.reader(),
+                                          key0, key0):
+                w.append_block(block)
+    device.flush_pool()
+    return ([(e.kind, e.file, e.page) for e in tracer.events()],
+            list(out.peek_tuples()))
+
+
+class TestSemijoinMatches:
+    @pytest.mark.parametrize("pool", [False, True],
+                             ids=["pool_off", "pool_on"])
+    @pytest.mark.parametrize("B", [1, 2, 3, 4, 8])
+    def test_blocks_match_tuple_merge_event_for_event(self, B, pool):
+        """Block matches, appended whole, write the same pages at the
+        same points of the read sequence as a tuple-at-a-time merge
+        appending one match at a time."""
+        rng = random.Random(B * 2 + pool)
+        for _ in range(25):
+            domain = rng.randrange(1, 30)
+            left = [(rng.randrange(domain), i)
+                    for i in range(rng.randrange(0, 60))]
+            right = [(rng.randrange(domain), i)
+                     for i in range(rng.randrange(0, 60))]
+            assert (_traced_semijoin(left, right, B, pool, reference=False)
+                    == _traced_semijoin(left, right, B, pool,
+                                        reference=True))
+
+    def test_yields_nonempty_blocks_of_matches_in_order(self, small_device):
+        left = sorted_file(small_device, [(k, i) for i, k in
+                                          enumerate([1, 2, 2, 3, 5, 8, 9])],
+                           name="l")
+        right = sorted_file(small_device, [(2, 0), (5, 0), (9, 0)],
+                            name="r")
+        blocks = list(semijoin_matches(left.reader(), right.reader(),
+                                       key0, key0))
+        assert all(blocks)
+        assert [t[0] for b in blocks for t in b] == [2, 2, 5, 9]

@@ -1,12 +1,17 @@
 """Unit and property tests for external merge sort."""
 
+import heapq
+import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.em import Device, external_sort, is_sorted
+from repro.em import Device, PoolConfig, external_sort, is_sorted
+from repro.em import sort as em_sort
+from repro.obs.tracer import Tracer
 
 
 def make_file(device, rows):
@@ -110,3 +115,98 @@ class TestExternalSort:
         result = list(out.peek_tuples())
         assert sorted(result) == sorted(rows)
         assert is_sorted(out, lambda t: t[0])
+
+
+# -- tie order ----------------------------------------------------------------
+
+def test_ties_break_by_heap_push_order():
+    """Equal keys leave the merge in heap push order, not run order:
+    runs ``[a, b]`` and ``[c, z]`` merge to ``a, c, b, z`` because
+    ``c`` was pushed before ``a``'s successor ``b``."""
+    device = Device(M=2, B=1)
+    f = device.file_from_tuples_free([(5, "a"), (5, "b"), (5, "c"),
+                                      (9, "z")])
+    out = external_sort(f, lambda t: t[0])
+    assert [t[1] for t in out.peek_tuples()] == ["a", "c", "b", "z"]
+
+
+def _reference_merge_once(device, runs, key, name):
+    """The tournament merge as first written with block reads: a heap
+    of ``(key, push counter, run, tuple)`` fed from page blocks."""
+    if len(runs) == 1:
+        return runs[0]
+    out = device.new_file(name)
+    B = device.B
+    with device.memory.hold((len(runs) + 1) * B):
+        with out.writer() as w:
+            readers = [r.reader() for r in runs]
+            bufs = [[] for _ in runs]
+            kbufs = [[] for _ in runs]
+            bpos = [0] * len(runs)
+            counter = itertools.count()
+            heap = []
+            for idx, rd in enumerate(readers):
+                if not rd.exhausted:
+                    buf = rd.read_page_block()
+                    bufs[idx] = buf
+                    kbufs[idx] = list(map(key, buf))
+                    bpos[idx] = 1
+                    heapq.heappush(heap, (kbufs[idx][0], next(counter),
+                                          idx, buf[0]))
+            outbuf = []
+            while heap:
+                _, _, idx, t = heapq.heappop(heap)
+                outbuf.append(t)
+                if len(outbuf) == B:
+                    w.append_block(outbuf)
+                    outbuf.clear()
+                buf = bufs[idx]
+                i = bpos[idx]
+                if i < len(buf):
+                    bpos[idx] = i + 1
+                    heapq.heappush(heap, (kbufs[idx][i], next(counter),
+                                          idx, buf[i]))
+                else:
+                    rd = readers[idx]
+                    if not rd.exhausted:
+                        buf = rd.read_page_block()
+                        bufs[idx] = buf
+                        kbufs[idx] = list(map(key, buf))
+                        bpos[idx] = 1
+                        heapq.heappush(heap, (kbufs[idx][0], next(counter),
+                                              idx, buf[0]))
+            if outbuf:
+                w.append_block(outbuf)
+    return out
+
+
+def _traced_sort(rows, M, B, pool):
+    tracer = Tracer(capacity=1_000_000)
+    config = PoolConfig(frames=M // B, policy="lru") if pool else None
+    device = Device(M=M, B=B, tracer=tracer, strict_memory=True,
+                    buffer_pool=config)
+    f = device.file_from_tuples_free(rows, "src")
+    out = external_sort(f, lambda t: t[0], name="sorted")
+    device.flush_pool()
+    events = tracer.events()
+    assert len(events) == tracer.seen
+    return ([(e.kind, e.file, e.page) for e in events],
+            list(out.peek_tuples()), device.memory.peak)
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["pool_off", "pool_on"])
+@pytest.mark.parametrize("B", [1, 2, 3, 4, 8])
+def test_merge_matches_reference_heap_merge_on_ties(B, pool, monkeypatch):
+    """Differential check of the merge against the reference heap merge
+    on tie-heavy inputs, fan-in 2..15: the same I/O event stream, the
+    same output order (ties included) and the same memory peak."""
+    rng = random.Random(B * 2 + pool)
+    for fan_in in range(2, 16):
+        M = (fan_in + 1) * B
+        n = rng.randrange(M * fan_in // 2, M * (fan_in + 2))
+        rows = [(rng.randrange(4), i) for i in range(n)]
+        got = _traced_sort(rows, M, B, pool)
+        with monkeypatch.context() as m:
+            m.setattr(em_sort, "_merge_once", _reference_merge_once)
+            want = _traced_sort(rows, M, B, pool)
+        assert got == want, f"fan-in {fan_in}, n={n}"
