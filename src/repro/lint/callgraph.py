@@ -50,7 +50,7 @@ RAW_IO_DOTTED = frozenset({"os.read", "os.write", "os.open"})
 PURE_MODULES = frozenset({
     "abc", "argparse", "ast", "bisect", "collections", "contextlib",
     "copy", "csv", "dataclasses", "enum", "functools", "heapq",
-    "inspect", "itertools", "json", "math", "networkx", "numpy",
+    "inspect", "itertools", "json", "math",
     "operator", "os", "re", "statistics", "string", "sys", "textwrap",
     "threading", "types", "typing",
     # Constructing paths is pure string work; the methods that move

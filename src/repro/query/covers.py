@@ -3,9 +3,11 @@
 The AGM bound states ``max_R |Q(R)| = min_x ∏_e N(e)^{x(e)}`` over
 fractional edge covers ``x`` (``Σ_{e∋v} x(e) ≥ 1`` for every attribute
 ``v``).  Lemma 2 of the paper shows the optimal cover of an acyclic
-query is integral (0/1), so for our constant-size queries we compute it
-exactly — both by linear programming (scipy) and by exhaustive search
-over integral covers — and cross-check the two in tests.
+query is integral (0/1), so on acyclic queries an exhaustive search
+over integral covers is exact.  Cyclic queries (the triangle, LW_n)
+solve the LP exactly instead: every vertex of the cover polyhedron is
+found by rational Gaussian elimination and the cheapest one wins.  Both
+are exponential only in the (constant) query size.
 
 Section 7.1 needs the *minimum edge cover* (all sizes equal) computed
 by the paper's greedy (Algorithm 6), along with the LP-dual *vertex
@@ -14,14 +16,13 @@ packing* used to build the worst-case instance of Theorem 7.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linprog
+from fractions import Fraction
 
 from repro.query.classify import edge_unique_attributes
-from repro.query.hypergraph import JoinQuery
+from repro.query.hypergraph import JoinQuery, is_berge_acyclic
 
 
 @dataclass(frozen=True)
@@ -41,34 +42,72 @@ class EdgeCover:
 
 
 def fractional_edge_cover(query: JoinQuery) -> EdgeCover:
-    """The optimal fractional edge cover by linear programming.
+    """The optimal fractional edge cover.
 
     Minimizes ``Σ_e x(e) · ln N(e)`` (so the AGM bound ``∏ N^x`` is
     minimized) subject to covering every attribute.  Falls back to unit
     costs when the query has no sizes (minimum fractional edge cover).
+    An empty relation empties the join: the bound is 0.
+    """
+    if not query.edges:
+        return EdgeCover(weights={}, agm_bound=1.0)
+    has_empty = query.sizes is not None and 0 in query.sizes.values()
+    if is_berge_acyclic(query) or has_empty:
+        # Exact by Lemma 2 on acyclic queries; with an empty relation,
+        # any integral cover using it reaches the bound 0.
+        return optimal_integral_cover(query)
+    weights = _lp_cover(query)
+    return EdgeCover(weights=weights, agm_bound=_agm_value(query, weights))
+
+
+def _lp_cover(query: JoinQuery) -> dict[str, float]:
+    """The LP optimum: the cheapest vertex of ``{x ≥ 0 : A x ≥ 1}``.
+
+    The polyhedron contains no line and the costs are non-negative, so
+    some vertex is optimal.  A vertex with support ``S`` is the unique
+    solution of ``A[T, S] x = 1`` for some ``|S|`` attributes ``T``
+    whose covering rows it meets with equality: try every ``(S, T)`` in
+    exact arithmetic and keep the cheapest feasible solution.
     """
     edges = query.edge_names
-    attrs = sorted(query.attributes)
-    if not edges:
-        return EdgeCover(weights={}, agm_bound=1.0)
-    if query.sizes is not None:
-        cost = [math.log(max(query.size(e), 2)) for e in edges]
-    else:
-        cost = [1.0] * len(edges)
-    # linprog solves min c·x s.t. A_ub x <= b_ub; covering is A x >= 1.
-    a_ub = np.zeros((len(attrs), len(edges)))
-    for i, v in enumerate(attrs):
-        for j, e in enumerate(edges):
-            if v in query.edges[e]:
-                a_ub[i, j] = -1.0
-    b_ub = -np.ones(len(attrs))
-    res = linprog(c=cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, None)] * len(edges), method="highs")
-    if not res.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"edge-cover LP failed: {res.message}")
-    weights = {e: float(x) for e, x in zip(edges, res.x)}
-    agm = _agm_value(query, weights)
-    return EdgeCover(weights=weights, agm_bound=agm)
+    cost = [_cost(query, e) for e in edges]
+    rows = [[int(v in query.edges[e]) for e in edges]
+            for v in sorted(query.attributes)]
+    best: tuple[float, dict[str, float]] | None = None
+    for k in range(1, min(len(edges), len(rows)) + 1):
+        for support, tight in itertools.product(
+                itertools.combinations(range(len(edges)), k),
+                itertools.combinations(rows, k)):
+            x = _solve([[row[j] for j in support] + [1] for row in tight])
+            if x is None or min(x) < 0:
+                continue
+            value = math.fsum(cost[j] * float(xj) for j, xj in zip(support, x))
+            if best is not None and value >= best[0]:
+                continue
+            if any(sum(xj for j, xj in zip(support, x) if row[j]) < 1
+                   for row in rows):
+                continue
+            best = (value, {edges[j]: float(xj) for j, xj in zip(support, x)})
+    assert best is not None, "every attribute lies in some edge"
+    return {e: best[1].get(e, 0.0) for e in edges}
+
+
+def _solve(m: list[list[int]]) -> list[Fraction] | None:
+    """Solve the square integer system ``[A | b]``; None if singular.
+
+    Gauss–Jordan elimination that cross-multiplies rows instead of
+    dividing them, so it stays in integers until the final quotients.
+    """
+    n = len(m)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [m[c][c] * a - m[r][c] * b for a, b in zip(m[r], m[c])]
+    return [Fraction(m[i][n], m[i][i]) for i in range(n)]
 
 
 def optimal_integral_cover(query: JoinQuery) -> EdgeCover:
@@ -88,16 +127,21 @@ def optimal_integral_cover(query: JoinQuery) -> EdgeCover:
             covered |= query.edges[e]
         if covered != set(attrs):
             continue
-        if query.sizes is not None:
-            value = math.fsum(math.log(max(query.size(e), 2)) for e in chosen)
-        else:
-            value = float(len(chosen))
+        value = math.fsum(_cost(query, e) for e in chosen)
         if best is None or value < best[0]:
             best = (value, chosen)
     if best is None:
         raise ValueError("query has an attribute covered by no edge")
     weights = {e: (1.0 if e in best[1] else 0.0) for e in edges}
     return EdgeCover(weights=weights, agm_bound=_agm_value(query, weights))
+
+
+def _cost(query: JoinQuery, edge: str) -> float:
+    """``ln N(e)``, or 1 without sizes; an empty relation costs -inf."""
+    if query.sizes is None:
+        return 1.0
+    n = query.size(edge)
+    return math.log(n) if n else -math.inf
 
 
 def _agm_value(query: JoinQuery, weights: dict[str, float]) -> float:

@@ -1,4 +1,8 @@
-"""Tests for the networkx bridge (and acyclicity cross-validation)."""
+"""A networkx reference for Berge-acyclicity, cross-checked against
+the union-find test in :func:`repro.query.hypergraph.is_berge_acyclic`.
+
+networkx is a test-only dependency: the package itself never imports it.
+"""
 
 import networkx as nx
 from hypothesis import given, settings
@@ -6,21 +10,35 @@ from hypothesis import given, settings
 from repro.query import (JoinQuery, dumbbell_query, is_berge_acyclic,
                          line_query, lollipop_query, star_query,
                          triangle_query)
-from repro.query.nxbridge import (hypergraph_stats, incidence_graph,
-                                  is_berge_acyclic_nx, join_forest)
 
 from test_classify import random_acyclic_query
+
+
+def incidence_graph(query: JoinQuery) -> nx.Graph:
+    """The bipartite attribute–edge incidence graph.
+
+    Names are prefixed (``"E:"``/``"A:"``) so a relation and an
+    attribute may share a name without colliding.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(f"E:{e}" for e in query.edge_names)
+    g.add_nodes_from(f"A:{a}" for a in query.attributes)
+    g.add_edges_from((f"E:{e}", f"A:{a}")
+                     for e in query.edge_names for a in query.edges[e])
+    return g
+
+
+def is_berge_acyclic_nx(query: JoinQuery) -> bool:
+    """Berge-acyclicity as ``networkx.is_forest`` of the incidence graph."""
+    g = incidence_graph(query)
+    return g.number_of_nodes() == 0 or nx.is_forest(g)
 
 
 class TestIncidenceGraph:
     def test_structure(self):
         g = incidence_graph(line_query(3))
-        rel_nodes = [n for n, d in g.nodes(data=True)
-                     if d["kind"] == "relation"]
-        attr_nodes = [n for n, d in g.nodes(data=True)
-                      if d["kind"] == "attribute"]
-        assert len(rel_nodes) == 3
-        assert len(attr_nodes) == 4
+        assert sum(n.startswith("E:") for n in g) == 3
+        assert sum(n.startswith("A:") for n in g) == 4
         assert g.number_of_edges() == 6  # 3 binary edges
 
     def test_name_collision_is_safe(self):
@@ -36,43 +54,12 @@ class TestAcyclicityCrossValidation:
         assert is_berge_acyclic_nx(q) == is_berge_acyclic(q) is True
 
     def test_agrees_on_cyclic(self):
-        assert is_berge_acyclic_nx(triangle_query()) is False
         two_shared = JoinQuery(edges={"e1": frozenset({"a", "b"}),
                                       "e2": frozenset({"a", "b"})})
-        assert is_berge_acyclic_nx(two_shared) is False
+        for q in (triangle_query(), two_shared):
+            assert is_berge_acyclic_nx(q) is is_berge_acyclic(q) is False
 
     def test_agrees_on_paper_families(self):
         for q in (line_query(6), star_query(4), lollipop_query(3),
                   dumbbell_query(3, 6)):
             assert is_berge_acyclic_nx(q) and is_berge_acyclic(q)
-
-
-class TestJoinForest:
-    def test_forest_shape(self):
-        g = join_forest(star_query(3))
-        # early petals point at the core; the elimination root (the
-        # last-surviving relation) has no parent
-        assert set(g.successors("e1")) == {"e0"}
-        roots = [n for n in g.nodes if g.out_degree(n) == 0]
-        assert len(roots) == 1
-        assert nx.is_forest(g.to_undirected())
-
-    def test_arc_labels_are_shared_attrs(self):
-        g = join_forest(line_query(3))
-        for u, v, d in g.edges(data=True):
-            q = line_query(3)
-            assert d["attribute"] in (q.edges[u] & q.edges[v])
-
-
-class TestStats:
-    def test_line_stats(self):
-        s = hypergraph_stats(line_query(4))
-        assert s["relations"] == 4
-        assert s["attributes"] == 5
-        assert s["incidences"] == 8
-        assert s["components"] == 1
-        assert s["max_degree"] == 2
-
-    def test_empty(self):
-        s = hypergraph_stats(JoinQuery(edges={}))
-        assert s["relations"] == 0 and s["components"] == 0
