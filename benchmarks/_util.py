@@ -168,7 +168,8 @@ def measure_class(query, schemas, data, runner: Callable, M: int, B: int,
     Like :func:`run_em` but returns the whole counter tree the baseline
     pins (per-phase breakdown and peak memory included).
     """
-    device = Device(M=M, B=B, buffer_pool=pool, tracer=tracer)
+    device = Device(M=M, B=B, buffer_pool=pool,
+                    observers=[tracer] if tracer else [])
     instance = Instance.from_dicts(device, schemas, data)
     emitter = CountingEmitter()
     runner(query, instance, emitter)
@@ -188,7 +189,7 @@ def table1_baseline(tracer_summaries: dict | None = None) -> dict:
     """Measure every baseline class pool-off and pool-on.
 
     When ``tracer_summaries`` is a dict, each class's pool-off leg runs
-    with a :class:`~repro.obs.Tracer` attached and its exact rollup
+    with a :class:`~repro.obs.Tracer` observing and its exact
     summary is stored under the class name (the CI artifact) — the
     counters are identical either way, which the tracer-transparency
     test pins.
@@ -198,7 +199,7 @@ def table1_baseline(tracer_summaries: dict | None = None) -> dict:
             table1_baseline_cases().items()):
         tracer = None
         if tracer_summaries is not None:
-            tracer = Tracer(capacity=1024, sample_every=64)
+            tracer = Tracer(capacity=1024)
         pool_off = measure_class(query, schemas, data, runner, M, B,
                                  tracer=tracer)
         pool_on = measure_class(query, schemas, data, runner, M, B,

@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                         default=BASELINE_PATH, metavar="PATH",
                         help=f"baseline file (default {BASELINE_PATH})")
     parser.add_argument("--trace-summary-out", metavar="PATH",
-                        help="also write per-class tracer rollup "
+                        help="also write per-class tracer "
                              "summaries to PATH (CI artifact)")
     parser.add_argument("--fit-out", metavar="PATH",
                         help="also write the full fit results (points, "

@@ -275,7 +275,7 @@ def measure_point(cls: FitClass, n: int, M: int, B: int, *,
                   planner: bool = False) -> FitPoint:
     """Run one sweep point on a fresh device and pair it with its bound.
 
-    With a profiler attached the whole point runs inside a
+    With a profiler the whole point runs inside a
     ``fit:<class>`` algorithm span (and the profiler's tuple counter
     sees every emitted result via :class:`ProfiledEmitter`); counters
     are byte-identical either way.  ``planner=True`` swaps the class's
@@ -289,7 +289,8 @@ def measure_point(cls: FitClass, n: int, M: int, B: int, *,
     query, schemas, data, runner = cls.build(n)
     if planner:
         runner = planner_runner
-    device = Device(M=M, B=B, profiler=profiler, metrics=metrics)
+    device = Device(M=M, B=B, observers=[profiler] if profiler else [],
+                    metrics=metrics)
     instance = Instance.from_dicts(device, schemas, data)
     emitter = CountingEmitter()
     sink = ProfiledEmitter(emitter, profiler) if profiler else emitter
@@ -300,8 +301,6 @@ def measure_point(cls: FitClass, n: int, M: int, B: int, *,
     bound = sum(t.value for t in terms)
     io = device.stats.total
     phases = device.phases.report()
-    if profiler is not None:
-        profiler.detach()
     return FitPoint(n=n, M=M, B=B, io=io, results=emitter.count,
                     bound=bound, ratio=io / bound, terms=terms,
                     phases=phases)

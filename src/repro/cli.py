@@ -42,13 +42,14 @@ Six subcommands::
 ``run`` loads the CSV tables, executes the planner, and reports the
 results count, I/O bill, per-phase breakdown, and the optimality
 certificate.  ``--pool-frames``/``--pool-policy`` opt into the buffer
-pool (cache counters join the report); ``--trace`` attaches a
-:class:`~repro.obs.Tracer` and exports the event stream as JSON Lines;
+pool (cache counters join the report); ``--trace`` observes the run
+with a :class:`~repro.obs.Tracer` and exports the event stream as JSON
+Lines (``--trace-buffer`` bounds the stored events);
 ``--trace-summary`` reports the tracer's exact per-file/per-phase
-rollups and works on its own (no ``--trace`` needed — summary without
-the event file); ``--profile`` attaches a
+totals and works on its own (no ``--trace`` needed — summary without
+the event file); ``--profile`` observes with a
 :class:`~repro.obs.SpanProfiler` and writes a Chrome-trace/Perfetto
-JSON profile; ``--metrics`` attaches a
+JSON profile; ``--metrics`` passes a
 :class:`~repro.obs.MetricsRegistry` (``--metrics-out`` also writes the
 Prometheus text exposition); ``--json`` emits the whole report as one
 JSON document so benchmarks and CI can scrape results without parsing
@@ -168,13 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "JSON Lines to PATH")
     run.add_argument("--trace-summary", action="store_true",
                      help="report the tracer's exact per-file/per-phase "
-                          "rollups; usable on its own (attaches a "
+                          "totals; usable on its own (observes with a "
                           "tracer without writing an event file) or "
                           "next to --trace; adds a trace_summary "
                           "section under --json")
-    run.add_argument("--trace-sample", type=int, default=1, metavar="K",
-                     help="store every K-th I/O event in the trace "
-                          "buffer (rollups stay exact; default 1)")
     run.add_argument("--trace-buffer", type=int, default=65536,
                      metavar="N",
                      help="ring-buffer capacity in events (oldest "
@@ -388,21 +386,17 @@ def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
                           policy=args.pool_policy)
     tracer = None
     if args.trace or args.trace_summary:
-        if args.trace_sample < 1:
-            print(f"error: --trace-sample must be >= 1, got "
-                  f"{args.trace_sample}", file=sys.stderr)
-            return 2
         if args.trace_buffer < 1:
             print(f"error: --trace-buffer must be >= 1, got "
                   f"{args.trace_buffer}", file=sys.stderr)
             return 2
-        tracer = Tracer(capacity=args.trace_buffer,
-                        sample_every=args.trace_sample)
+        tracer = Tracer(capacity=args.trace_buffer)
     profiler = SpanProfiler() if args.profile else None
     metrics = (MetricsRegistry() if args.metrics or args.metrics_out
                else None)
-    device = Device(M=args.M, B=args.B, buffer_pool=pool, tracer=tracer,
-                    profiler=profiler, metrics=metrics)
+    device = Device(M=args.M, B=args.B, buffer_pool=pool,
+                    observers=filter(None, (tracer, profiler)),
+                    metrics=metrics)
     instance = instance_from_csv(device, tables)
     # Align loaded column layouts to the query text's attribute order.
     for e, attrs in layouts.items():
@@ -474,15 +468,14 @@ def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
         if tracer is not None:
             payload["trace_summary"] = tracer.summary()
         if traced_events is not None:
-            # Report the trace file's loss honestly: the rollups are
-            # exact, but the stored event stream is ring-buffered and
-            # sampled, so say how many events the file is missing.
+            # Report the trace file's loss honestly: the totals are
+            # exact, but the stored event stream is ring-buffered, so
+            # say how many events the file is missing.
             ev = tracer.summary()["events"]
             payload["trace"] = {"events": traced_events,
                                 "path": args.trace,
                                 "seen": ev["seen"],
                                 "stored": ev["stored"],
-                                "sampled_out": ev["sampled_out"],
                                 "overwritten": ev["overwritten"]}
         if profiler is not None:
             payload["profile"] = {"path": args.profile,
@@ -529,11 +522,10 @@ def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
                   f"{b['writes']} writes")
     if traced_events is not None:
         ev = tracer.summary()["events"]
-        lost = ev["sampled_out"] + ev["overwritten"]
         print(f"trace file  : {traced_events} of {ev['seen']} events "
               f"to {args.trace}"
-              + (f" ({ev['sampled_out']} sampled out, "
-                 f"{ev['overwritten']} overwritten)" if lost else ""))
+              + (f" ({ev['overwritten']} overwritten)"
+                 if ev["overwritten"] else ""))
     if profiler is not None:
         s = profiler.summary()
         print(f"profile     : {s['span_count']} spans "

@@ -20,12 +20,13 @@ Typical use::
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.em.bufferpool import BufferPool, PoolConfig
 from repro.em.stats import IOStats, MemoryGauge, PhaseTracker
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.spans import NULL_SPAN
+from repro.obs.observer import Observer
+from repro.obs.spans import NULL_SPAN, ObservedSpan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.em.file import EMFile
@@ -54,16 +55,14 @@ class Device:
         :class:`~repro.em.bufferpool.PoolConfig` to interpose a
         :class:`~repro.em.bufferpool.BufferPool` so hot pages hit in
         cache; counters appear in ``stats.cache``.
-    tracer:
-        An optional :class:`~repro.obs.tracer.Tracer` observing every
-        charge (physical I/O, cache events, phases, memory peaks).
-        Purely passive: with or without a tracer, every counter is
+    observers:
+        Initial :class:`~repro.obs.observer.Observer` list (e.g. a
+        :class:`~repro.obs.tracer.Tracer` and a
+        :class:`~repro.obs.spans.SpanProfiler`).  Each sees every
+        physical charge, cache event, phase, span and memory peak;
+        :meth:`observe` and :meth:`unobserve` change the list later.
+        Purely passive: with or without observers, every counter is
         byte-identical.
-    profiler:
-        An optional :class:`~repro.obs.spans.SpanProfiler`; spans
-        opened through :meth:`span` (and by every
-        :class:`~repro.em.stats.PhaseTracker` phase) snapshot the
-        counters at entry/exit.  Passive like the tracer.
     metrics:
         An optional :class:`~repro.obs.metrics.MetricsRegistry`.
         Without one the device carries the shared
@@ -79,7 +78,8 @@ class Device:
     def __init__(self, M: int, B: int, *, mem_slack: float = 8.0,
                  strict_memory: bool = False,
                  buffer_pool: PoolConfig | None = None,
-                 tracer=None, profiler=None, metrics=None) -> None:
+                 observers: Iterable[Observer] = (),
+                 metrics=None) -> None:
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
         if B < 1:
@@ -88,58 +88,29 @@ class Device:
             raise ValueError(f"block size B={B} cannot exceed memory M={M}")
         self.M = M
         self.B = B
+        # Mutated in place only: the gauge and the phase tracker share
+        # this list object.
+        self.observers: list[Observer] = list(observers)
         self.stats = IOStats()
         self.memory = MemoryGauge(capacity=M, slack=mem_slack,
-                                  strict=strict_memory)
-        self.phases = PhaseTracker(self.stats)
+                                  strict=strict_memory,
+                                  observers=self.observers)
+        self.phases = PhaseTracker(self)
         self.pool_config = buffer_pool
         self.pool = (None if buffer_pool is None
                      else BufferPool(self, buffer_pool))
         self._name_counter = itertools.count()
-        self.tracer = None
-        self.profiler = None
-        self.metrics = NULL_METRICS
-        if tracer is not None:
-            self.attach_tracer(tracer)
-        if profiler is not None:
-            self.attach_profiler(profiler)
-        if metrics is not None:
-            self.attach_metrics(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
 
     # -- observability -----------------------------------------------
 
-    def attach_tracer(self, tracer) -> None:
-        """Wire ``tracer`` into every accounting hook of this device."""
-        self.tracer = tracer
-        self.phases._tracer = tracer
-        self.memory._tracer = tracer
+    def observe(self, observer: Observer) -> None:
+        """Add ``observer``; it sees every event from now on."""
+        self.observers.append(observer)
 
-    def detach_tracer(self) -> None:
-        """Stop observing; counters are unaffected either way."""
-        self.tracer = None
-        self.phases._tracer = None
-        self.memory._tracer = None
-
-    def attach_profiler(self, profiler) -> None:
-        """Wire ``profiler`` in: :meth:`span` records, phases emit spans."""
-        self.profiler = profiler
-        profiler.attach(self)
-        self.phases._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        """Stop profiling; counters are unaffected either way."""
-        if self.profiler is not None:
-            self.profiler.detach()
-        self.profiler = None
-        self.phases._profiler = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Make ``metrics`` the registry instrumented code populates."""
-        self.metrics = metrics
-
-    def detach_metrics(self) -> None:
-        """Swap back to the shared no-op metrics sink."""
-        self.metrics = NULL_METRICS
+    def unobserve(self, observer: Observer) -> None:
+        """Remove ``observer``; counters are unaffected either way."""
+        self.observers.remove(observer)
 
     def attach_pool(self, pool) -> None:
         """Route this device's page charges through an external pool.
@@ -158,18 +129,18 @@ class Device:
         self.pool = None
 
     def span(self, name: str, kind: str = "operator", **attrs):
-        """A profiled span, or the shared no-op when profiling is off.
+        """A span every observer sees, or the shared no-op without any.
 
         Instrumented code uses this unconditionally::
 
             with device.span("merge", fan_in=k):
                 ...
 
-        which costs one attribute check when no profiler is attached.
+        which costs one truthiness check when nothing observes.
         """
-        if self.profiler is None:
+        if not self.observers:
             return NULL_SPAN
-        return self.profiler.span(name, kind, **attrs)
+        return ObservedSpan(self, name, kind, attrs)
 
     @staticmethod
     def _file_label(f) -> str:
@@ -200,22 +171,28 @@ class Device:
         """Count one *physical* page read (the model's unit of cost).
 
         Every ``stats.reads`` increment in the codebase goes through
-        here, so an attached tracer sees exactly the charged I/Os.
+        here, so observers see exactly the charged I/Os.
         """
         self.stats.reads += 1
-        if self.tracer is not None:
-            self.tracer.on_read(self._file_label(f), page)
+        if self.observers:
+            label = self._file_label(f)
+            for o in self.observers:
+                o.on_read(label, page)
 
     def _record_write(self, f, page: int) -> None:
         """Count one *physical* page write (see :meth:`_record_read`)."""
         self.stats.writes += 1
-        if self.tracer is not None:
-            self.tracer.on_write(self._file_label(f), page)
+        if self.observers:
+            label = self._file_label(f)
+            for o in self.observers:
+                o.on_write(label, page)
 
     def _notify_cache(self, kind: str, f, page: int) -> None:
-        """Forward a pool event (hit/miss/eviction/writeback) if traced."""
-        if self.tracer is not None:
-            self.tracer.on_cache(kind, self._file_label(f), page)
+        """Forward a pool event (hit/miss/eviction/writeback)."""
+        if self.observers:
+            label = self._file_label(f)
+            for o in self.observers:
+                o.on_cache(kind, label, page)
 
     def flush_pool(self) -> None:
         """Write back deferred dirty pages; a no-op without a pool.
@@ -265,17 +242,19 @@ class Device:
         """Zero the I/O counters, phase totals, and the memory gauge.
 
         A buffer pool is emptied without write-back: its deferred
-        writes belong to the history being discarded.
+        writes belong to the history being discarded.  Observers are
+        reset too; if one refuses (a profiler with a span still open),
+        nothing is changed.
         """
+        for o in self.observers:
+            o.check_reset()
         self.stats.reset()
         self.memory.reset()
         self.phases.reset()
         if self.pool is not None:
             self.pool.clear()
-        if self.tracer is not None:
-            self.tracer.reset()
-        if self.profiler is not None:
-            self.profiler.reset()
+        for o in self.observers:
+            o.reset()
         self.metrics.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.em.device import Device
+    from repro.obs.observer import Observer
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -177,10 +181,15 @@ class PhaseTracker:
             ...
 
     ``totals`` maps label → I/Os; :meth:`report` adds the remainder.
+    Each phase is announced to the device's observers
+    (``on_phase_enter`` / ``on_phase_exit``) and opened as a
+    ``kind="phase"`` span through ``device.span``.
     """
 
-    def __init__(self, stats: IOStats) -> None:
-        self._stats = stats
+    def __init__(self, device: "Device") -> None:
+        self._device = device
+        self._stats = device.stats
+        self._observers = device.observers
         self.totals: dict[str, int] = {}
         self._stack: list[list[int]] = []
         # I/O total when the tracker was last reset: the remainder in
@@ -188,32 +197,26 @@ class PhaseTracker:
         # server session) can zero its phase view per query without
         # rewinding the monotone counters.
         self._origin: int = 0
-        # Set by Device.attach_tracer; observes enter/exit, never counts.
-        self._tracer: Any = None
-        # Set by Device.attach_profiler; every phase opens a span.
-        self._profiler: Any = None
 
     @contextlib.contextmanager
     def phase(self, label: str) -> Iterator[None]:
         entry = [self._stats.total, 0]     # [start, child I/O]
         self._stack.append(entry)
-        if self._tracer is not None:
-            self._tracer.on_phase_enter(label)
-        span = (self._profiler.open(label, kind="phase")
-                if self._profiler is not None else None)
+        observers = self._observers
+        for o in observers:
+            o.on_phase_enter(label)
         try:
-            yield
+            with self._device.span(label, "phase"):
+                yield
         finally:
-            if span is not None:
-                self._profiler.close(span)
             self._stack.pop()
             delta = self._stats.total - entry[0]
             exclusive = delta - entry[1]
             self.totals[label] = self.totals.get(label, 0) + exclusive
             if self._stack:
                 self._stack[-1][1] += delta
-            if self._tracer is not None:
-                self._tracer.on_phase_exit(label, exclusive)
+            for o in observers:
+                o.on_phase_exit(label, exclusive)
 
     def report(self) -> dict[str, int]:
         """Per-phase I/O plus the unattributed remainder."""
@@ -245,9 +248,9 @@ class MemoryGauge:
     strict: bool = False
     current: int = 0
     peak: int = 0
-    # Set by Device.attach_tracer; observes peak growth, never counts.
-    _tracer: Any = field(default=None, init=False, repr=False,
-                         compare=False)
+    # The owning device's observer list; told of every new peak.
+    observers: list["Observer"] = field(default_factory=list,
+                                        repr=False, compare=False)
 
     @property
     def limit(self) -> float:
@@ -259,18 +262,24 @@ class MemoryGauge:
         return self.slack * self.capacity
 
     def charge(self, n: int) -> None:
-        """Record ``n`` additional resident tuples."""
+        """Record ``n`` additional resident tuples.
+
+        In strict mode a charge past the limit raises and leaves
+        ``current`` as it was (``peak`` still records the attempt), so
+        a failed :meth:`hold` holds nothing.
+        """
         if n < 0:
             raise ValueError(f"cannot charge a negative amount: {n}")
-        self.current += n
-        if self.current > self.peak:
-            self.peak = self.current
-            if self._tracer is not None:
-                self._tracer.on_mem_peak(self.peak)
-        if self.strict and self.current > self.limit:
+        current = self.current + n
+        if current > self.peak:
+            self.peak = current
+            for o in self.observers:
+                o.on_mem_peak(current)
+        if self.strict and current > self.limit:
             raise MemoryBudgetExceeded(
-                f"holding {self.current} tuples exceeds "
+                f"holding {current} tuples exceeds "
                 f"slack*M = {self.limit:.0f} (M={self.capacity})")
+        self.current = current
 
     def release(self, n: int) -> None:
         """Record ``n`` resident tuples being dropped."""

@@ -1,17 +1,20 @@
-"""Observability for the simulated EM machine: tracing and baselines.
+"""Observability for the simulated EM machine: observers and baselines.
 
 The paper's sole cost measure is the number of block transfers
 (Aggarwal–Vitter; see PAPERS.md), so the one metric worth tracing is
 where those transfers come from.  This subpackage provides:
 
-* :class:`TraceEvent` — one structured record per device event
-  (physical read/write, cache hit/miss/eviction/write-back, phase
-  enter/exit, memory-peak growth);
-* :class:`Tracer` — an opt-in, ring-buffered event sink with exact
-  per-file and per-phase rollups, a sampling knob, and JSONL export;
-* :class:`SpanProfiler` — hierarchical spans (algorithm → phase →
-  operator) snapshotting the device counters at entry/exit, with
-  Chrome-trace/Perfetto and Prometheus exporters
+* :class:`Observer` — the hooks a device calls on everything in its
+  ``observers`` list (physical read/write, cache hit/miss/eviction/
+  write-back, phase enter/exit, span open/close, memory-peak growth,
+  reset), all no-ops by default;
+* :class:`TraceEvent` — one structured record per device event;
+* :class:`Tracer` — an observer keeping a ring buffer of events plus
+  exact per-file, per-phase, cache and memory totals, with JSONL
+  export;
+* :class:`SpanProfiler` — an observer recording hierarchical spans
+  (algorithm → phase → operator) that snapshot the device counters at
+  entry/exit, with Chrome-trace/Perfetto and Prometheus exporters
   (:mod:`~repro.obs.export`);
 * :class:`MetricsRegistry` — named counters/gauges/histograms the
   instrumented code populates for free when metrics are off
@@ -19,35 +22,34 @@ where those transfers come from.  This subpackage provides:
 * :mod:`~repro.obs.baseline` — pinned benchmark baselines
   (``BENCH_table1.json``) and the drift comparator CI runs.
 
-Attach a tracer with ``Device(M, B, tracer=Tracer())`` or
-``device.attach_tracer(t)``; the same goes for ``profiler=`` and
-``metrics=``.  With nothing attached (the default) every counter stays
-byte-identical to the bare accounting — observers watch charges, they
-never make them.
+Observe a device with ``Device(M, B, observers=[Tracer()])`` or
+``device.observe(o)``, stop with ``device.unobserve(o)``; pass a
+registry as ``Device(M, B, metrics=...)``.  With nothing observing
+(the default) every counter stays byte-identical to the bare
+accounting — observers watch charges, they never make them.
 """
 
 from repro.obs.baseline import (compare_baselines, load_baseline,
                                 write_baseline)
 from repro.obs.events import (CACHE_KINDS, EVENT_KINDS, IO_KINDS,
                               TraceEvent)
-from repro.obs.export import (make_metrics_handler, metrics_payload,
-                              start_metrics_server, to_chrome_trace,
+from repro.obs.export import (metrics_payload, to_chrome_trace,
                               to_prometheus, write_chrome_trace)
 from repro.obs.metrics import (DEFAULT_BUCKETS, NULL_METRICS, Counter,
                                Gauge, Histogram, MetricsRegistry,
                                NullMetrics)
-from repro.obs.rollup import IOBreakdown, Rollups, UNATTRIBUTED
+from repro.obs.observer import Observer
 from repro.obs.spans import (NULL_SPAN, SPAN_KINDS, ProfiledEmitter,
                              Span, SpanProfiler)
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import UNATTRIBUTED, Tracer
 
 __all__ = [
-    "TraceEvent", "EVENT_KINDS", "IO_KINDS", "CACHE_KINDS",
-    "Tracer", "Rollups", "IOBreakdown", "UNATTRIBUTED",
+    "Observer", "TraceEvent", "EVENT_KINDS", "IO_KINDS", "CACHE_KINDS",
+    "Tracer", "UNATTRIBUTED",
     "write_baseline", "load_baseline", "compare_baselines",
     "Span", "SpanProfiler", "ProfiledEmitter", "NULL_SPAN", "SPAN_KINDS",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetrics",
     "NULL_METRICS", "DEFAULT_BUCKETS",
     "to_chrome_trace", "write_chrome_trace", "to_prometheus",
-    "metrics_payload", "make_metrics_handler", "start_metrics_server",
+    "metrics_payload",
 ]

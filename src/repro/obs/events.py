@@ -2,7 +2,7 @@
 
 Every event is cheap metadata — a kind, the file/page it touched, the
 phase it was attributed to — never tuple contents, so tracing full
-benchmark runs stays inexpensive even before sampling kicks in.
+benchmark runs stays inexpensive.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class TraceEvent:
     ----------
     seq:
         Monotone sequence number across *all* events the tracer saw
-        (sampled-out events still advance it, so gaps in an exported
-        trace reveal the sampling rate).
+        (an exported trace whose first ``seq`` is not 0 lost its
+        oldest events to the ring buffer).
     kind:
         One of :data:`EVENT_KINDS`.
     file:

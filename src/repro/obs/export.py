@@ -115,56 +115,9 @@ def to_prometheus(registry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def metrics_payload(source) -> bytes:
-    """The ``/metrics`` response body for a registry (or a provider).
-
-    ``source`` may be a registry, a zero-arg callable returning one
-    (so gauges can be refreshed at scrape time), or a ready exposition
-    string.
-    """
-    value = source() if callable(source) else source
-    text = value if isinstance(value, str) else to_prometheus(value)
-    return text.encode("utf-8")
-
-
-def make_metrics_handler(source):
-    """A request handler class serving ``source`` at ``GET /metrics``."""
-    from http.server import BaseHTTPRequestHandler
-
-    class MetricsHandler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            if self.path.split("?")[0] != "/metrics":
-                self.send_error(404, "only /metrics lives here")
-                return
-            body = metrics_payload(source)
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format, *args):  # noqa: A002 - API name
-            pass  # scrapes should not spam the console
-
-    return MetricsHandler
-
-
-def start_metrics_server(source, host: str = "127.0.0.1",  # em-effects: HOST_ONLY -- serves host HTTP, outside any measured run
-                         port: int = 0):
-    """Expose the text exposition over HTTP in a daemon thread.
-
-    Returns the live ``HTTPServer`` (``server_port`` tells you the
-    bound port when ``port=0``); call ``shutdown()`` to stop it.
-    """
-    import threading
-    from http.server import ThreadingHTTPServer
-
-    server = ThreadingHTTPServer((host, port), make_metrics_handler(source))
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-metrics", daemon=True)
-    thread.start()
-    return server
+def metrics_payload(registry) -> bytes:
+    """The ``/metrics`` response body: ``registry`` as exposition text."""
+    return to_prometheus(registry).encode("utf-8")
 
 
 def _le(bound: float) -> str:

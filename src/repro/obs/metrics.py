@@ -132,8 +132,6 @@ def _fmt_bound(b: float) -> str:
 class MetricsRegistry:
     """A live namespace of instruments, created lazily by name."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -201,8 +199,6 @@ _NULL_INSTRUMENT = _NullInstrument()
 
 class NullMetrics:
     """The disabled registry: every lookup returns the shared no-op."""
-
-    enabled = False
 
     def counter(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT

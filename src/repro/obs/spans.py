@@ -1,28 +1,31 @@
 """Hierarchical spans: who spent the I/O, over what wall time.
 
-A :class:`SpanProfiler` attached to a
-:class:`~repro.em.device.Device` records a tree of **spans**
-(algorithm → phase → operator).  Each span snapshots the device's
+A :class:`SpanProfiler` on a :class:`~repro.em.device.Device`'s
+observer list records a tree of **spans** (algorithm → phase →
+operator).  Each span snapshots the device's
 :class:`~repro.em.stats.IOStats` (reads, writes, and the cache
 counters), the :class:`~repro.em.stats.MemoryGauge` peak, the wall
 clock, and the profiler's tuples-produced counter at entry and exit,
 so its *deltas* say exactly what that region of the run cost.  Like
-the tracer, the profiler is strictly read-only: it observes counters,
-it never charges them, so profiled and unprofiled runs have
-byte-identical I/O statistics.
+every observer, the profiler is strictly read-only: profiled and
+unprofiled runs have byte-identical I/O statistics.
 
 Spans come from three places:
 
 * algorithms and operators call ``device.span(name, kind)`` — a
-  context manager that is a shared no-op (:data:`NULL_SPAN`) when no
-  profiler is attached, so instrumented code costs nearly nothing
-  when profiling is off;
+  context manager that is a shared no-op (:data:`NULL_SPAN`) when
+  nothing observes the device, and otherwise an :class:`ObservedSpan`
+  that opens the span on every observer;
 * every :class:`~repro.em.stats.PhaseTracker` phase opens a
-  ``kind="phase"`` span automatically, which is what nests operator
-  spans under the algorithm phases they run in;
+  ``kind="phase"`` span through ``device.span``, which is what nests
+  operator spans under the algorithm phases they run in;
 * :class:`ProfiledEmitter` wraps an emitter so emitted results tick
   the profiler's tuple counter, giving every span its tuples-produced
   delta.
+
+The profiler holds no device of its own: each span is opened on the
+device that announces it, so one profiler can observe a fresh device
+per measurement (``repro fit`` does).
 
 Attribution mirrors :class:`~repro.em.stats.PhaseTracker`: a span's
 ``io`` delta includes its children; ``exclusive_io`` subtracts them,
@@ -33,11 +36,12 @@ unattributed remainder reconstructs ``stats.total`` exactly
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import time
 from typing import Any, Callable, Iterator
+
+from repro.obs.observer import Observer
 
 
 class Span:
@@ -46,7 +50,7 @@ class Span:
     __slots__ = ("name", "kind", "attrs", "children", "depth", "dropped",
                  "t0", "t1", "reads0", "writes0", "reads1", "writes1",
                  "cache0", "cache1", "mem_peak0", "mem_peak1",
-                 "tuples0", "tuples1", "_profiler")
+                 "tuples0", "tuples1", "_owner")
 
     def __init__(self, profiler: "SpanProfiler", name: str, kind: str,
                  attrs: dict | None, depth: int) -> None:
@@ -57,7 +61,7 @@ class Span:
         self.depth = depth
         self.dropped = False
         self.t1 = None
-        self._profiler = profiler
+        self._owner = profiler
 
     # -- in-flight annotation (also provided by NULL_SPAN) -------------
 
@@ -67,7 +71,7 @@ class Span:
 
     def add_tuples(self, n: int = 1) -> None:
         """Report ``n`` results produced inside this span."""
-        self._profiler.add_tuples(n)
+        self._owner.add_tuples(n)
 
     # -- derived deltas (valid after close) ----------------------------
 
@@ -129,7 +133,7 @@ class Span:
 
 
 class _NullSpan:
-    """The shared span handed out when no profiler is attached."""
+    """The shared span handed out when nothing observes the device."""
 
     __slots__ = ()
 
@@ -147,15 +151,57 @@ class _NullSpan:
 
 
 #: Reusable, re-entrant no-op span (``device.span`` returns it when
-#: profiling is off).
+#: the device has no observers).
 NULL_SPAN = _NullSpan()
 
 #: Span kinds, outermost first — purely descriptive, not enforced.
 SPAN_KINDS = ("algorithm", "phase", "operator")
 
 
-class SpanProfiler:
-    """The opt-in span sink a device snapshots its counters into.
+class ObservedSpan:
+    """``device.span`` while the device has observers.
+
+    Entering opens the span on every observer; leaving closes it on
+    the same observers in reverse order, so an observer added or
+    removed inside the span never sees half of it.  :meth:`set` and
+    :meth:`add_tuples` reach every handle an observer returned.
+    """
+
+    __slots__ = ("_device", "_name", "_kind", "_attrs", "_opened")
+
+    def __init__(self, device, name: str, kind: str, attrs: dict) -> None:
+        self._device = device
+        self._name = name
+        self._kind = kind
+        self._attrs = attrs
+        self._opened: list[tuple[Any, Any]] = []
+
+    def __enter__(self) -> "ObservedSpan":
+        device = self._device
+        self._opened = [
+            (o, o.on_span_open(device, self._name, self._kind,
+                               self._attrs))
+            for o in device.observers]
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        for o, handle in reversed(self._opened):
+            o.on_span_close(self._device, handle)
+        return False
+
+    def set(self, key: str, value: Any) -> None:
+        for _, handle in self._opened:
+            if handle is not None:
+                handle.set(key, value)
+
+    def add_tuples(self, n: int = 1) -> None:
+        for _, handle in self._opened:
+            if handle is not None:
+                handle.add_tuples(n)
+
+
+class SpanProfiler(Observer):
+    """The observer that turns a device's spans into a tree.
 
     ``capacity`` bounds the number of *recorded* spans: once reached,
     further spans still open and close (keeping nesting well-formed and
@@ -169,6 +215,7 @@ class SpanProfiler:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._clock = clock
+        # The device the latest span opened on: summary()'s total.
         self._device = None
         self.roots: list[Span] = []
         self._stack: list[Span] = []
@@ -177,27 +224,15 @@ class SpanProfiler:
         self.dropped = 0
         self.origin = clock()
 
-    # -- wiring (called by Device.attach_profiler) ---------------------
-
-    def attach(self, device) -> None:
-        self._device = device
-
-    def detach(self) -> None:
-        self._device = None
-
     def add_tuples(self, n: int = 1) -> None:
         self.tuples_produced += n
 
-    # -- span lifecycle ------------------------------------------------
+    # -- span lifecycle (Observer hooks) -------------------------------
 
-    def open(self, name: str, kind: str = "operator",
-             attrs: dict | None = None) -> Span:
-        """Open a span nested under the innermost open one."""
-        device = self._device
-        if device is None:
-            raise RuntimeError(
-                "SpanProfiler is not attached to a device; pass it to "
-                "Device(profiler=...) or call device.attach_profiler")
+    def on_span_open(self, device, name: str, kind: str = "operator",
+                     attrs: dict | None = None) -> Span:
+        """Open a span on ``device``, nested under the innermost one."""
+        self._device = device
         parent = self._stack[-1] if self._stack else None
         span = Span(self, name, kind, attrs, depth=len(self._stack))
         stats = device.stats
@@ -220,7 +255,7 @@ class SpanProfiler:
         self._stack.append(span)
         return span
 
-    def close(self, span: Span) -> None:
+    def on_span_close(self, device, span: Span) -> None:
         """Close ``span``; it must be the innermost open one."""
         if not self._stack or self._stack[-1] is not span:
             open_name = self._stack[-1].name if self._stack else None
@@ -228,7 +263,6 @@ class SpanProfiler:
                 f"span {span.name!r} is not the innermost open span "
                 f"(innermost is {open_name!r})")
         self._stack.pop()
-        device = self._device
         stats = device.stats
         span.t1 = self._clock()
         span.reads1 = stats.reads
@@ -236,15 +270,6 @@ class SpanProfiler:
         span.cache1 = _cache_dict(stats.cache)
         span.mem_peak1 = device.memory.peak
         span.tuples1 = self.tuples_produced
-
-    @contextlib.contextmanager
-    def span(self, name: str, kind: str = "operator", **attrs):
-        """Context-managed :meth:`open`/:meth:`close` pair."""
-        s = self.open(name, kind, attrs or None)
-        try:
-            yield s
-        finally:
-            self.close(s)
 
     # -- inspection ----------------------------------------------------
 
@@ -264,9 +289,10 @@ class SpanProfiler:
     def summary(self) -> dict:
         """The whole span tree plus reconciliation totals, JSON-ready.
 
-        ``unattributed_io`` is the device I/O charged outside every
-        recorded root span; recorded exclusive I/O plus it always
-        equals ``stats.total``.
+        ``total_io`` is the I/O of the device the latest span opened
+        on; ``unattributed_io`` is the part of it charged outside
+        every recorded root span, so recorded exclusive I/O plus it
+        equals ``stats.total`` when one device was profiled.
         """
         total = self._device.stats.total if self._device else 0
         return {
@@ -279,12 +305,16 @@ class SpanProfiler:
             "unattributed_io": total - self.attributed_io,
         }
 
-    def reset(self) -> None:
-        """Drop all spans and zero the counters (keeps the knobs)."""
+    def check_reset(self) -> None:
+        """Refuse to reset while a span is open."""
         if self._stack:
             raise RuntimeError(
                 f"cannot reset with {len(self._stack)} span(s) open "
                 f"(innermost {self._stack[-1].name!r})")
+
+    def reset(self) -> None:
+        """Drop all spans and zero the counters (keeps the knobs)."""
+        self.check_reset()
         self.roots.clear()
         self.tuples_produced = 0
         self.span_count = 0
@@ -311,10 +341,10 @@ class ProfiledEmitter:
 
     def __init__(self, inner, profiler: SpanProfiler) -> None:
         self._inner = inner
-        self._profiler = profiler
+        self._owner = profiler
 
     def emit(self, result) -> None:
-        self._profiler.add_tuples(1)
+        self._owner.add_tuples(1)
         self._inner.emit(result)
 
     def emit_block(self, results) -> None:
@@ -325,7 +355,7 @@ class ProfiledEmitter:
         ``emit_block`` directly.
         """
         results = results if isinstance(results, list) else list(results)
-        self._profiler.add_tuples(len(results))
+        self._owner.add_tuples(len(results))
         self._deliver(results)
 
     def emit_product(self, base, factors) -> None:
@@ -335,7 +365,7 @@ class ProfiledEmitter:
         An inner emitter without ``emit_product`` gets the block
         expanded in order, last factor varying fastest.
         """
-        self._profiler.add_tuples(math.prod(len(ts) for _, ts in factors))
+        self._owner.add_tuples(math.prod(len(ts) for _, ts in factors))
         inner_product = getattr(self._inner, "emit_product", None)
         if inner_product is not None:
             inner_product(base, factors)

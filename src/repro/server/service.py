@@ -106,7 +106,7 @@ class QueryService:
 
     # -- sessions ------------------------------------------------------
 
-    def session(self, name: str | None = None, *, tracer=None) -> Session:
+    def session(self, name: str | None = None) -> Session:
         """Open (or re-join) a named session.
 
         Without a name a fresh one is minted.  Re-joining an existing
@@ -120,7 +120,7 @@ class QueryService:
                 return live
         if name is None:
             name = f"s{next(self._session_ids)}"
-        session = Session(self, name, tracer=tracer)
+        session = Session(self, name)
         self._sessions[name] = session
         return session
 

@@ -94,11 +94,9 @@ class Session:
     starts; sessions keep devices, instance caches and pins between
     queries."""
 
-    def __init__(self, service: "QueryService", name: str, *,
-                 tracer=None) -> None:
+    def __init__(self, service: "QueryService", name: str) -> None:
         self._service = service
         self.name = name
-        self._tracer = tracer
         self._devices: dict[tuple[int, int], "Device"] = {}
         self._views: dict[tuple[int, int], "PoolView"] = {}
         # (instance, generation, M, B) -> materialized Instance
@@ -346,8 +344,6 @@ class Session:
             # aggregation happens once per query in
             # QueryService._observe.
             device = Device(M=M, B=B)
-            if self._tracer is not None:
-                device.attach_tracer(self._tracer)
             shared = self._service.pool
             if shared is not None and shared.B == B:
                 view = shared.view(device, owner=self.name)

@@ -128,15 +128,13 @@ class TestRunJson:
         """The JSON trace section admits what the ring buffer lost."""
         trace_path = csv_tables / "trace.jsonl"
         p = self._payload(csv_tables, capsys, "--trace",
-                          str(trace_path), "--trace-sample", "5",
-                          "--trace-buffer", "4")
+                          str(trace_path), "--trace-buffer", "4")
         t = p["trace"]
-        for key in ("seen", "stored", "sampled_out", "overwritten"):
+        for key in ("seen", "stored", "overwritten"):
             assert t[key] >= 0
-        assert t["stored"] == t["events"] <= 4
-        assert t["sampled_out"] > 0
-        assert t["seen"] == (t["stored"] + t["sampled_out"]
-                             + t["overwritten"])
+        assert t["stored"] == t["events"] == 4
+        assert t["overwritten"] > 0
+        assert t["seen"] == t["stored"] + t["overwritten"]
 
     def test_trace_summary_sums_to_total(self, csv_tables, capsys):
         p = self._payload(csv_tables, capsys, "--trace-summary")
@@ -160,21 +158,14 @@ class TestRunJson:
         assert "trace       :" in out
         assert "phase sort" in out
 
-    def test_trace_sample_keeps_summary_exact(self, csv_tables, capsys):
-        p = self._payload(csv_tables, capsys, "--trace-summary",
-                          "--trace-sample", "5", "--trace-buffer", "10")
-        s = p["trace_summary"]
-        assert s["events"]["sampled_out"] > 0
-        assert s["io"]["total"] == p["io"]["total"]
-
     def test_trace_rejects_bad_knobs(self, csv_tables, capsys):
         rc = main(["run",
                    "--query", "follows(src, dst), lives(dst, city)",
                    "--table", f"follows={csv_tables}/follows.csv",
                    "--table", f"lives={csv_tables}/lives.csv",
-                   "--trace-summary", "--trace-sample", "0"])
+                   "--trace-summary", "--trace-buffer", "0"])
         assert rc == 2
-        assert "--trace-sample" in capsys.readouterr().err
+        assert "--trace-buffer" in capsys.readouterr().err
 
 
 class TestRunProfile:

@@ -37,12 +37,13 @@ def fill(device, n, name="f"):
     return f
 
 
-def traced_device(M=16, B=4, *, pool=False, **kwargs):
+def traced_device(M=16, B=4, *, pool=False, also=(), **kwargs):
+    """A device observed by a tracer, then by the observers in ``also``."""
     tracer = Tracer(capacity=1_000_000)
     if pool:
         kwargs["buffer_pool"] = PoolConfig(frames=max(2, M // B),
                                            policy="lru")
-    dev = Device(M=M, B=B, tracer=tracer, **kwargs)
+    dev = Device(M=M, B=B, observers=[tracer, *also], **kwargs)
     return dev, tracer
 
 
@@ -355,10 +356,11 @@ CASES = {
 }
 
 
-def record(name: str, pool: bool) -> dict:
+def record(name: str, pool: bool, also=()) -> dict:
     """Run one case on a traced, strict-memory device and summarize it."""
     M, B, run = CASES[name]
-    dev, tracer = traced_device(M=M, B=B, pool=pool, strict_memory=True)
+    dev, tracer = traced_device(M=M, B=B, pool=pool, strict_memory=True,
+                                also=also)
     results = run(dev)
     events = tracer.events()
     assert len(events) == tracer.seen, "tracer ring overflowed"

@@ -171,7 +171,7 @@ def _reference_semijoin(left, right, key_l, key_r):
 def _traced_semijoin(left_rows, right_rows, B, pool, reference):
     tracer = Tracer(capacity=1_000_000)
     config = PoolConfig(frames=3, policy="lru") if pool else None
-    device = Device(M=4 * B, B=B, tracer=tracer, buffer_pool=config)
+    device = Device(M=4 * B, B=B, observers=[tracer], buffer_pool=config)
     left = device.file_from_tuples_free(sorted(left_rows), "left")
     right = device.file_from_tuples_free(sorted(right_rows), "right")
     out = device.new_file("out")

@@ -183,7 +183,7 @@ def _reference_merge_once(device, runs, key, name):
 def _traced_sort(rows, M, B, pool):
     tracer = Tracer(capacity=1_000_000)
     config = PoolConfig(frames=M // B, policy="lru") if pool else None
-    device = Device(M=M, B=B, tracer=tracer, strict_memory=True,
+    device = Device(M=M, B=B, observers=[tracer], strict_memory=True,
                     buffer_pool=config)
     f = device.file_from_tuples_free(rows, "src")
     out = external_sort(f, lambda t: t[0], name="sorted")

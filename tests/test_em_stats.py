@@ -148,6 +148,22 @@ class TestMemoryGauge:
         with pytest.raises(MemoryBudgetExceeded):
             g.charge(1)
 
+    def test_failed_strict_hold_holds_nothing(self):
+        """Regression: a refused charge used to leave ``current``
+        raised, so every later hold on the device raised, even
+        ``hold(0)``."""
+        from repro import Device
+
+        device = Device(M=2, B=1, strict_memory=True, mem_slack=1)
+        with pytest.raises(MemoryBudgetExceeded):
+            with device.memory.hold(5):
+                pass
+        assert device.memory.current == 0
+        assert device.memory.peak == 5   # the attempt is still recorded
+        with device.memory.hold(0), device.memory.hold(2):
+            assert device.memory.current == 2
+        assert device.memory.current == 0
+
     def test_non_strict_only_records(self):
         g = MemoryGauge(capacity=10, slack=1.0, strict=False)
         g.charge(1000)

@@ -267,7 +267,7 @@ def test_profiled_emitter_counts_every_algorithm2_result(inner):
     the profiler's tuple counter must still see all 4096 results."""
     schemas, data = star_worstcase_instance([16, 16, 16])
     profiler = SpanProfiler()
-    inst = Instance.from_dicts(Device(M=64, B=8, profiler=profiler),
+    inst = Instance.from_dicts(Device(M=64, B=8, observers=[profiler]),
                                schemas, data)
     emitter = ProfiledEmitter(inner(), profiler)
     acyclic_join(star_query(3), inst, emitter)

@@ -125,7 +125,7 @@ class TestRuleSemantics:
 
     def test_em005_assigned_call_is_compliant(self):
         # Returning/assigning the context manager is legitimate
-        # (Device.span forwards profiler.span); only a *discarded*
+        # (Device.span returns the span context); only a *discarded*
         # bare call leaks state.
         src = "def f(d):\n    return d.span('x')\n"
         assert check_source(src, "src/repro/em/device.py") == []

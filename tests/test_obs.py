@@ -1,5 +1,6 @@
-"""Tests for the observability layer: tracer, rollups, baselines."""
+"""Tests for the observability layer: tracer, observers, baselines."""
 
+import contextlib
 import json
 
 import pytest
@@ -7,16 +8,18 @@ import pytest
 from repro import Device, Instance, Tracer, line_query
 from repro.core import CountingEmitter, line3_join
 from repro.em import PoolConfig
-from repro.obs import (IOBreakdown, UNATTRIBUTED, compare_baselines,
+from repro.obs import (UNATTRIBUTED, SpanProfiler, compare_baselines,
                        load_baseline, write_baseline)
 from repro.obs.events import EVENT_KINDS, TraceEvent
 from repro.workloads import fig3_line3_instance
 
 
-def traced_line3(M=4, B=2, pool=None, **tracer_kwargs):
-    """Run the fixed L3 instance with a tracer; return (device, tracer)."""
+def traced_line3(M=4, B=2, pool=None, also=(), **tracer_kwargs):
+    """Run the fixed L3 instance with a tracer (and the observers in
+    ``also``) observing; return (device, tracer)."""
     tracer = Tracer(**tracer_kwargs)
-    device = Device(M=M, B=B, buffer_pool=pool, tracer=tracer)
+    device = Device(M=M, B=B, buffer_pool=pool,
+                    observers=[tracer, *also])
     schemas, data = fig3_line3_instance(32, 32)
     instance = Instance.from_dicts(device, schemas, data)
     line3_join(line_query(3), instance, CountingEmitter())
@@ -54,18 +57,6 @@ class TestTracer:
                               "writebacks": c.writebacks}
         assert c.hits + c.misses == c.logical_reads
 
-    def test_sampling_keeps_rollups_exact(self):
-        exact_device, exact = traced_line3()
-        device, sampled = traced_line3(sample_every=13)
-        assert (device.stats.reads, device.stats.writes) == (
-            exact_device.stats.reads, exact_device.stats.writes)
-        assert sampled.summary()["io"] == exact.summary()["io"]
-        assert sampled.summary()["per_phase"] == \
-            exact.summary()["per_phase"]
-        ev = sampled.summary()["events"]
-        assert ev["sampled_out"] > 0
-        assert ev["stored"] < ev["seen"]
-
     def test_ring_buffer_overwrites_oldest(self):
         device, tracer = traced_line3(capacity=32)
         events = tracer.events()
@@ -75,7 +66,7 @@ class TestTracer:
         # Oldest first, and strictly increasing sequence numbers.
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)
-        # Rollups were unaffected by the overwrites.
+        # The totals were unaffected by the overwrites.
         assert tracer.summary()["io"]["total"] == device.stats.total
 
     def test_export_jsonl_is_parseable(self, tmp_path):
@@ -90,7 +81,7 @@ class TestTracer:
             assert obj["kind"] in EVENT_KINDS
             reads += obj["kind"] == "read"
             writes += obj["kind"] == "write"
-        # Unsampled export carries every physical I/O.
+        # An export that lost nothing carries every physical I/O.
         assert reads == 325 and writes == 146
 
     def test_io_events_carry_file_page_phase(self):
@@ -103,7 +94,7 @@ class TestTracer:
 
     def test_suspended_io_is_invisible(self):
         tracer = Tracer()
-        device = Device(M=16, B=4, tracer=tracer)
+        device = Device(M=16, B=4, observers=[tracer])
         device.file_from_tuples_free([(i,) for i in range(64)])
         assert tracer.seen == 0
         assert tracer.summary()["io"]["total"] == 0
@@ -116,17 +107,19 @@ class TestTracer:
 
     def test_detach_stops_observation(self):
         tracer = Tracer()
-        device = Device(M=16, B=4, tracer=tracer)
+        device = Device(M=16, B=4)
+        device.observe(tracer)
         f = device.file_from_tuples_free([(i,) for i in range(8)])
-        device.detach_tracer()
+        device.unobserve(tracer)
         list(f.reader())
+        with device.phases.phase("p"), device.memory.hold(3):
+            pass
         assert device.stats.reads == 2 and tracer.seen == 0
+        assert device.observers == []
 
     def test_validates_knobs(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
-        with pytest.raises(ValueError):
-            Tracer(sample_every=0)
 
     def test_event_as_dict_omits_none_fields(self):
         e = TraceEvent(seq=3, kind="mem_peak", value=7)
@@ -134,62 +127,91 @@ class TestTracer:
 
     def test_unattributed_phase_key(self):
         tracer = Tracer()
-        device = Device(M=16, B=4, tracer=tracer)
+        device = Device(M=16, B=4, observers=[tracer])
         f = device.file_from_tuples_free([(i,) for i in range(8)])
         list(f.reader())
         assert tracer.summary()["per_phase"] == {
-            UNATTRIBUTED: IOBreakdown(reads=2).as_dict()}
+            UNATTRIBUTED: {"reads": 2, "writes": 0, "total": 2}}
+
+
+def nested_phases(*labels):
+    """A device observed by a tracer and a profiler; one page read
+    inside the phases ``labels`` (outermost first), one write in the
+    outermost only, one read outside every phase."""
+    tracer, profiler = Tracer(), SpanProfiler()
+    device = Device(M=16, B=4, observers=[tracer, profiler])
+    f = device.file_from_tuples_free([(i,) for i in range(12)])
+    with device.phases.phase(labels[0]):
+        with contextlib.ExitStack() as stack:
+            for label in labels[1:]:
+                stack.enter_context(device.phases.phase(label))
+            device.charge_read(f, 0)
+        device.charge_write(f, 1)
+    device.charge_read(f, 2)
+    return device, tracer, profiler
 
 
 class TestInclusiveRollups:
+    """The tracer's per-phase view is exclusive; the inclusive view
+    (a phase's I/O with its children's) is the phase span's ``io``."""
+
     def test_exclusive_sums_to_total_inclusive_overlaps(self):
-        device, tracer = traced_line3()
+        profiler = SpanProfiler()
+        device, tracer = traced_line3(also=[profiler])
         s = tracer.summary()
         exclusive = sum(v["total"] for v in s["per_phase"].values())
         assert exclusive == device.stats.total
-        # Inclusive rows overlap whenever phases nest, so their sum
-        # can only meet or exceed the exclusive partition.
-        inclusive = sum(v["total"] for v in
-                        s["per_phase_inclusive"].values())
-        assert inclusive >= exclusive
+        # Phase spans overlap whenever phases nest, so their sum can
+        # only meet or exceed the attributed part of the partition.
+        attributed = exclusive - s["per_phase"].get(
+            UNATTRIBUTED, {"total": 0})["total"]
+        inclusive = sum(sp.io for sp in profiler.iter_spans()
+                        if sp.kind == "phase")
+        assert inclusive >= attributed > 0
 
     def test_inclusive_dominates_exclusive_per_label(self):
-        _, tracer = traced_line3()
-        s = tracer.summary()
-        assert set(s["per_phase"]) == set(s["per_phase_inclusive"])
-        for label, b in s["per_phase"].items():
-            inc = s["per_phase_inclusive"][label]
-            assert inc["reads"] >= b["reads"]
-            assert inc["writes"] >= b["writes"]
+        profiler = SpanProfiler()
+        _, tracer = traced_line3(also=[profiler])
+        inclusive: dict[str, list[int]] = {}
+        for sp in profiler.iter_spans():
+            if sp.kind == "phase":
+                row = inclusive.setdefault(sp.name, [0, 0])
+                row[0] += sp.reads
+                row[1] += sp.writes
+        per_phase = tracer.summary()["per_phase"]
+        assert set(per_phase) - {UNATTRIBUTED} <= set(inclusive)
+        for label, b in per_phase.items():
+            if label != UNATTRIBUTED:
+                assert inclusive[label][0] >= b["reads"]
+                assert inclusive[label][1] >= b["writes"]
 
     def test_nested_charge_goes_to_innermost_exclusively(self):
-        from repro.obs import Rollups
-
-        r = Rollups()
-        r.record_io("read", "f", ("outer", "inner"))
-        r.record_io("write", "f", ("outer",))
-        r.record_io("read", "f", ())
-        assert {k: v.total for k, v in r.per_phase.items()} == {
+        _, tracer, profiler = nested_phases("outer", "inner")
+        assert {k: v["total"] for k, v in
+                tracer.summary()["per_phase"].items()} == {
             "inner": 1, "outer": 1, UNATTRIBUTED: 1}
-        assert {k: v.total for k, v in r.per_phase_inclusive.items()} \
-            == {"inner": 1, "outer": 2, UNATTRIBUTED: 1}
+        (outer,) = profiler.roots
+        (inner,) = outer.children
+        assert (outer.name, outer.io, outer.exclusive_io) == \
+            ("outer", 2, 1)
+        assert (inner.name, inner.io) == ("inner", 1)
 
     def test_recursive_label_charged_once_inclusively(self):
-        from repro.obs import Rollups
-
-        r = Rollups()
-        r.record_io("read", "f", ("sort", "merge", "sort"))
-        assert r.per_phase["sort"].reads == 1
-        assert r.per_phase_inclusive["sort"].reads == 1
-        assert r.per_phase_inclusive["merge"].reads == 1
+        _, tracer, profiler = nested_phases("sort", "merge", "sort")
+        per_phase = tracer.summary()["per_phase"]
+        assert per_phase["sort"]["total"] == 2
+        assert "merge" not in per_phase
+        # The outermost "sort" span counts the inner read once.
+        (outer,) = profiler.roots
+        (merge,) = outer.children
+        (inner,) = merge.children
+        assert (outer.reads, merge.reads, inner.reads) == (1, 1, 1)
 
     def test_reset_clears_inclusive_view(self):
-        from repro.obs import Rollups
-
-        r = Rollups()
-        r.record_io("read", "f", ("p",))
-        r.reset()
-        assert r.per_phase_inclusive == {}
+        device, tracer, profiler = nested_phases("p")
+        device.reset_stats()
+        assert profiler.roots == []
+        assert tracer.summary()["per_phase"] == {}
 
 
 class TestBaseline:

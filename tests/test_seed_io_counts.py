@@ -11,6 +11,7 @@ from repro import Device, Instance, Tracer
 from repro.core import (CountingEmitter, acyclic_join_best, execute,
                         line3_join, nested_loop_join)
 from repro.em import PoolConfig
+from repro.obs import SpanProfiler
 from repro.query import line_query, star_query
 from repro.workloads import (fig3_line3_instance, schemas_for,
                              star_worstcase_instance)
@@ -46,8 +47,9 @@ class TestSeedCounts:
         assert got == (210, 157, 256)
 
     def test_tracer_does_not_change_any_count(self):
-        """A tracer is a pure observer: with one attached, every seed
-        triple stays byte-identical — pool off and pool on."""
+        """A tracer is a pure observer: with one observing (and, pooled,
+        a profiler beside an overflowing tracer), every seed triple
+        stays byte-identical — pool off and pool on."""
         cases = [
             (line_query(2), schemas_for(line_query(2)),
              {"e1": [(i, 0) for i in range(64)],
@@ -61,13 +63,14 @@ class TestSeedCounts:
         for query, schemas, data, M, B, runner in cases:
             plain = measure(query, schemas, data, M, B, runner)
             traced = measure(query, schemas, data, M, B, runner,
-                             tracer=Tracer())
+                             observers=[Tracer()])
             assert traced == plain
             pooled = measure(query, schemas, data, M, B, runner,
                              buffer_pool=PoolConfig(frames=4))
             pooled_traced = measure(query, schemas, data, M, B, runner,
                                     buffer_pool=PoolConfig(frames=4),
-                                    tracer=Tracer(sample_every=3))
+                                    observers=[Tracer(capacity=3),
+                                               SpanProfiler()])
             assert pooled_traced == pooled
 
     def test_planner_execute_line3(self):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Device, Instance, line_query
+from repro import Device, Instance, Tracer, line_query
 from repro.analysis import FIT_CLASSES, fit_class, fit_loglog
 from repro.analysis.fitting import BoundTerm, FitPoint, FitResult
 from repro.core import CountingEmitter, line3_join
+from repro.em import PoolConfig
 from repro.obs import (DEFAULT_BUCKETS, Histogram, MetricsRegistry,
                        NULL_METRICS, NULL_SPAN, ProfiledEmitter,
                        SpanProfiler, to_chrome_trace, to_prometheus)
@@ -19,7 +20,7 @@ from repro.workloads import fig3_line3_instance
 def profiled_line3(M=4, B=2, metrics=None):
     """The fixed L3 instance under a profiler; (device, profiler, emitter)."""
     profiler = SpanProfiler()
-    device = Device(M=M, B=B, profiler=profiler, metrics=metrics)
+    device = Device(M=M, B=B, observers=[profiler], metrics=metrics)
     schemas, data = fig3_line3_instance(32, 32)
     instance = Instance.from_dicts(device, schemas, data)
     emitter = ProfiledEmitter(CountingEmitter(), profiler)
@@ -43,15 +44,17 @@ class TestProfilerTransparency:
         with device.span("outer") as a, device.span("inner") as b:
             a.set("k", 1)
             b.add_tuples(3)
-        assert device.profiler is None
+        assert device.observers == []
 
     def test_detach_restores_null_behavior(self):
         profiler = SpanProfiler()
-        device = Device(M=16, B=4, profiler=profiler)
-        assert device.span("x") is not NULL_SPAN and device.profiler
-        device.detach_profiler()
+        device = Device(M=16, B=4, observers=[profiler])
+        assert device.span("x") is not NULL_SPAN
+        device.unobserve(profiler)
         assert device.span("x") is NULL_SPAN
-        assert device.phases._profiler is None
+        with device.phases.phase("p"):
+            pass
+        assert profiler.roots == []
 
 
 class TestSpanTree:
@@ -95,7 +98,7 @@ class TestSpanTree:
 
     def test_capacity_keeps_nesting_balanced(self):
         profiler = SpanProfiler(capacity=2)
-        device = Device(M=16, B=4, profiler=profiler)
+        device = Device(M=16, B=4, observers=[profiler])
         with device.span("a"):
             with device.span("b"):
                 with device.span("c"):  # over capacity: dropped
@@ -108,15 +111,11 @@ class TestSpanTree:
 
     def test_close_out_of_order_raises(self):
         profiler = SpanProfiler()
-        device = Device(M=16, B=4, profiler=profiler)
-        a = profiler.open("a")
-        profiler.open("b")
+        device = Device(M=16, B=4, observers=[profiler])
+        a = profiler.on_span_open(device, "a")
+        profiler.on_span_open(device, "b")
         with pytest.raises(RuntimeError, match="innermost"):
-            profiler.close(a)
-
-    def test_unattached_open_raises(self):
-        with pytest.raises(RuntimeError, match="not attached"):
-            SpanProfiler().open("x")
+            profiler.on_span_close(device, a)
 
     def test_reset_stats_resets_profiler(self):
         device, profiler, _ = profiled_line3()
@@ -126,10 +125,40 @@ class TestSpanTree:
 
     def test_reset_with_open_span_raises(self):
         profiler = SpanProfiler()
-        device = Device(M=16, B=4, profiler=profiler)
-        profiler.open("still-open")
+        device = Device(M=16, B=4, observers=[profiler])
+        profiler.on_span_open(device, "still-open")
         with pytest.raises(RuntimeError, match="open"):
             profiler.reset()
+
+    def test_refused_reset_stats_changes_nothing(self):
+        """A profiler with a span open refuses the reset before the
+        device, its pool or any other observer has been touched."""
+        tracer, profiler = Tracer(), SpanProfiler()
+        device = Device(M=16, B=4, buffer_pool=PoolConfig(frames=2),
+                        observers=[tracer, profiler],
+                        metrics=MetricsRegistry())
+        f = device.file_from_tuples([(i,) for i in range(20)])
+        with device.phases.phase("p"), device.span("still-open"):
+            list(f.reader())
+            device.metrics.counter("c").inc()
+            with device.memory.hold(3):
+                before = (device.stats.snapshot(), device.memory.peak,
+                          dict(device.phases.totals),
+                          device.pool.resident_pages, tracer.summary(),
+                          device.metrics.as_dict())
+                with pytest.raises(RuntimeError, match="open"):
+                    device.reset_stats()
+                after = (device.stats.snapshot(), device.memory.peak,
+                         dict(device.phases.totals),
+                         device.pool.resident_pages, tracer.summary(),
+                         device.metrics.as_dict())
+                assert device.memory.current == 3
+        assert after == before
+        assert before[0].total > 0
+        assert [sp.name for sp in profiler.iter_spans()] == [
+            "p", "still-open"]
+        device.reset_stats()
+        assert device.stats.total == 0 and tracer.seen == 0
 
     def test_validates_capacity(self):
         with pytest.raises(ValueError):
