@@ -69,7 +69,7 @@ class Device:
         :data:`~repro.obs.metrics.NULL_METRICS` sink, so instrumented
         code updates metrics unconditionally at near-zero cost.
 
-    The hot operators run block-at-a-time over the columnar cursor APIs
+    The hot operators run block-at-a-time over the block cursor APIs
     of :mod:`repro.em.file`, charging the page I/Os a tuple-at-a-time
     loop would, in the same order; ``tests/golden_io_streams.json``
     pins those event streams.

@@ -1,10 +1,10 @@
 """On-disk tuple files for the simulated external-memory machine.
 
 An :class:`EMFile` is an append-only sequence of tuples laid out in
-pages of ``B`` tuples.  Physically the tuples live in a columnar
-:class:`~repro.em.pages.ColumnStore` (struct-packed ``array`` columns
-for integers); logically nothing changes — all access goes through
-cursors that charge the device's :class:`~repro.em.stats.IOStats`:
+pages of ``B`` tuples.  Physically the tuples are one plain list of row
+tuples; page ``p`` is the slice ``[p*B, (p+1)*B)`` of that list.  All
+access goes through cursors that charge the device's
+:class:`~repro.em.stats.IOStats`:
 
 * :class:`Writer` buffers up to ``B`` tuples and charges one write per
   flushed page (including the final partial page).
@@ -38,13 +38,16 @@ property the pinned baselines and the tracer-transparency tests
 enforce.  Blocks larger than one page occupy real memory; callers
 account for them with ``device.memory.hold`` exactly as they did for
 tuple loops that materialized the same chunk.
+
+Blocks are fresh lists (slices of the row list), so a caller may sort
+or clear a block it was handed, and the writer copies the tuples out of
+a block it is given.  The tuples themselves are shared, immutable
+objects.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Sequence, TYPE_CHECKING
-
-from repro.em.pages import ColumnStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.em.device import Device
@@ -58,14 +61,13 @@ class EMFile:
 
     Files are created through :meth:`repro.em.device.Device.new_file`
     and populated through :meth:`writer`.  Once the writer is closed the
-    file is sealed and read-only; sealing struct-packs the integer
-    columns of the backing :class:`~repro.em.pages.ColumnStore`.
+    file is sealed and read-only.
     """
 
     def __init__(self, device: "Device", name: str) -> None:
         self.device = device
         self.name = name
-        self._store = ColumnStore()
+        self._rows: list[Tuple] = []
         self._sealed = False
 
     # -- writing -----------------------------------------------------
@@ -79,34 +81,29 @@ class EMFile:
     # -- metadata ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._rows)
 
     @property
     def n_pages(self) -> int:
         """Pages occupied on disk."""
-        return self.device.pages(len(self._store))
-
-    @property
-    def column_kinds(self) -> tuple[str, ...]:
-        """Physical column layout (``"i64"`` packed / ``"obj"`` list)."""
-        return self._store.column_kinds
+        return self.device.pages(len(self._rows))
 
     # -- reading -----------------------------------------------------
 
     def reader(self) -> "SequentialReader":
         """A sequential reader over the whole file."""
-        return SequentialReader(self, 0, len(self._store))
+        return SequentialReader(self, 0, len(self._rows))
 
     def segment(self, start: int, stop: int) -> "FileSegment":
         """The contiguous slice ``[start, stop)`` of this file."""
-        if not (0 <= start <= stop <= len(self._store)):
+        if not (0 <= start <= stop <= len(self._rows)):
             raise IndexError(f"segment [{start}, {stop}) out of range "
-                             f"for file of length {len(self._store)}")
+                             f"for file of length {len(self._rows)}")
         return FileSegment(self, start, stop)
 
     def whole(self) -> "FileSegment":
         """The file viewed as a single segment."""
-        return FileSegment(self, 0, len(self._store))
+        return FileSegment(self, 0, len(self._rows))
 
     # em-cost: amortized N/B -- one full sequential pass over the file
     # em-yields: N
@@ -126,7 +123,7 @@ class EMFile:
         For test oracles and result verification only; algorithms must
         never call this.
         """
-        return self._store.rows(0, len(self._store))
+        return self._rows[:]
 
 
 class Writer:
@@ -154,7 +151,7 @@ class Writer:
         Charges one write per page filled, at exactly the fill points a
         loop of :meth:`append` would flush at — only the per-tuple
         Python overhead disappears.  Full pages bypass the staging
-        buffer and land in the columnar store directly.
+        buffer and land in the file's row list directly.
         """
         if self._closed:
             raise RuntimeError("writer is closed")
@@ -170,10 +167,10 @@ class Writer:
                 self._flush()
         full = (n - i) // B
         if full:
-            store = f._store
-            base = len(store) // B
+            rows = f._rows
+            base = len(rows) // B
             stop = i + full * B
-            store.append_rows(ts[i:stop] if (i or stop != n) else ts)
+            rows.extend(ts[i:stop] if (i or stop != n) else ts)
             charge = f.device.charge_write
             # em-loop-bound: 1 -- pages of one appended block; callers
             # account for them through their own loop bounds
@@ -205,8 +202,8 @@ class Writer:
     def _flush(self) -> None:
         if self._buffer:
             f = self._file
-            page = len(f._store) // f.device.B
-            f._store.append_rows(self._buffer)
+            page = len(f._rows) // f.device.B
+            f._rows.extend(self._buffer)
             self._buffer.clear()
             f.device.charge_write(f, page)
 
@@ -216,7 +213,6 @@ class Writer:
             self._flush()
             self._closed = True
             self._file._sealed = True
-            self._file._store.seal()
 
     def __enter__(self) -> "Writer":
         return self
@@ -239,9 +235,6 @@ class SequentialReader:
         self._pos = start
         self._stop = stop
         self._buffered_page = -1
-        # Materialized rows of the buffered page (tuple-at-a-time path).
-        self._page_rows: list[Tuple] | None = None
-        self._page_base = 0
 
     @property
     def position(self) -> int:
@@ -262,20 +255,13 @@ class SequentialReader:
         if page != self._buffered_page:
             self._file.device.charge_read(self._file, page)
             self._buffered_page = page
-            self._page_rows = None
 
     def peek(self) -> Tuple:
         """Return the next tuple without consuming it."""
         if self.exhausted:
             raise StopIteration("reader exhausted")
         self._touch(self._pos)
-        if self._page_rows is None:
-            f = self._file
-            B = f.device.B
-            self._page_base = self._buffered_page * B
-            self._page_rows = f._store.rows(
-                self._page_base, min(self._page_base + B, len(f._store)))
-        return self._page_rows[self._pos - self._page_base]
+        return self._file._rows[self._pos]
 
     def next(self) -> Tuple:
         """Return the next tuple and advance."""
@@ -308,10 +294,8 @@ class SequentialReader:
         # em-loop-bound: M/B -- pages spanned by one bounded block
         for p in range(page, last + 1):
             device.charge_read(f, p)
-        if last != self._buffered_page:
-            self._buffered_page = last
-            self._page_rows = None
-        block = f._store.rows(self._pos, stop)
+        self._buffered_page = last
+        block = f._rows[self._pos:stop]
         self._pos = stop
         return block
 
@@ -327,15 +311,8 @@ class SequentialReader:
         if self.exhausted:
             return []
         self._touch(self._pos)
-        f = self._file
-        B = f.device.B
-        if self._page_rows is None:
-            self._page_base = self._buffered_page * B
-            self._page_rows = f._store.rows(
-                self._page_base, min(self._page_base + B, len(f._store)))
-        page_end = self._page_base + len(self._page_rows)
-        return self._page_rows[self._pos - self._page_base:
-                               min(page_end, self._stop) - self._page_base]
+        page_end = (self._buffered_page + 1) * self._file.device.B
+        return self._file._rows[self._pos:min(page_end, self._stop)]
 
     # em-cost: amortized 1 -- reads at most the one current page
     def read_page_block(self) -> list[Tuple]:
@@ -425,4 +402,4 @@ class FileSegment:
 
     def peek_tuples(self) -> Sequence[Tuple]:
         """Uncharged access for test oracles only."""
-        return self.file._store.rows(self.start, self.stop)
+        return self.file._rows[self.start:self.stop]

@@ -139,6 +139,7 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
             bpos = [0] * len(runs)
             counter = itertools.count()
             heappush, heappop = heapq.heappush, heapq.heappop
+            heapreplace = heapq.heapreplace
             heap: list[tuple[Any, int, int, Tuple]] = []
             for idx, rd in enumerate(readers):
                 if not rd.exhausted:
@@ -150,8 +151,11 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
                                     idx, buf[0]))
             outbuf: list[Tuple] = []
             append_out = outbuf.append
+            # While the head's run still has a buffered tuple, that
+            # tuple takes the head's place in one sift (``heapreplace``);
+            # only an exhausted buffer pops and refills.
             while heap:
-                _, _, idx, t = heappop(heap)
+                _, _, idx, t = heap[0]
                 append_out(t)
                 if len(outbuf) == B:
                     w.append_block(outbuf)
@@ -160,9 +164,10 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
                 i = bpos[idx]
                 if i < len(buf):
                     bpos[idx] = i + 1
-                    heappush(heap, (kbufs[idx][i], next(counter),
-                                    idx, buf[i]))
+                    heapreplace(heap, (kbufs[idx][i], next(counter),
+                                       idx, buf[i]))
                 else:
+                    heappop(heap)
                     rd = readers[idx]
                     if not rd.exhausted:
                         buf = rd.read_page_block()
