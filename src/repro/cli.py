@@ -24,12 +24,7 @@ Six subcommands::
 
     python -m repro lint [paths ...] [--format human|json] \\
         [--baseline lint-baseline.json] [--write-baseline] \\
-        [--list-rules] [--effects signatures.json] \\
-        [--check-effects effects-baseline.json] \\
-        [--write-effects-baseline effects-baseline.json] \\
-        [--costs cost_table.json] \\
-        [--check-costs costs-baseline.json] \\
-        [--write-costs-baseline costs-baseline.json]
+        [--no-baseline] [--list-rules]
 
     python -m repro serve --table R=follows.csv --table S=lives.csv \\
         [-M 4096 -B 64] [--host 127.0.0.1 --port 8707] \\
@@ -68,27 +63,13 @@ complexity regression (slope > 1 + eps) — the CI hook next to the
 pinned-counter baseline check; ``--write-fitted`` persists the
 constants as the versioned document ``explain`` reads, and
 ``--check-fitted`` diffs a fresh sweep against the committed one
-(exit 1 on drift — the CI gate that keeps predictions honest).  ``lint`` runs ``emlint``, the
-AST-based model-discipline checker (see ``docs/model.md``): exit 0
-means every byte of I/O in the tree is accounted through the charged
-device API; exit 1 reports violations or stale baseline entries.
-``--effects PATH`` additionally dumps the interprocedural
-effect-signature table (the emflow fixpoint behind EM007–EM011) as a
-versioned JSON document — the CI artifact next to the lint report;
-``--check-effects`` diffs the live table against a committed archive
-and fails when a function's effects changed without a matching
-``# em-effects:`` declaration update (``--write-effects-baseline``
-regenerates the archive).  ``--costs PATH`` dumps
-the emcost symbolic I/O-cost table (per-function derived bounds in
-the paper's ``N``/``M``/``B``/``OUT`` vocabulary next to their
-``# em-cost:`` declarations — the input the cost-based planner
-consumes alongside the fitted constants) behind EM017–EM021;
-``--check-costs`` diffs it against the committed
-``costs-baseline.json`` and fails when a derived bound moved without
-a declaration update (``--write-costs-baseline`` regenerates it).
-All ``--check-*`` gates share one drift-report shape and also fail
-on committed entries whose justification is still the ``TODO:
-justify`` placeholder.  ``serve`` keeps a
+(exit 1 on drift — the CI gate that keeps predictions honest).
+``lint`` runs ``emlint``, the AST-based model-discipline checker (see
+``docs/model.md``): exit 0 means every byte of I/O in the tree is
+accounted through the charged device API, every effect declaration
+matches the inferred call-graph effects (EM007–EM011) and every
+``# em-cost:`` bound matches the derived one (EM017–EM021); exit 1
+reports violations or stale baseline entries.  ``serve`` keeps a
 :class:`~repro.server.QueryService` alive behind a small HTTP surface:
 ``POST /query`` (JSON in/out, optional sticky sessions), ``GET
 /metrics`` (Prometheus text), ``/stats``, ``/catalog`` and
@@ -117,11 +98,6 @@ from repro.data.io import dump_results_csv, instance_from_csv
 from repro.em.bufferpool import PoolConfig
 from repro.em.device import Device
 from repro.em.policies import POLICIES
-from repro.lint import (RULES, Baseline, compact_cost_signatures,
-                        compact_effect_signatures,
-                        compare_cost_signatures,
-                        compare_effect_signatures, lint_paths,
-                        load_baseline, to_human, to_json, write_baseline)
 from repro.obs import (MetricsRegistry, ProfiledEmitter, SpanProfiler,
                        Tracer, to_prometheus, write_chrome_trace)
 from repro.query import (fractional_edge_cover, gens_all,
@@ -276,34 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print every rule code with its summary "
                            "and rationale, then exit")
-    lint.add_argument("--effects", metavar="PATH",
-                      help="write the inferred per-function effect-"
-                           "signature table (versioned JSON) to PATH, "
-                           "or '-' for stdout")
-    lint.add_argument("--check-effects", metavar="PATH",
-                      help="diff the live effect signatures against the "
-                           "committed archive at PATH; exit 1 when a "
-                           "function's effects changed without a "
-                           "matching '# em-effects:' declaration update")
-    lint.add_argument("--write-effects-baseline", metavar="PATH",
-                      help="write the compact effect-signature archive "
-                           "(the --check-effects input) to PATH and "
-                           "exit 0")
-    lint.add_argument("--costs", metavar="PATH",
-                      help="dump the emcost symbolic I/O-cost table "
-                           "(per-function derived bounds and em-cost "
-                           "declarations — the planner feed) as JSON "
-                           "to PATH ('-' for stdout)")
-    lint.add_argument("--check-costs", metavar="PATH",
-                      help="diff the live cost table against the "
-                           "committed archive at PATH; exit 1 when a "
-                           "function's derived bound changed without "
-                           "a matching '# em-cost:' declaration "
-                           "update")
-    lint.add_argument("--write-costs-baseline", metavar="PATH",
-                      help="write the compact cost-signature archive "
-                           "(the --check-costs input) to PATH and "
-                           "continue")
 
     serve = sub.add_parser(
         "serve", help="run the long-lived query service over HTTP")
@@ -778,81 +726,11 @@ def cmd_fit(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
     return 1 if regression or drift else 0
 
 
-def _dump_json_doc(doc: object, path: str) -> None:  # em-effects: HOST_ONLY -- lint report writer
-    """Write one lint analysis document ('-' = stdout)."""
-    text = json.dumps(doc, indent=2, sort_keys=False)
-    if path == "-":
-        print(text)
-    else:
-        # host-side analysis artifact, not simulated-device I/O
-        with open(path, "w",  # emlint: disable=EM001
-                  encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _write_archive(path: str, compact: dict, what: str) -> None:  # em-effects: HOST_ONLY -- lint archive writer
-    """Write one compact drift-gate archive (the --check-* input)."""
-    # host-side analysis artifact, not simulated-device I/O
-    with open(path, "w",  # emlint: disable=EM001
-              encoding="utf-8") as fh:
-        json.dump(compact, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"lint: wrote {what} to {path}")
-
-
-def _placeholder_failures(doc: object, trail: str = "") -> list[str]:
-    """Committed gate documents must not carry placeholder
-    justifications: an archive entry nobody justified was never
-    reviewed.  Walks any JSON document, returns one failure per
-    ``"justification": "TODO: justify"`` found."""
-    from repro.lint.baseline import PLACEHOLDER_JUSTIFICATION
-    found: list[str] = []
-    if isinstance(doc, dict):
-        for key, value in sorted(doc.items()):
-            here = f"{trail}.{key}" if trail else str(key)
-            if (key == "justification" and isinstance(value, str)
-                    and value.strip().startswith(
-                        PLACEHOLDER_JUSTIFICATION)):
-                found.append(
-                    f"{trail or '<root>'}: placeholder justification "
-                    f"({PLACEHOLDER_JUSTIFICATION!r}); fill it in "
-                    f"before committing")
-            else:
-                found.extend(_placeholder_failures(value, here))
-    elif isinstance(doc, list):
-        for i, value in enumerate(doc):
-            found.extend(_placeholder_failures(value, f"{trail}[{i}]"))
-    return found
-
-
-def _drift_gate(kind: str, committed_path: str, live_doc: dict,
-                compare) -> list[str] | None:  # em-effects: HOST_ONLY -- reads committed archives, prints the diff
-    """One --check-* drift gate, shared by effects and costs.
-
-    Returns the failure lines (empty = gate passed) or ``None`` when
-    the committed archive cannot be read (the caller exits 2, the
-    uniform bad-input code)."""
-    try:
-        # host-side analysis artifact, not simulated-device I/O
-        with open(committed_path,  # emlint: disable=EM001
-                  encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"lint: bad {kind} baseline {committed_path}: {exc}",
-              file=sys.stderr)
-        return None
-    failures, notices = compare(committed, live_doc)
-    failures = list(failures) + _placeholder_failures(committed)
-    for line in notices:
-        print(f"{kind}: {line}")
-    for line in failures:
-        print(f"{kind}: FAIL: {line}")
-    if not failures:
-        print(f"{kind}: checked against {committed_path}: ok")
-    return failures
-
-
 def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the checker reads sources and writes reports on the host
+    # Imported here so `repro serve` and friends never load the checker.
+    from repro.lint import (RULES, Baseline, lint_paths, load_baseline,
+                            to_human, to_json, write_baseline)
+
     if args.list_rules:
         for code, rule in sorted(RULES.items()):
             print(f"{code} [{rule.name}] — {rule.summary}")
@@ -876,55 +754,13 @@ def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the c
         return 0
 
     result = lint_paths(args.paths, root=args.root, baseline=baseline)
-    for dump_path, doc in ((args.effects, result.signatures),
-                           (args.costs, result.costs)):
-        if dump_path:
-            _dump_json_doc(doc, dump_path)
-    if args.write_effects_baseline:
-        compact = compact_effect_signatures(result.signatures)
-        _write_archive(args.write_effects_baseline, compact,
-                       f"{len(compact['signatures'])} effect "
-                       f"signature(s)")
-    if args.write_costs_baseline:
-        compact = compact_cost_signatures(result.costs)
-        _write_archive(args.write_costs_baseline, compact,
-                       f"{len(compact['costs'])} cost signature(s)")
-    # The two drift gates share one compare-and-report shape: load
-    # the committed archive (exit 2 when unreadable), reject
-    # placeholder justifications, diff, print notices and FAIL lines.
-    gate_failures: list[str] = []
-    for kind, committed_path, live_doc, compare in (
-            ("effects", args.check_effects, result.signatures,
-             compare_effect_signatures),
-            ("costs", args.check_costs, result.costs,
-             compare_cost_signatures)):
-        if not committed_path:
-            continue
-        failures = _drift_gate(kind, committed_path, live_doc, compare)
-        if failures is None:
-            return 2
-        gate_failures.extend(failures)
-    # Under any --check-* gate the suppression baseline is policed
-    # too: committed entries whose justification is still the
-    # --write-baseline placeholder were never reviewed and must not
-    # pass a CI-strict run silently.  (Plain runs stay lenient so the
-    # write-baseline-then-iterate workflow keeps working.)
-    gated_run = bool(args.check_effects or args.check_costs)
-    for entry in (baseline.placeholder_entries() if gated_run else ()):
-        line = (f"lint: FAIL: {entry.path}: {entry.code} "
-                f"[{entry.scope}] baseline entry still carries the "
-                f"placeholder justification; justify it or fix the "
-                f"finding")
-        print(line)
-        gate_failures.append(line)
     if args.format == "json":
         print(to_json(result, baseline_path=args.baseline))
     else:
         print(to_human(result, baseline_path=args.baseline))
     # Stale baseline entries fail the run too: the baseline documents
     # reality, and reality moved.
-    return (0 if result.clean and not result.stale_baseline
-            and not gate_failures else 1)
+    return 0 if result.clean and not result.stale_baseline else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long-lived host process: sockets, stdout, CSV loading; measured I/O happens inside sessions

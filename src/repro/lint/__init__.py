@@ -57,16 +57,13 @@ locks.
 EM007–EM011 run on a second, whole-program pass
 (:mod:`repro.lint.callgraph` + :mod:`repro.lint.effects`) that
 builds a project-wide call graph and infers per-function effect
-signatures by fixpoint over SCCs; ``repro lint --effects`` dumps
-the full signature table as versioned JSON.  EM017–EM021 are the
-third pass, *emcost* (:mod:`repro.lint.symbolic` +
-:mod:`repro.lint.costs`): every charge site is mapped through loop
+signatures by fixpoint over SCCs (``LintResult.signatures``).
+EM017–EM021 are the third pass, *emcost* (:mod:`repro.lint.symbolic`
++ :mod:`repro.lint.costs`): every charge site is mapped through loop
 nests and call chains to a per-function symbolic I/O bound in the
 paper's own vocabulary (``N``, ``M``, ``B``, ``OUT``, ``log``),
 checked against ``# em-cost:`` declarations on the algorithm entry
-points; ``repro lint --costs`` dumps the table the
-``--check-costs`` drift gate pins (and the future planner
-consumes).
+points (the table is ``LintResult.costs``).
 """
 
 from repro.lint.baseline import (Baseline, BaselineEntry, load_baseline,
@@ -74,12 +71,9 @@ from repro.lint.baseline import (Baseline, BaselineEntry, load_baseline,
 from repro.lint.callgraph import (EFFECT_NAMES, UNKNOWN, FunctionNode,
                                   Program, build_program)
 from repro.lint.costs import (COSTS_SCHEMA_VERSION, CostFinding,
-                              compact_cost_signatures,
-                              compare_cost_signatures, evaluate_costs)
+                              evaluate_costs)
 from repro.lint.effects import (EFFECTS_SCHEMA_VERSION, EffectFinding,
-                                compact_effect_signatures,
-                                compare_effect_signatures, evaluate,
-                                signature_table)
+                                evaluate, signature_table)
 from repro.lint.registry import RULES, Rule
 from repro.lint.symbolic import (Cost, CostSyntaxError, Term,
                                  evaluate_cost, parse_cost)
@@ -94,9 +88,7 @@ __all__ = [
     "to_human", "to_json", "REPORT_SCHEMA_VERSION",
     "EFFECT_NAMES", "UNKNOWN", "FunctionNode", "Program",
     "build_program", "EffectFinding", "evaluate", "signature_table",
-    "compact_effect_signatures", "compare_effect_signatures",
     "EFFECTS_SCHEMA_VERSION",
     "Cost", "Term", "parse_cost", "evaluate_cost", "CostSyntaxError",
-    "CostFinding", "evaluate_costs", "compact_cost_signatures",
-    "compare_cost_signatures", "COSTS_SCHEMA_VERSION",
+    "CostFinding", "evaluate_costs", "COSTS_SCHEMA_VERSION",
 ]

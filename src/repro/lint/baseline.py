@@ -26,8 +26,8 @@ BASELINE_VERSION = 1
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 #: The justification ``--write-baseline`` stamps on generated
-#: entries.  It is a to-do, not an answer: every ``--check-*`` gate
-#: treats a committed entry still carrying it as a failure.
+#: entries.  It is a to-do, not an answer: the committed baseline is
+#: kept empty, and EM020 rejects it on a cost declaration.
 PLACEHOLDER_JUSTIFICATION = "TODO: justify"
 
 
@@ -83,12 +83,6 @@ class Baseline:
                  for e in self.entries
                  if used.get(e.key, 0) < budget[e.key]]
         return kept, suppressed, stale
-
-    def placeholder_entries(self) -> list[BaselineEntry]:
-        """Entries whose justification was never filled in."""
-        return [e for e in self.entries
-                if e.justification.strip().startswith(
-                    PLACEHOLDER_JUSTIFICATION)]
 
     @classmethod
     def from_violations(cls, violations: "list[Violation]", *,

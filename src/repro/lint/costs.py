@@ -73,8 +73,8 @@ POLICED_LAYERS = frozenset({"core", "em"})
 ROOT_MODULE_PREFIXES = ("repro.core.",)
 ROOT_MODULES = frozenset({"repro.em.sort", "repro.em.loaders"})
 
-#: Layers whose costed functions appear in the ``--costs`` table (the
-#: planner feed); host layers would only add churn.
+#: Layers whose costed functions appear in the cost table
+#: (``LintResult.costs``); host layers would only add churn.
 TABLE_LAYERS = frozenset({"core", "em", "data", "server"})
 
 #: Method names so common on builtin containers that union
@@ -991,60 +991,3 @@ def _cost_table(funcs: dict[str, _Func],
             "declared": declared,
         },
     }
-
-
-# --------------------------------------------------- drift gate
-
-
-def compact_cost_signatures(table: dict[str, Any]) -> dict[str, Any]:
-    """The committed ``costs-baseline.json``: per function, the
-    derived bound and the declaration — the pair the gate compares.
-    Paths and line numbers churn with every refactor; dropped."""
-    return {
-        "schema_version": table["schema_version"],
-        "costs": {
-            qn: {"cost": entry["cost"],
-                 "declared": entry["declared"]}
-            for qn, entry in table["functions"].items()
-        },
-    }
-
-
-def compare_cost_signatures(
-        committed: dict[str, Any],
-        table: dict[str, Any]) -> tuple[list[str], list[str]]:
-    """Diff a committed costs baseline against a fresh table.
-
-    Mirrors the effects gate: a *failure* is a function whose derived
-    symbolic bound moved while its ``# em-cost:`` declaration stayed
-    put — an undocumented asymptotic change.  Additions, removals,
-    and declaration-accompanied changes are notices (regenerate the
-    baseline to re-pin)."""
-    current = compact_cost_signatures(table)
-    failures: list[str] = []
-    notices: list[str] = []
-    if committed.get("schema_version") != current["schema_version"]:
-        notices.append(
-            f"schema version moved "
-            f"{committed.get('schema_version')!r} -> "
-            f"{current['schema_version']!r}; regenerate the baseline")
-    old = committed.get("costs", {})
-    new = current["costs"]
-    for qn in sorted(old.keys() - new.keys()):
-        notices.append(f"{qn}: removed (was {old[qn].get('cost')})")
-    for qn in sorted(new.keys() - old.keys()):
-        notices.append(f"{qn}: added with cost {new[qn]['cost']}")
-    for qn in sorted(old.keys() & new.keys()):
-        was, now = old[qn], new[qn]
-        if was.get("cost") == now["cost"]:
-            continue
-        change = f"cost changed {was.get('cost')} -> {now['cost']}"
-        if was.get("declared") == now["declared"]:
-            failures.append(
-                f"{qn}: {change} without a matching '# em-cost:' "
-                f"declaration update; re-derive the bound and "
-                f"regenerate costs-baseline.json")
-        else:
-            notices.append(f"{qn}: {change} (declaration updated "
-                           f"too; regenerate the baseline to re-pin)")
-    return failures, notices

@@ -53,13 +53,12 @@ The rules built on the signatures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.lint import rules
 from repro.lint.callgraph import (EFFECT_NAMES, UNKNOWN, FunctionNode,
                                   Program, strongly_connected)
 
-#: Version of the ``--effects`` signature-table JSON document.
+#: Version of the signature-table document (``LintResult.signatures``).
 EFFECTS_SCHEMA_VERSION = 1
 
 #: Effects an ``obs/`` function must not have (EM009): anything that
@@ -253,66 +252,3 @@ def signature_table(program: Program) -> dict[str, object]:
             "by_effect": effect_counts,
         },
     }
-
-
-def compact_effect_signatures(table: dict[str, Any]) -> dict[str, Any]:
-    """Strip a signature table down to the drift-gate essentials.
-
-    The committed ``effects-baseline.json`` pins, per function, only the
-    inferred effect set and the declared absorptions — the pair the CI
-    gate compares.  Paths, line numbers and call counts churn with every
-    refactor and would make the baseline noisy, so they are dropped.
-    """
-    return {
-        "schema_version": table["schema_version"],
-        "signatures": {
-            qn: {"effects": list(entry["effects"]),
-                 "declared": list(entry["declared"])}
-            for qn, entry in table["functions"].items()
-        },
-    }
-
-
-def compare_effect_signatures(
-        committed: dict[str, Any],
-        table: dict[str, Any]) -> tuple[list[str], list[str]]:
-    """Diff a committed effects baseline against a fresh signature table.
-
-    Returns ``(failures, notices)``.  A *failure* is the one change the
-    gate exists to catch: a function's inferred effect set moved while
-    its ``# em-effects:`` declaration stayed put — an undocumented
-    behavior change on a counted path.  Everything else (functions
-    added, removed, or changed *with* a matching declaration update) is
-    a notice: visible in the log, re-pinned by regenerating the
-    baseline, but not a build failure.
-    """
-    current = compact_effect_signatures(table)
-    failures: list[str] = []
-    notices: list[str] = []
-    if committed.get("schema_version") != current["schema_version"]:
-        notices.append(
-            f"schema version moved "
-            f"{committed.get('schema_version')!r} -> "
-            f"{current['schema_version']!r}; regenerate the baseline")
-    old = committed.get("signatures", {})
-    new = current["signatures"]
-    for qn in sorted(old.keys() - new.keys()):
-        notices.append(
-            f"{qn}: removed (was {old[qn].get('effects', [])})")
-    for qn in sorted(new.keys() - old.keys()):
-        notices.append(f"{qn}: added with effects {new[qn]['effects']}")
-    for qn in sorted(old.keys() & new.keys()):
-        was, now = old[qn], new[qn]
-        if was.get("effects", []) == now["effects"]:
-            continue
-        change = (f"effects changed {was.get('effects', [])} -> "
-                  f"{now['effects']}")
-        if was.get("declared", []) == now["declared"]:
-            failures.append(
-                f"{qn}: {change} without a matching '# em-effects:' "
-                f"declaration update; declare the new effect (or fix "
-                f"the leak) and regenerate effects-baseline.json")
-        else:
-            notices.append(f"{qn}: {change} (declaration updated too; "
-                           f"regenerate the baseline to re-pin)")
-    return failures, notices

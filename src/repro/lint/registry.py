@@ -239,10 +239,10 @@ _register(Rule(
             "summaries without a justification, orphaned "
             "annotations",
     layers=(),
-    rationale="Cost declarations feed the planner's cost model and "
-              "the drift gate; a declaration that no longer matches "
-              "the derived reality is worse than none because it "
-              "certifies a bound nobody checked.",
+    rationale="Cost declarations are the checked record of each "
+              "algorithm's Table-1 bound; a declaration that no "
+              "longer matches the derived reality is worse than none "
+              "because it certifies a bound nobody checked.",
 ))
 
 _register(Rule(

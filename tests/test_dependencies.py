@@ -9,9 +9,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_entry_points_import_no_third_party_numerics():
+    # The lint checker is CLI-only too: `repro lint` imports it lazily.
     code = ("import repro.server, repro.cli, sys; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} "
-            "& {'scipy', 'numpy', 'networkx'}))")
+            "loaded = set(sys.modules) "
+            "| {m.split('.')[0] for m in sys.modules}; "
+            "print(sorted(loaded "
+            "& {'scipy', 'numpy', 'networkx', 'repro.lint'}))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -7,16 +7,13 @@ against :func:`build_program` directly.
 """
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.lint import (Baseline, build_program, check_source,
-                        compact_effect_signatures,
-                        compare_effect_signatures, evaluate, lint_paths,
-                        signature_table, write_baseline)
+                        evaluate, lint_paths, signature_table,
+                        write_baseline)
 from repro.lint.callgraph import UNKNOWN, strongly_connected
 from repro.lint.effects import EFFECTS_SCHEMA_VERSION
 
@@ -359,128 +356,6 @@ class TestSignatureTable:
         assert set(doc["summary"]) == {"functions",
                                        "with_unknown_calls",
                                        "by_effect"}
-
-    def test_cli_effects_flag_writes_table(self, tmp_path, capsys):
-        out = tmp_path / "sig.json"
-        rc = main(["lint", str(FIXTURE_SRC / "repro/core/clean_ok.py"),
-                   "--root", str(FIXTURES), "--no-baseline",
-                   "--effects", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema_version"] == EFFECTS_SCHEMA_VERSION
-        assert doc["summary"]["functions"] >= 1
-
-    def test_cli_effects_stdout(self, capsys):
-        rc = main(["lint", str(FIXTURE_SRC / "repro/core/clean_ok.py"),
-                   "--root", str(FIXTURES), "--no-baseline",
-                   "--effects", "-", "--format", "human"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert '"schema_version"' in out
-
-
-# ------------------------------------------------- effects drift gate
-
-
-class TestEffectsDriftGate:
-    """The CI gate on the inferred-signature table: an effect change
-    without a matching ``# em-effects:`` declaration update fails."""
-
-    CLEAN = ("def f():\n"
-             "    return 1\n")
-    LEAKY = ("def f():\n"
-             "    return open('x')\n")
-    DECLARED = ("def f():  # em-effects: PHYS_IO -- now loads bytes\n"
-                "    return open('x')\n")
-
-    def _table(self, tmp_path, source):
-        return tree(tmp_path, {"em/mod.py": source}).signatures
-
-    def test_compact_round_trip(self, tmp_path):
-        table = self._table(tmp_path, self.CLEAN)
-        compact = compact_effect_signatures(table)
-        assert compact["schema_version"] == EFFECTS_SCHEMA_VERSION
-        assert compact["signatures"]["repro.em.mod.f"] == {
-            "effects": [], "declared": []}
-
-    def test_identical_tables_pass(self, tmp_path):
-        table = self._table(tmp_path, self.CLEAN)
-        committed = compact_effect_signatures(table)
-        failures, notices = compare_effect_signatures(committed, table)
-        assert failures == [] and notices == []
-
-    def test_undeclared_effect_change_fails(self, tmp_path):
-        committed = compact_effect_signatures(
-            self._table(tmp_path, self.CLEAN))
-        new = self._table(tmp_path / "b", self.LEAKY)
-        failures, _ = compare_effect_signatures(committed, new)
-        (failure,) = failures
-        assert "repro.em.mod.f" in failure
-        assert "em-effects" in failure
-
-    def test_declared_effect_change_is_a_notice(self, tmp_path):
-        committed = compact_effect_signatures(
-            self._table(tmp_path, self.CLEAN))
-        new = self._table(tmp_path / "b", self.DECLARED)
-        failures, notices = compare_effect_signatures(committed, new)
-        assert failures == []
-        assert any("repro.em.mod.f" in n for n in notices)
-
-    def test_added_and_removed_are_notices(self, tmp_path):
-        committed = compact_effect_signatures(
-            self._table(tmp_path, self.CLEAN))
-        new = tree(tmp_path / "b", {"em/other.py": self.CLEAN}).signatures
-        failures, notices = compare_effect_signatures(committed, new)
-        assert failures == []
-        assert any("removed" in n for n in notices)
-        assert any("added" in n for n in notices)
-
-    def test_cli_write_then_check(self, tmp_path, capsys):
-        src = tmp_path / "src" / "repro" / "em"
-        src.mkdir(parents=True)
-        (src / "mod.py").write_text(self.CLEAN)
-        baseline = tmp_path / "effects-baseline.json"
-        rc = main(["lint", str(tmp_path / "src"), "--root", str(tmp_path),
-                   "--no-baseline",
-                   "--write-effects-baseline", str(baseline)])
-        assert rc == 0
-        doc = json.loads(baseline.read_text())
-        assert "repro.em.mod.f" in doc["signatures"]
-        rc = main(["lint", str(tmp_path / "src"), "--root", str(tmp_path),
-                   "--no-baseline", "--check-effects", str(baseline)])
-        assert rc == 0
-        assert "checked against" in capsys.readouterr().out
-
-    def test_cli_check_fails_on_drift(self, tmp_path, capsys):
-        src = tmp_path / "src" / "repro" / "em"
-        src.mkdir(parents=True)
-        (src / "mod.py").write_text(self.CLEAN)
-        baseline = tmp_path / "effects-baseline.json"
-        assert main(["lint", str(tmp_path / "src"), "--root",
-                     str(tmp_path), "--no-baseline",
-                     "--write-effects-baseline", str(baseline)]) == 0
-        (src / "mod.py").write_text(self.LEAKY)
-        rc = main(["lint", str(tmp_path / "src"), "--root", str(tmp_path),
-                   "--no-baseline", "--check-effects", str(baseline)])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_cli_check_bad_baseline_path(self, tmp_path, capsys):
-        src = tmp_path / "src" / "repro" / "em"
-        src.mkdir(parents=True)
-        (src / "mod.py").write_text(self.CLEAN)
-        rc = main(["lint", str(tmp_path / "src"), "--root", str(tmp_path),
-                   "--no-baseline",
-                   "--check-effects", str(tmp_path / "missing.json")])
-        assert rc == 2
-
-    def test_schema_version_move_is_a_notice(self, tmp_path):
-        table = self._table(tmp_path, self.CLEAN)
-        committed = compact_effect_signatures(table)
-        committed["schema_version"] = "0.0"
-        failures, notices = compare_effect_signatures(committed, table)
-        assert failures == []
-        assert any("schema version" in n for n in notices)
 
 
 # ------------------------------------------------- class hierarchy

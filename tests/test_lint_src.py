@@ -45,14 +45,14 @@ def test_layer_has_zero_violations(layer):
 def test_pragma_suppressions_are_few_and_only_em001():
     """Pragmas are reserved for host-side report writers (EM001).
 
-    Current budget: 7 CLI report/baseline writers (lint report,
-    effects and locks archives), 4 obs exporters/baselines, and the
-    fitted-constants archive save/load in analysis/predict.py.
+    Current budget: the CLI's Prometheus metrics writer, 4 obs
+    exporters/baselines, and the fitted-constants archive save/load in
+    analysis/predict.py.
     """
     result = lint_paths([SRC], root=ROOT)
     codes = {v.code for v in result.suppressed_by_pragma}
     assert codes <= {"EM001"}
-    assert len(result.suppressed_by_pragma) <= 13
+    assert len(result.suppressed_by_pragma) <= 7
 
 
 # ------------------------------------------- effect signatures (emflow)
@@ -197,25 +197,14 @@ def test_derived_costs_match_closed_form_bounds():
                 f"{derived:.3g} vs closed form {expected:.3g}")
 
 
-def test_committed_costs_baseline_matches_reality():
-    """The ``--check-costs`` committed archive agrees with a fresh
-    derivation pass."""
-    from repro.lint import (compact_cost_signatures,
-                            compare_cost_signatures)
-    committed = json.loads(
-        (ROOT / "costs-baseline.json").read_text(encoding="utf-8"))
-    result = lint_paths([SRC], root=ROOT)
-    failures, notices = compare_cost_signatures(committed, result.costs)
-    assert failures == [], failures
-    assert notices == [], notices
-    assert committed == compact_cost_signatures(result.costs)
-
-
 def test_no_declaration_carries_a_placeholder_justification():
-    """Every ``# em-cost:`` justification in the tree is real — the
-    placeholder the gates reject never ships."""
-    table = _cost_table()
-    offenders = [qn for qn, e in table.items()
+    """Every ``# em-cost:`` and ``# em-effects:`` justification in the
+    tree is real: the ``--write-baseline`` placeholder never ships."""
+    result = lint_paths([SRC], root=ROOT)
+    tables = {"em-cost": result.costs["functions"],
+              "em-effects": result.signatures["functions"]}
+    offenders = [(kind, qn) for kind, table in tables.items()
+                 for qn, e in table.items()
                  if str(e.get("justification", "")).startswith(
                      "TODO: justify")]
     assert offenders == []
