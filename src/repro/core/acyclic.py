@@ -31,7 +31,12 @@ only the structures its recursion reaches, so plans that agree on every
 leaf choice the recursion asked for take the same branch; they share
 one execution.  :attr:`BestRun.runs` and
 :attr:`BestRun.round_robin_io` still count every plan, which is what
-the paper's round-robin simulation pays.
+the paper's round-robin simulation pays.  Branches also share child
+queries: a :class:`~repro.query.hypergraph.JoinQuery` returns the same
+child object for the same ``drop_edges``/``drop_attributes`` argument
+and keeps its classification on the object, so every explored branch,
+:func:`enumerate_plans` and the best branch's real run classify each
+reachable structure once.
 
 Emission.  Every result of a peel is one child result crossed with a
 memory-resident list (an island or heavy chunk, or the light tuples

@@ -17,6 +17,12 @@ attributes plus ``k ≥ 1`` petals — leaves intersecting only the core —
 such that the core connects to the rest of the query through at most
 one join attribute.  Lemma 1 guarantees every nonempty acyclic query
 contains an island, a bud, or a leaf.
+
+The join attributes, the island/bud/leaf lists and every leaf's
+:class:`LeafInfo` depend on the structure alone, so each is computed
+once per :class:`~repro.query.hypergraph.JoinQuery` and kept on it
+(:meth:`~repro.query.hypergraph.JoinQuery.derived`); the ``find_*``
+functions return fresh lists.
 """
 
 from __future__ import annotations
@@ -28,14 +34,21 @@ from repro.query.hypergraph import JoinQuery
 
 def join_attributes(query: JoinQuery) -> frozenset[str]:
     """Attributes appearing in two or more relations."""
-    occ = query.occurrences()
-    return frozenset(a for a, es in occ.items() if len(es) >= 2)
+    return query.derived(_join_attributes)
+
+
+def _join_attributes(query: JoinQuery) -> frozenset[str]:
+    seen: set[str] = set()
+    joins: set[str] = set()
+    for attrs in query.edges.values():
+        joins |= seen & attrs
+        seen |= attrs
+    return frozenset(joins)
 
 
 def unique_attributes(query: JoinQuery) -> frozenset[str]:
     """Attributes appearing in exactly one relation."""
-    occ = query.occurrences()
-    return frozenset(a for a, es in occ.items() if len(es) == 1)
+    return query.attributes - join_attributes(query)
 
 
 def edge_join_attributes(query: JoinQuery, edge: str) -> frozenset[str]:
@@ -76,31 +89,58 @@ class LeafInfo:
 
 
 def leaf_info(query: JoinQuery, edge: str) -> LeafInfo:
-    """The unique attributes, join attribute and neighbors Γ of a leaf."""
-    joins = edge_join_attributes(query, edge)
-    if len(joins) != 1:
+    """The unique attributes, join attribute and neighbors Γ of a leaf.
+
+    Buds qualify too (one join attribute, no unique attribute).
+    """
+    info = query.derived(_leaf_infos).get(edge)
+    if info is None:
+        joins = edge_join_attributes(query, edge)
         raise ValueError(f"{edge} is not a leaf (join attrs: {sorted(joins)})")
-    (v,) = joins
-    neighbors = frozenset(e for e in query.edges
-                          if e != edge and v in query.edges[e])
-    return LeafInfo(edge=edge,
-                    unique_attrs=edge_unique_attributes(query, edge),
-                    join_attr=v, neighbors=neighbors)
+    return info
+
+
+def _leaf_infos(query: JoinQuery) -> dict[str, LeafInfo]:
+    """:class:`LeafInfo` of every relation with exactly one join attribute."""
+    joins = join_attributes(query)
+    occ = query.occurrences()
+    infos: dict[str, LeafInfo] = {}
+    for edge, attrs in query.edges.items():
+        edge_joins = attrs & joins
+        if len(edge_joins) == 1:
+            (v,) = edge_joins
+            infos[edge] = LeafInfo(
+                edge=edge, unique_attrs=attrs - joins, join_attr=v,
+                neighbors=frozenset(e for e in occ[v] if e != edge))
+    return infos
 
 
 def find_islands(query: JoinQuery) -> list[str]:
     """All islands, sorted by name."""
-    return [e for e in query.edge_names if is_island(query, e)]
+    return list(query.derived(_peelable)[0])
 
 
 def find_buds(query: JoinQuery) -> list[str]:
     """All buds, sorted by name."""
-    return [e for e in query.edge_names if is_bud(query, e)]
+    return list(query.derived(_peelable)[1])
 
 
 def find_leaves(query: JoinQuery) -> list[str]:
     """All leaves, sorted by name."""
-    return [e for e in query.edge_names if is_leaf(query, e)]
+    return list(query.derived(_peelable)[2])
+
+
+def _peelable(query: JoinQuery
+              ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """``(islands, buds, leaves)``, each sorted by name."""
+    infos = query.derived(_leaf_infos)
+    islands, buds, leaves = [], [], []
+    for e in query.edge_names:
+        if is_island(query, e):
+            islands.append(e)
+        elif e in infos:
+            (leaves if infos[e].unique_attrs else buds).append(e)
+    return tuple(islands), tuple(buds), tuple(leaves)
 
 
 def is_petal_of(query: JoinQuery, edge: str, core: str) -> bool:

@@ -8,13 +8,29 @@ attributes on one side, edges on the other, adjacency = membership —
 must be acyclic (a forest).  Berge-acyclicity implies in particular
 that two relations share at most one attribute (two shared attributes
 would close a 4-cycle in the incidence graph).
+
+A :class:`JoinQuery` is an immutable value: ``edges`` and ``sizes`` are
+read-only mappings.  Everything derived from it is therefore computed
+once and kept on the object: the sorted edge names, the structure key,
+the occurrence map and Berge-acyclicity here, the classification of
+:mod:`repro.query.classify` and the shape of :mod:`repro.query.shapes`
+through :meth:`JoinQuery.derived`.  :meth:`JoinQuery.drop_edges` and
+:meth:`JoinQuery.drop_attributes` return the same child object for the
+same argument, so every recursion over one query (each Algorithm 2
+branch, the peel-plan enumeration, GenS) shares its children and their
+caches.  Nothing is cached at module level; a query's caches live and
+die with it, bounded by the structures reachable from it.  Accessors
+that hand out lists or dicts return fresh copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -24,19 +40,45 @@ class JoinQuery:
     ``edges`` maps the relation name to its attribute set.  ``sizes``
     maps the relation name to ``N(e)``; it may be omitted for purely
     structural computations (acyclicity, :func:`repro.query.gens.gens_all`).
+    Both are stored as read-only mappings; ``dict(q.edges)`` gives a
+    mutable copy.
     """
 
     edges: Mapping[str, frozenset[str]]
     sizes: Mapping[str, int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges",
-                           {e: frozenset(a) for e, a in self.edges.items()})
+        object.__setattr__(self, "edges", MappingProxyType(
+            {e: frozenset(a) for e, a in self.edges.items()}))
         if self.sizes is not None:
             unknown = set(self.sizes) - set(self.edges)
             if unknown:
                 raise ValueError(f"sizes given for unknown edges {sorted(unknown)}")
-            object.__setattr__(self, "sizes", dict(self.sizes))
+            object.__setattr__(self, "sizes",
+                               MappingProxyType(dict(self.sizes)))
+
+    def __reduce__(self):
+        # Read-only mappings do not pickle; rebuild from plain dicts.
+        sizes = None if self.sizes is None else dict(self.sizes)
+        return JoinQuery, (dict(self.edges), sizes)
+
+    def derived(self, fn: Callable[["JoinQuery"], T]) -> T:
+        """``fn(self)``, computed on the first call and kept on this query.
+
+        ``fn`` must be a function of the query's structure alone.  The
+        value is shared by every later caller, so callers hand out
+        copies of mutable containers, never the value itself.
+        """
+        memo = self._derived
+        try:
+            return memo[fn]
+        except KeyError:
+            memo[fn] = value = fn(self)
+            return value
+
+    @cached_property
+    def _derived(self) -> dict[Callable[["JoinQuery"], Any], Any]:
+        return {}
 
     # -- basic structure -----------------------------------------------------
 
@@ -51,7 +93,11 @@ class JoinQuery:
     @property
     def edge_names(self) -> list[str]:
         """Edge names in deterministic (sorted) order."""
-        return sorted(self.edges)
+        return list(self._edge_names)
+
+    @cached_property
+    def _edge_names(self) -> tuple[str, ...]:
+        return tuple(sorted(self.edges))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -68,19 +114,36 @@ class JoinQuery:
 
     # -- structural surgery (used by the recursions) ---------------------------
 
+    # Both return the same child object for the same argument (see the
+    # module docstring), remembered in ``self._children``.
+
     def drop_edges(self, names: Iterable[str]) -> "JoinQuery":
         """Remove relations; attributes now in no relation vanish."""
-        names = set(names)
-        edges = {e: a for e, a in self.edges.items() if e not in names}
-        sizes = (None if self.sizes is None
-                 else {e: n for e, n in self.sizes.items() if e not in names})
-        return JoinQuery(edges=edges, sizes=sizes)
+        names = frozenset(names)
+        key = ("edges", names)
+        child = self._children.get(key)
+        if child is None:
+            edges = {e: a for e, a in self.edges.items() if e not in names}
+            sizes = (None if self.sizes is None
+                     else {e: n for e, n in self.sizes.items()
+                           if e not in names})
+            child = self._children[key] = JoinQuery(edges=edges, sizes=sizes)
+        return child
 
     def drop_attributes(self, attrs: Iterable[str]) -> "JoinQuery":
         """Remove attributes from every edge (edges may become empty)."""
-        attrs = set(attrs)
-        edges = {e: a - attrs for e, a in self.edges.items()}
-        return JoinQuery(edges=edges, sizes=self.sizes)
+        attrs = frozenset(attrs)
+        key = ("attributes", attrs)
+        child = self._children.get(key)
+        if child is None:
+            edges = {e: a - attrs for e, a in self.edges.items()}
+            child = self._children[key] = JoinQuery(edges=edges,
+                                                    sizes=self.sizes)
+        return child
+
+    @cached_property
+    def _children(self) -> dict[tuple[str, frozenset[str]], "JoinQuery"]:
+        return {}
 
     def structure_key(self) -> frozenset[tuple[str, frozenset[str]]]:
         """A hashable canonical key for this query's structure.
@@ -88,17 +151,25 @@ class JoinQuery:
         Used to memoize nondeterministic-branch enumeration: Algorithm 2
         and ``GenS`` both make choices that depend only on the structure.
         """
+        return self._structure_key
+
+    @cached_property
+    def _structure_key(self) -> frozenset[tuple[str, frozenset[str]]]:
         return frozenset(self.edges.items())
 
     # -- connectivity ---------------------------------------------------------
 
     def occurrences(self) -> dict[str, list[str]]:
         """``{attribute: [edges containing it]}`` (edges sorted)."""
+        return {a: list(es) for a, es in self._occurrences.items()}
+
+    @cached_property
+    def _occurrences(self) -> dict[str, tuple[str, ...]]:
         occ: dict[str, list[str]] = {a: [] for a in self.attributes}
-        for e in self.edge_names:
+        for e in self._edge_names:
             for a in sorted(self.edges[e]):
                 occ[a].append(e)
-        return occ
+        return {a: tuple(es) for a, es in occ.items()}
 
     def connected_components(self, subset: Iterable[str] | None = None
                              ) -> list[frozenset[str]]:
@@ -147,8 +218,12 @@ def is_berge_acyclic(query: JoinQuery) -> bool:
     undirected arc for each membership.  The hypergraph is Berge-acyclic
     iff this graph is a forest, i.e. ``#arcs == #nodes - #components``.
     A union–find cycle check is equivalent: adding an arc between two
-    already-connected nodes exposes a cycle.
+    already-connected nodes exposes a cycle.  Computed once per query.
     """
+    return query.derived(_incidence_is_forest)
+
+
+def _incidence_is_forest(query: JoinQuery) -> bool:
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:

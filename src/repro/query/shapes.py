@@ -4,7 +4,9 @@ The planner (:mod:`repro.core.planner`) dispatches on the shape of the
 query hypergraph: two relations, line join (Section 6), star join
 (Section 5), lollipop (Section 7.2), dumbbell (Section 7.3), or general
 acyclic.  Detection is purely structural, so queries built with any
-edge/attribute naming are recognized.
+edge/attribute naming are recognized, and :func:`classify_shape` and
+:func:`detect_line` are computed once per query object
+(:meth:`~repro.query.hypergraph.JoinQuery.derived`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def detect_line(query: JoinQuery) -> ChainInfo | None:
     in at most two edges, exactly two edges hold an end (unique)
     attribute, and the adjacency is a single path.
     """
+    return query.derived(_detect_line)
+
+
+def _detect_line(query: JoinQuery) -> ChainInfo | None:
     names = query.edge_names
     if len(names) < 2:
         return None
@@ -208,6 +214,10 @@ def detect_dumbbell(query: JoinQuery) -> DumbbellInfo | None:
 
 def classify_shape(query: JoinQuery) -> str:
     """The planner's shape label for a query."""
+    return query.derived(_classify_shape)
+
+
+def _classify_shape(query: JoinQuery) -> str:
     if not is_berge_acyclic(query):
         return "cyclic"
     n = len(query.edges)

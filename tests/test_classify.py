@@ -9,6 +9,7 @@ from repro.query import (JoinQuery, dumbbell_query, find_buds, find_islands,
                          leaf_info, line_query, lollipop_query, star_query,
                          unique_attributes)
 from repro.query.hypergraph import is_berge_acyclic
+from repro.query.shapes import classify_shape, detect_line
 
 
 class TestAttributeClasses:
@@ -149,3 +150,86 @@ def random_acyclic_query(draw):
             members.add(a)
         edges[f"e{i}"] = frozenset(members)
     return JoinQuery(edges=edges)
+
+
+def peel_children(query):
+    """The children ``enumerate_plans`` derives from one query: drop the
+    first bud, else the first island, else per leaf the heavy child (leaf
+    and its attributes gone) and the light child (leaf gone)."""
+    if len(query.edges) <= 1:
+        return []
+    buds, islands = find_buds(query), find_islands(query)
+    if buds:
+        return [query.drop_edges([buds[0]])]
+    if islands:
+        return [query.drop_edges([islands[0]])]
+    out = []
+    for leaf in find_leaves(query):
+        info = leaf_info(query, leaf)
+        out.append(query.drop_edges([leaf])
+                   .drop_attributes(set(info.unique_attrs) | {info.join_attr}))
+        out.append(query.drop_edges([leaf]))
+    return out
+
+
+def reachable(query):
+    seen, stack = [], [query]
+    while stack:
+        q = stack.pop()
+        seen.append(q)
+        stack.extend(peel_children(q))
+    return seen
+
+
+def derived_facts(q):
+    """Every structural fact cached on a query, as plain values."""
+    leaves = find_leaves(q)
+    return {"edge_names": q.edge_names,
+            "structure_key": q.structure_key(),
+            "occurrences": q.occurrences(),
+            "join_attributes": join_attributes(q),
+            "islands": find_islands(q),
+            "buds": find_buds(q),
+            "leaves": leaves,
+            "leaf_info": [leaf_info(q, e) for e in leaves],
+            "shape": classify_shape(q),
+            "line": detect_line(q),
+            "acyclic": is_berge_acyclic(q)}
+
+
+class TestCachedStructure:
+    """The facts cached on a query equal those of a fresh, equal query."""
+
+    @staticmethod
+    def check(query):
+        for q in reachable(query):
+            cached = derived_facts(q)
+            assert derived_facts(q) == cached  # served from the cache
+            assert cached == derived_facts(JoinQuery(dict(q.edges), q.sizes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_acyclic_query())
+    def test_random_acyclic_children(self, query):
+        self.check(query)
+
+    def test_paper_families(self):
+        for q in (line_query(2), line_query(5), star_query(1), star_query(4),
+                  lollipop_query(3), dumbbell_query(3, 6)):
+            self.check(q)
+
+    def test_children_are_shared_across_walks(self):
+        q = dumbbell_query(3, 6)
+        assert ([id(c) for c in reachable(q)]
+                == [id(c) for c in reachable(q)])
+
+    def test_mutating_returned_containers_changes_nothing(self):
+        q = lollipop_query(3)
+        derived_facts(q)  # fill the caches
+        find_leaves(q).append("x")
+        find_buds(q).append("x")
+        find_islands(q).append("x")
+        names = q.edge_names
+        names.reverse()
+        q.occurrences()["v1"].clear()
+        q.occurrences().clear()
+        assert derived_facts(q) == derived_facts(JoinQuery(dict(q.edges)))

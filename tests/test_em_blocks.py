@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -273,16 +274,16 @@ def _sort_case(dev):
     return len(external_sort(f, lambda t: t[0], name="sorted"))
 
 
-def _star_case(petals, *, best):
+def _star_case(petals, *, best, query=None):
     def run(dev):
+        q = star_query(len(petals)) if query is None else query
         schemas, data = star_worstcase_instance(petals)
         inst = Instance.from_dicts(dev, schemas, data)
         emitter = CountingEmitter()
         if best:
-            acyclic_join_best(star_query(len(petals)), inst, emitter,
-                              limit=16)
+            acyclic_join_best(q, inst, emitter, limit=16)
         else:
-            execute(star_query(len(petals)), inst, emitter)
+            execute(q, inst, emitter)
         return emitter.count
     return run
 
@@ -317,9 +318,9 @@ def _line3_case(dev):
     return emitter.count
 
 
-def _reduce_case(dev):
+def _reduce_case(dev, query=None):
     # e2's v2 = 6, 7 lie past e1's last key: the merge outruns its filter.
-    q = line_query(3)
+    q = line_query(3) if query is None else query
     inst = Instance.from_dicts(dev, schemas_for(q), LINE3_DATA)
     return sum(len(r) for r in full_reduce_em(q, inst).values())
 
@@ -400,9 +401,13 @@ CASES = {
 }
 
 
-def record(name: str, pool: bool, also=()) -> dict:
-    """Run one case on a traced, strict-memory device and summarize it."""
-    M, B, run = CASES[name]
+def record(name: str, pool: bool, also=(), run=None) -> dict:
+    """Run one case on a traced, strict-memory device and summarize it.
+
+    ``run`` replaces the case's own run function (same ``M``, ``B``).
+    """
+    M, B, case_run = CASES[name]
+    run = case_run if run is None else run
     dev, tracer = traced_device(M=M, B=B, pool=pool, strict_memory=True,
                                 also=also)
     results = run(dev)
@@ -424,10 +429,10 @@ class TestBlockScalarEquivalence:
     """
 
     @staticmethod
-    def assert_matches_golden(name, pool):
+    def assert_matches_golden(name, pool, run=None):
         golden = json.loads(GOLDEN.read_text())
         key = f"{name}/{'pool_on' if pool else 'pool_off'}"
-        assert record(name, pool) == golden[key]
+        assert record(name, pool, run=run) == golden[key]
 
     @pytest.mark.parametrize("pool", [False, True],
                              ids=["pool_off", "pool_on"])
@@ -438,6 +443,19 @@ class TestBlockScalarEquivalence:
     @pytest.mark.parametrize("pool", [False, True])
     def test_external_sort_event_stream_identical(self, pool):
         self.assert_matches_golden("external_sort", pool)
+
+    @pytest.mark.parametrize("pool", [False, True],
+                             ids=["pool_off", "pool_on"])
+    @pytest.mark.parametrize("name", ["star3_execute", "full_reduce_L3"])
+    def test_query_object_reused_matches_golden(self, name, pool):
+        # A query caches its derived structure and child queries, so the
+        # second run on the same object takes every cached path.
+        if name == "star3_execute":
+            run = _star_case([16, 16, 16], best=False, query=star_query(3))
+        else:
+            run = partial(_reduce_case, query=line_query(3))
+        self.assert_matches_golden(name, pool, run=run)
+        self.assert_matches_golden(name, pool, run=run)
 
     def test_sort_empty_source_synthesizes_counted_run(self):
         from repro.obs import MetricsRegistry

@@ -1,5 +1,8 @@
 """Unit tests for query hypergraphs and Berge-acyclicity (Section 1.3)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.query import (CyclicQueryError, JoinQuery, dumbbell_query,
@@ -117,3 +120,46 @@ class TestStructureOps:
     def test_with_sizes(self):
         q = line_query(2).with_sizes({"e1": 4, "e2": 5})
         assert q.size("e1") == 4
+
+
+class TestImmutability:
+    """Derived structure is cached on the query, so it must not change."""
+
+    def test_edges_and_sizes_are_read_only(self):
+        q = line_query(3, [1, 2, 3])
+        with pytest.raises(TypeError):
+            q.edges["e1"] = frozenset({"z"})
+        with pytest.raises(TypeError):
+            q.sizes["e1"] = 7
+        with pytest.raises(TypeError):
+            del q.edges["e1"]
+
+    def test_input_dicts_are_copied(self):
+        edges = {"e1": {"a", "b"}, "e2": {"b", "c"}}
+        sizes = {"e1": 1, "e2": 2}
+        q = JoinQuery(edges=edges, sizes=sizes)
+        edges["e3"] = {"c"}
+        sizes["e1"] = 9
+        assert set(q.edges) == {"e1", "e2"} and q.size("e1") == 1
+
+    def test_equality_copies_and_with_sizes_still_work(self):
+        q = line_query(3, [1, 2, 3])
+        assert q == line_query(3, [1, 2, 3])
+        assert q != line_query(3, [1, 2, 4])
+        assert dict(q.edges) == {"e1": frozenset({"v1", "v2"}),
+                                 "e2": frozenset({"v2", "v3"}),
+                                 "e3": frozenset({"v3", "v4"})}
+        assert q.with_sizes({"e1": 5}).sizes == {"e1": 5}
+        assert JoinQuery(q.edges, q.sizes) == q
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        q = star_query(2, [3, 4, 5])
+        q.drop_edges(["e1"])  # populate a cache first
+        assert pickle.loads(pickle.dumps(q)) == q
+        assert copy.deepcopy(q) == q
+
+    def test_children_are_shared(self):
+        q = line_query(4)
+        assert q.drop_edges(["e1"]) is q.drop_edges({"e1"})
+        assert q.drop_attributes(["v2"]) is q.drop_attributes(("v2",))
+        assert q.drop_edges(["e1"]) is not q.drop_edges(["e4"])
