@@ -5,7 +5,9 @@ Berge-acyclic queries and instances, every external-memory algorithm
 (Algorithm 2 under several choosers, the planner, the Yannakakis
 baseline) emits exactly the oracle's result set, with exact counts (no
 duplicates) — and structural invariants (Lemma 1, GenS well-formedness)
-hold along the way.
+hold along the way.  The external-memory reducer is held to the
+in-memory one, relation by relation, and every sort order it reports
+must be physically true of the pages it returns.
 """
 
 import random
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 from repro import Device, Instance
 from repro.core import (AssignmentEmitter, acyclic_join, execute,
-                        smallest_leaf_chooser, yannakakis_em)
+                        full_reduce_em, smallest_leaf_chooser,
+                        yannakakis_em)
+from repro.em import PoolConfig
 from repro.internal import generic_join, join_query, yannakakis
-from repro.query import gens_all, is_berge_acyclic, JoinQuery
+from repro.query import full_reduce, gens_all, is_berge_acyclic, JoinQuery
 from repro.query.classify import has_island_bud_or_leaf
 
 
@@ -143,3 +147,36 @@ def test_chooser_independence(case):
     acyclic_join(query, inst2, em2, chooser=smallest_leaf_chooser)
     assert em1.assignment_set() == em2.assignment_set()
     assert em1.count == em2.count
+
+
+@settings(max_examples=40, deadline=None)
+@given(acyclic_query_and_data(), st.sampled_from([(4, 2), (8, 2), (16, 4)]))
+def test_reducer_matches_oracle_and_keeps_its_sort_orders(case, mb):
+    query, schemas, data = case
+    M, B = mb
+    expected = full_reduce(query, data, schemas)
+    reduced = full_reduce_em(query,
+                             Instance.from_dicts(Device(M=M, B=B), schemas,
+                                                 data))
+    for e in query.edges:
+        rel = reduced[e]
+        tuples = rel.peek_tuples()
+        assert sorted(tuples) == sorted(expected[e])
+        if rel.sorted_on is not None:
+            keys = list(map(rel.key(rel.sorted_on), tuples))
+            assert keys == sorted(keys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(acyclic_query_and_data(max_edges=4),
+       st.sampled_from([(4, 2), (8, 2), (16, 4)]), st.booleans())
+def test_execute_under_strict_memory_matches_oracle(case, mb, pool):
+    query, schemas, data = case
+    M, B = mb
+    oracle = join_query(query, data, schemas)
+    config = PoolConfig(frames=max(2, M // B)) if pool else None
+    device = Device(M=M, B=B, strict_memory=True, buffer_pool=config)
+    em = AssignmentEmitter(schemas)
+    execute(query, Instance.from_dicts(device, schemas, data), em)
+    assert em.assignment_set() == oracle
+    assert em.count == len(oracle)
