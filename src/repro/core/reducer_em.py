@@ -3,8 +3,13 @@
 Two semijoin passes over the ear-elimination order of
 :func:`repro.query.reduce.elimination_order`; each semijoin sorts both
 sides on the shared attribute and performs one merge pass, writing the
-filtered relation back to disk.  Total cost ``Õ(Σ N(e)/B)`` — the
-linear term the paper's bounds absorb.
+filtered relation back to disk.  Both sorted sides are kept: the
+filtered relation is written in its sort order, and the sorted copy of
+the filter replaces the filter, so a later semijoin (or the join that
+follows the reducer) on the same attribute finds it already sorted
+(:meth:`~repro.data.relation.Relation.sort_by` is then a no-op).
+Total cost ``Õ(Σ N(e)/B)`` — the linear term the paper's bounds
+absorb.
 
 The paper's optimality statements assume fully reduced inputs
 (Section 1.2); the planner runs this reducer first unless told the
@@ -32,22 +37,27 @@ def full_reduce_em(query: JoinQuery, instance: Instance) -> Instance:
     for step in steps:  # upward: parents filtered by children
         if step.parent is None:
             continue
-        rels[step.parent] = _semijoin_em(rels[step.parent],
-                                         rels[step.edge], step.shared_attr)
+        rels[step.parent], rels[step.edge] = _semijoin_em(
+            rels[step.parent], rels[step.edge], step.shared_attr)
     # em-loop-bound: 1 -- the mirrored downward sweep, same accounting
     for step in reversed(steps):  # downward: children by parents
         if step.parent is None:
             continue
-        rels[step.edge] = _semijoin_em(rels[step.edge],
-                                       rels[step.parent], step.shared_attr)
+        rels[step.edge], rels[step.parent] = _semijoin_em(
+            rels[step.edge], rels[step.parent], step.shared_attr)
     return Instance(rels)
 
 
-def _semijoin_em(rel: Relation, filt: Relation, attr: str) -> Relation:
-    """``rel ⋉ filt`` on ``attr`` by sort + merge, written back to disk."""
+def _semijoin_em(rel: Relation, filt: Relation,
+                 attr: str) -> tuple[Relation, Relation]:
+    """``rel ⋉ filt`` on ``attr`` by sort + merge, written back to disk.
+
+    Returns the filtered relation and ``filt`` sorted on ``attr`` (the
+    same tuples, so it can stand in for ``filt``).
+    """
     rel_s = rel.sort_by(attr)
     filt_s = filt.sort_by(attr)
     matches = semijoin_matches(rel_s.data.reader(), filt_s.data.reader(),
                                rel_s.key(attr), filt_s.key(attr))
-    return rel_s.rewrite_blocks(matches, label=f"red_{filt.name}",
-                                sorted_on=attr)
+    return (rel_s.rewrite_blocks(matches, label=f"red_{filt.name}",
+                                 sorted_on=attr), filt_s)
