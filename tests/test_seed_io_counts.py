@@ -81,4 +81,4 @@ class TestSeedCounts:
         report = execute(line_query(3), instance, emitter)
         assert report.algorithm == "algorithm-1"
         assert (device.stats.reads, device.stats.writes,
-                emitter.count) == (127, 80, 256)
+                emitter.count) == (109, 62, 256)

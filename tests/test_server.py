@@ -173,9 +173,9 @@ class TestSharedPool:
         # a faulted the 17 base pages in; b misses nothing.
         assert ra.cache["misses"] == 17
         assert rb.cache["misses"] == 0
-        assert rb.cache["hits"] == 127  # every logical read hit
+        assert rb.cache["hits"] == 109  # every logical read hit
         assert rb.io["reads"] == 0
-        assert rb.io["writes"] == 80  # own intermediates still cost
+        assert rb.io["writes"] == 62  # own intermediates still cost
 
     def test_logical_reads_match_pool_off_physical(self):
         pinned = pinned_line3()["pool_off"]
@@ -297,7 +297,7 @@ class TestSessionsAndService:
                 [{"query": line_query(3), "M": M, "B": B}
                  for _ in range(6)], concurrency=3)
         assert len(rs) == 6
-        assert all(r.io["total"] == 207 for r in rs)  # pool off: solo
+        assert all(r.io["total"] == 171 for r in rs)  # pool off: solo
         assert {r.session for r in rs} == {"w0", "w1", "w2"}
 
     def test_execute_batch_error_propagates(self):
@@ -507,7 +507,7 @@ class TestHttp:
         assert status == 200
         assert doc["results"] == 256
         assert doc["shape"] == "line"
-        assert doc["io"]["writes"] == 80
+        assert doc["io"]["writes"] == 62
 
     def test_sticky_session(self, http_service):
         _, base = http_service
