@@ -29,10 +29,10 @@ Six subcommands::
     python -m repro serve --table R=follows.csv --table S=lives.csv \\
         [-M 4096 -B 64] [--host 127.0.0.1 --port 8707] \\
         [--pool-frames 256 --pool-policy lru --max-pin-share 0.5] \\
-        [--instance default] [--workers 8] \\
+        [--instance default] \\
         [--fitted benchmarks/BENCH_fitted.json] \\
         [--flight-records 256] [--slow-query-ms 100] \\
-        [--quota alice=2] [--quota bob=4:0.5] [--default-quota 8]
+        [--quota alice=0.5] [--default-quota 0.25]
 
 ``run`` loads the CSV tables, executes the planner, and reports the
 results count, I/O bill, per-phase breakdown, and the optimality
@@ -76,14 +76,13 @@ reports violations or stale baseline entries.  ``serve`` keeps a
 ``/healthz``.  One thread serves every request and runs each query to
 completion before reading the next.  ``-M`` is the *global* admission
 budget (per-query machines come from the request): a query whose need
-can never fit gets 422, one that does not fit what is held right now
-gets 503 with ``Retry-After``.  ``--pool-frames`` turns on the shared
-cross-query buffer pool.
+exceeds it, or its tenant's share of it, gets 422.  ``--pool-frames``
+turns on the shared cross-query buffer pool.
 ``--fitted`` arms ``POST /query?explain=1``; ``--flight-records`` /
 ``--slow-query-ms`` size the query flight recorder behind ``GET
-/debug/queries``; ``--quota OWNER=INFLIGHT[:SHARE]`` (repeatable) and
-``--default-quota INFLIGHT[:SHARE]`` cap a tenant's open grants and
-budget share.
+/debug/queries``; ``--quota OWNER=SHARE`` (repeatable) and
+``--default-quota SHARE`` cap a tenant's share of the budget, a
+fraction in (0, 1].
 """
 
 from __future__ import annotations
@@ -263,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalog name for the loaded tables "
                             "(default 'default')")
     serve.add_argument("-M", type=int, default=4096,
-                       help="GLOBAL memory budget in tuples shared by "
-                            "all granted queries (default 4096)")
+                       help="GLOBAL memory budget in tuples: the "
+                            "largest need a query may declare "
+                            "(default 4096)")
     serve.add_argument("-B", type=int, default=64,
                        help="block size in tuples (default 64)")
     serve.add_argument("--host", default="127.0.0.1",
@@ -282,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pin-share", type=float, default=0.5,
                        help="fraction of pool frames one session may "
                             "pin (default 0.5)")
-    serve.add_argument("--workers", type=int, default=8,
-                       help="worker sessions for batched execution "
-                            "(default 8)")
     serve.add_argument("--fitted", metavar="PATH",
                        help="fitted-constants document (benchmarks/"
                             "BENCH_fitted.json) arming POST "
@@ -298,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flag and count queries slower than MS "
                             "end-to-end (default: off)")
     serve.add_argument("--quota", action="append", default=[],
-                       metavar="OWNER=INFLIGHT[:SHARE]",
+                       metavar="OWNER=SHARE",
                        help="per-tenant admission quota (repeatable): "
-                            "max open grants, optionally ':' a "
-                            "budget share in (0, 1]")
-    serve.add_argument("--default-quota", metavar="INFLIGHT[:SHARE]",
+                            "the largest share of the budget, in "
+                            "(0, 1], one query of OWNER may need")
+    serve.add_argument("--default-quota", metavar="SHARE",
                        help="quota applied to tenants without an "
                             "explicit --quota")
     return parser
@@ -778,27 +775,21 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
             return 2
         tables[name] = path
 
-    def parse_limits(text: str) -> tuple[int | None, float | None]:
-        inflight, sep, share = text.partition(":")
-        return (int(inflight) if inflight else None,
-                float(share) if sep else None)
-
     default_quota = None
-    if args.default_quota:
+    if args.default_quota is not None:
         try:
-            mi, ms = parse_limits(args.default_quota)
-            default_quota = Quota(max_inflight=mi, max_share=ms)
+            default_quota = Quota(float(args.default_quota))
         except ValueError as exc:
             print(f"serve: bad --default-quota "
                   f"{args.default_quota!r}: {exc}", file=sys.stderr)
             return 2
-    quotas: dict[str, tuple[int | None, float | None]] = {}
+    quotas: dict[str, Quota] = {}
     for spec in args.quota:
-        owner, sep, rest = spec.partition("=")
+        owner, sep, share = spec.partition("=")
         try:
-            if not sep or not owner or not rest:
-                raise ValueError("expected OWNER=INFLIGHT[:SHARE]")
-            quotas[owner] = parse_limits(rest)
+            if not sep or not owner or not share:
+                raise ValueError("expected OWNER=SHARE")
+            quotas[owner] = Quota(float(share))
         except ValueError as exc:
             print(f"serve: bad --quota {spec!r}: {exc}",
                   file=sys.stderr)
@@ -816,17 +807,11 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
     svc = QueryService(
         M=args.M, B=args.B, pool_frames=args.pool_frames,
         pool_policy=args.pool_policy, max_pin_share=args.max_pin_share,
-        workers=args.workers,
         flight_records=args.flight_records,
         slow_query_ms=args.slow_query_ms, default_quota=default_quota,
         fitted=fitted)
-    try:
-        for owner, (mi, ms) in quotas.items():
-            svc.set_quota(owner, max_inflight=mi, max_share=ms)
-    except ValueError as exc:
-        print(f"serve: bad quota: {exc}", file=sys.stderr)
-        svc.close()
-        return 2
+    for owner, quota in quotas.items():
+        svc.set_quota(owner, max_share=quota.max_share)
     try:
         if tables:
             svc.load_tables(args.instance, tables)

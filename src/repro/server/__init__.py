@@ -7,24 +7,22 @@ run to completion:
 
 * :mod:`repro.server.catalog` — load an instance once, serve many
   queries (ref-counting, eviction, generations);
-* :mod:`repro.server.admission` — the global budget ``M`` is enforced
-  across granted queries: declare your planner-estimated need, get a
-  grant or an immediate refusal;
+* :mod:`repro.server.admission` — a stateless size check: a query's
+  planner-estimated need must fit the budget ``M`` (or its tenant's
+  share of it), or it is refused at once;
 * :mod:`repro.server.pool` — one cross-query buffer pool, with each
   session's charges routed to its own :class:`~repro.em.stats.IOStats`;
 * :mod:`repro.server.session` — parse → classify → plan → execute with
   per-session counter/trace isolation (solo-run byte identity);
 * :mod:`repro.server.flight` — the query flight recorder: one bounded
   ring of per-query lifecycle records behind ``/debug/queries``;
-* :mod:`repro.server.service` — the engine tying those together, plus
-  the batch executor;
+* :mod:`repro.server.service` — the engine tying those together;
 * :mod:`repro.server.http` — ``/metrics`` (Prometheus text), ``/query``
   (JSON) and friends, behind ``repro serve``.
 """
 
 from repro.server.admission import (AdmissionController, AdmissionError,
-                                    AdmissionRejected, AdmissionTimeout,
-                                    Grant, Quota)
+                                    AdmissionRejected, Grant, Quota)
 from repro.server.catalog import Catalog, CatalogEntry, CatalogError
 from repro.server.flight import FlightRecord, FlightRecorder
 from repro.server.http import ServiceServer, make_server, start_http_server
@@ -34,7 +32,7 @@ from repro.server.session import QueryResult, Session, SessionClosed
 
 __all__ = [
     "AdmissionController", "AdmissionError", "AdmissionRejected",
-    "AdmissionTimeout", "Grant", "Quota",
+    "Grant", "Quota",
     "Catalog", "CatalogEntry", "CatalogError",
     "FlightRecord", "FlightRecorder",
     "SharedPool", "PoolView",

@@ -4,9 +4,9 @@ The measurement substrate observes *devices* (tracer, spans, metrics);
 nothing so far observed a *query*.  A :class:`FlightRecorder` on the
 :class:`~repro.server.service.QueryService` closes that gap: every
 query executed through a session — including the ones admission
-rejects or times out — leaves a structured :class:`FlightRecord` with
+rejects — leaves a structured :class:`FlightRecord` with
 its arrival/grant/finish timeline, admission outcome (wait time,
-quota state), owner-attributed pool cache deltas,
+quota), owner-attributed pool cache deltas,
 per-phase I/O, peak memory, and result count.
 
 Like every observer in this tree the recorder is strictly passive: it
@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 #: Lifecycle outcomes a record can report.
-STATUSES = ("ok", "rejected", "timeout", "error")
+STATUSES = ("ok", "rejected", "error")
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,12 @@ before the next request is read: :class:`ServiceServer` is the stdlib
 dropped after :attr:`_Handler.timeout` seconds, so it cannot hold the
 loop for longer than that.
 
-Admission failures map to HTTP the obvious way: a need that can never
-fit (over the global budget or the tenant's share) is 422 (no retry
-will help); a need that does not fit the budget or the tenant's
-in-flight quota held right now is 503 with ``Retry-After`` (retry once
-the holders release).  Malformed bodies and unknown queries/instances
-are 400; anything unexpected inside the engine is a 500 JSON document,
-never a dropped connection.
+Every non-2xx reply is a typed JSON document with an ``error``: a
+malformed body (``query`` not a string; ``M``/``B`` not integers
+``>= 1``, or ``B > M``; ``collect`` not a boolean) and unknown
+queries/instances are 400; a memory need over the global budget or the
+tenant's share is 422 (no retry will help); anything unexpected inside
+the engine is 500, never a dropped connection.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.export import metrics_payload
 from repro.query.parse import QueryParseError
-from repro.server.admission import AdmissionRejected, AdmissionTimeout
+from repro.server.admission import AdmissionRejected
 from repro.server.catalog import CatalogError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,19 +83,16 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - http.server API
         pass  # the service reports through /metrics, not stderr
 
-    def _send(self, status: int, body: bytes, content_type: str,
-              headers: dict[str, str] | None = None) -> None:
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for k, v in (headers or {}).items():
-            self.send_header(k, v)
         self.end_headers()
         self.wfile.write(body)
 
-    def _json(self, status: int, doc, headers=None) -> None:
+    def _json(self, status: int, doc) -> None:
         body = json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json", headers)
+        self._send(status, body, "application/json")
 
     # -- routes --------------------------------------------------------
 
@@ -162,28 +158,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         explain = parse_qs(parts.query).get(
             "explain", ["0"])[0] not in ("0", "", "false")
+        service = self.server.service
         try:
             length = int(self.headers.get("Content-Length") or 0)
             if length < 0:
                 # rfile.read(-1) would block until the client hangs up.
                 raise ValueError(f"negative Content-Length {length}")
             req = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(req, dict) or "query" not in req:
-                raise ValueError('the body needs a "query" field')
-            kwargs = {
-                "instance": req.get("instance", "default"),
-                "collect": bool(req.get("collect", False)),
-            }
-            if req.get("M") is not None:
-                kwargs["M"] = int(req["M"])
-            if req.get("B") is not None:
-                kwargs["B"] = int(req["B"])
-            if req.get("tenant") is not None:
-                kwargs["tenant"] = str(req["tenant"])
+            kwargs = _query_kwargs(req, service)
         except (TypeError, ValueError, json.JSONDecodeError) as exc:
             self._json(400, {"error": f"bad request body: {exc}"})
             return
-        service = self.server.service
         report = None
         try:
             if explain:
@@ -194,9 +179,6 @@ class _Handler(BaseHTTPRequestHandler):
                     req["query"], session=req.get("session"), **kwargs)
         except AdmissionRejected as exc:
             self._json(422, {"error": str(exc), "kind": "rejected"})
-        except AdmissionTimeout as exc:
-            self._json(503, {"error": str(exc), "kind": "timeout"},
-                       headers={"Retry-After": "1"})
         except (QueryParseError, CatalogError) as exc:
             # Only errors provably caused by the request map to 400;
             # anything else is the engine's fault and must say so
@@ -212,6 +194,38 @@ class _Handler(BaseHTTPRequestHandler):
             if report is not None:
                 doc["explain"] = report.as_dict()
             self._json(200, doc)
+
+
+def _query_kwargs(req, service: "QueryService") -> dict:
+    """Check a ``POST /query`` body; the execute keyword arguments.
+
+    Raises ``ValueError`` naming the first malformed field, so bad
+    input is a 400 here rather than a 500 from deep in the engine.
+    """
+    if not isinstance(req, dict) or "query" not in req:
+        raise ValueError('the body needs a "query" field')
+    if not isinstance(req["query"], str):
+        raise ValueError('"query" must be a string')
+    kwargs = {"instance": req.get("instance", "default"),
+              "collect": req.get("collect", False)}
+    if not isinstance(kwargs["collect"], bool):
+        raise ValueError('"collect" must be true or false')
+    for key in ("M", "B"):
+        value = req.get(key)
+        if value is None:
+            continue
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or value < 1):
+            raise ValueError(f'"{key}" must be an integer >= 1, '
+                             f'got {value!r}')
+        kwargs[key] = value
+    M = kwargs.get("M", service.default_query_M)
+    B = kwargs.get("B", service.B)
+    if B > M:
+        raise ValueError(f"block size B={B} cannot exceed memory M={M}")
+    if req.get("tenant") is not None:
+        kwargs["tenant"] = str(req["tenant"])
+    return kwargs
 
 
 def make_server(service: "QueryService", host: str = "127.0.0.1",

@@ -5,8 +5,8 @@ requests.  It owns the pieces individual runs would otherwise rebuild:
 
 * the :class:`~repro.server.catalog.Catalog` of loaded instances (CSV
   parsed once, served to every session);
-* the :class:`~repro.server.admission.AdmissionController` enforcing
-  the *global* memory budget ``M`` across granted queries;
+* the :class:`~repro.server.admission.AdmissionController` checking
+  each query's memory need against the budget ``M``;
 * optionally one :class:`~repro.server.pool.SharedPool` of page frames
   that all sessions hit (``pool_frames > 0``);
 * a :class:`~repro.obs.metrics.MetricsRegistry` aggregating
@@ -17,11 +17,9 @@ requests.  It owns the pieces individual runs would otherwise rebuild:
   byte-identical either way (the recorder only copies deltas the
   session already computed).
 
-Every query runs to completion on the calling thread.
-:meth:`execute_batch` deals requests round-robin onto persistent
-worker sessions and runs them in request order; the win is
-amortization, not parallel compute: instances materialize once per
-worker and hot pages hit the shared pool.
+Every query runs to completion on the calling thread.  The win of a
+long-lived service is amortization, not parallel compute: instances
+materialize once per session and hot pages hit the shared pool.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class QueryService:
                  pool_frames: int = 0, pool_policy: str = "lru",
                  max_pin_share: float | None = 0.5,
                  catalog_capacity: int | None = None,
-                 workers: int = 8, metrics: MetricsRegistry | None = None,
+                 metrics: MetricsRegistry | None = None,
                  flight_records: int = 256,
                  slow_query_ms: float | None = None,
                  default_quota: Quota | None = None,
@@ -58,16 +56,12 @@ class QueryService:
                  ) -> None:
         if B < 1 or M < B:
             raise ValueError(f"need 1 <= B <= M, got M={M}, B={B}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.M = M
         self.B = B
         # What a query gets when it does not ask for a machine size.
-        # Defaults to the full budget — solo-run semantics; concurrency
-        # then comes from queries declaring smaller needs.
+        # Defaults to the full budget — solo-run semantics.
         self.default_query_M = M if default_query_M is None \
             else default_query_M
-        self.workers = workers
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self.catalog = Catalog(capacity=catalog_capacity)
         self.admission = AdmissionController(M, default_quota=default_quota)
@@ -82,9 +76,7 @@ class QueryService:
                                 metrics=self.metrics)
                      if pool_frames else None)
         self._sessions: dict[str, Session] = {}
-        self._workers: list[Session] = []
         self._session_ids = itertools.count(1)
-        self._worker_errors = 0
         self._serve_crash: str | None = None
         self.closed = False
 
@@ -146,77 +138,6 @@ class QueryService:
         finally:
             self.close_session(s.name)
 
-    def execute_batch(self, requests: list[Mapping], *,
-                      concurrency: int | None = None) -> list[QueryResult]:
-        """Run many requests over persistent worker sessions.
-
-        Each request is a mapping of :meth:`Session.execute` keyword
-        arguments plus ``"query"``.  Request ``i`` runs on worker
-        ``i % concurrency``, in request order on the calling thread.  A
-        worker stops at its first failure (its later requests are
-        skipped; other workers carry on); the lowest failing index is
-        re-raised as :class:`ServiceError` once the batch is done.
-        """
-        self._require_open()
-        if not requests:
-            return []
-        c = max(1, min(self.workers if concurrency is None else concurrency,
-                       len(requests)))
-        workers = self._worker_sessions(c)
-        results: list[QueryResult | None] = [None] * len(requests)
-        failed: dict[int, tuple[int, BaseException]] = {}
-        for i, request in enumerate(requests):
-            w = i % c
-            if w in failed:
-                continue
-            req = dict(request)
-            query = req.pop("query", None)
-            try:
-                if query is None:
-                    raise ServiceError(f"batch request {i} has no 'query'")
-                results[i] = workers[w].execute(query, **req)
-            except Exception as exc:  # noqa: BLE001 - reported below
-                failed[w] = (i, exc)
-                self._note_worker_error(workers[w].name, i, query, req,
-                                        exc)
-        if failed:
-            i, exc = min(failed.values(), key=lambda e: e[0])
-            raise ServiceError(
-                f"batch request {i} failed on worker "
-                f"{i % c}: {exc!r}") from exc
-        return results
-
-    def _worker_sessions(self, c: int) -> list[Session]:
-        """Persistent workers, grown on demand, reused across batches."""
-        while len(self._workers) < c:
-            w = Session(self, f"w{len(self._workers)}")
-            self._sessions[w.name] = w
-            self._workers.append(w)
-        return self._workers[:c]
-
-    def _note_worker_error(self, worker: str, index: int, query,
-                           req: Mapping, exc: BaseException) -> None:
-        """Result-channel propagation for batch workers.
-
-        Every failure lands in ``stats()["errors"]``; failures the
-        session never flight-recorded (poisoned requests that die
-        before admission — parse errors, unknown instances, a missing
-        ``"query"`` key) additionally get a flight record here, so a
-        poisoned query is never invisible.
-        """
-        self._worker_errors += 1
-        self.metrics.counter("service.worker_errors").inc()
-        flight = self.flight
-        if flight is None or getattr(exc, "_flight_recorded", False):
-            return
-        flight.record(
-            session=worker, owner=str(req.get("tenant") or worker),
-            query="<missing>" if query is None else str(query),
-            instance=str(req.get("instance", "default")),
-            status="error", arrival_unix=flight.clock(),
-            wait_ms=0.0, run_ms=0.0, total_ms=0.0,
-            error=f"batch request {index}: {exc!r}")
-
     def note_server_crash(self, exc: BaseException) -> None:
         """The HTTP serve thread died: make it visible in ``/stats``."""
         self._serve_crash = repr(exc)
@@ -224,13 +145,11 @@ class QueryService:
 
     # -- fairness ------------------------------------------------------
 
-    def set_quota(self, owner: str, *, max_inflight: int | None = None,
-                  max_share: float | None = None):
-        """Cap one tenant's concurrency / budget share (both ``None``
-        clears the quota).  Owners default to session names; HTTP
-        clients can pool sessions under one owner via ``tenant``."""
-        return self.admission.set_quota(owner, max_inflight=max_inflight,
-                                        max_share=max_share)
+    def set_quota(self, owner: str, *, max_share: float | None = None):
+        """Cap one tenant's share of the budget (``None`` clears the
+        quota).  Owners default to session names; HTTP clients can
+        pool sessions under one owner via ``tenant``."""
+        return self.admission.set_quota(owner, max_share=max_share)
 
     # -- explain -------------------------------------------------------
 
@@ -286,9 +205,6 @@ class QueryService:
     def refresh_metrics(self) -> MetricsRegistry:
         """Update the point-in-time gauges, return the registry."""
         m = self.metrics
-        adm = self.admission.snapshot()
-        m.gauge("admission.granted_tuples").set(adm["granted"])
-        m.gauge("admission.in_flight").set(adm["in_flight"])
         m.gauge("catalog.entries").set(len(self.catalog.names()))
         m.gauge("service.sessions").set(len(self._sessions))
         if self.pool is not None:
@@ -316,8 +232,7 @@ class QueryService:
             "sessions": [s.stats() for s in self._sessions.values()],
             "flight": None if self.flight is None
             else self.flight.stats(),
-            "errors": {"worker_errors": self._worker_errors,
-                       "serve_crash": self._serve_crash},
+            "errors": {"serve_crash": self._serve_crash},
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -329,7 +244,6 @@ class QueryService:
         for s in self._sessions.values():
             s.close()
         self._sessions.clear()
-        self._workers.clear()
         if self.pool is not None:
             self.pool.close()
 

@@ -14,7 +14,8 @@ Per query the session:
 1. parses the text (or accepts a ready :class:`JoinQuery`) and checks
    it against the catalog entry's layouts;
 2. declares its planner-estimated memory need to the admission
-   controller, which grants or refuses at once;
+   controller, which rejects it when it exceeds the budget or the
+   tenant's share of it;
 3. materializes the instance onto its device (cached per catalog
    generation — uncharged, inputs pre-exist in the model);
 4. runs :func:`repro.core.planner.execute` and, when pooled, retires
@@ -36,7 +37,7 @@ from repro.core.planner import estimate_memory_need, execute
 from repro.data.instance import Instance
 from repro.query.hypergraph import JoinQuery
 from repro.query.parse import format_query, parse_query_and_layouts
-from repro.server.admission import AdmissionRejected, AdmissionTimeout
+from repro.server.admission import AdmissionRejected
 from repro.server.pool import shared_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,6 +45,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.catalog import CatalogEntry
     from repro.server.pool import PoolView
     from repro.server.service import QueryService
+
+
+def _admission_doc(svc: "QueryService", owner: str, need: int,
+                   wait_s: float, outcome: str) -> dict:
+    """A query's ``admission`` entry: need, wait, verdict, quota."""
+    doc: dict = {"need": need, "wait_ms": round(wait_s * 1e3, 3),
+                 "outcome": outcome}
+    quota = svc.admission.quota_for(owner)
+    if quota is not None:
+        doc["quota"] = quota.as_dict()
+    return doc
+
 
 class SessionClosed(RuntimeError):
     """The session was closed; open a new one."""
@@ -140,13 +153,11 @@ class Session:
             wait0 = time.perf_counter()
             try:
                 grant = svc.admission.acquire(need, owner=owner)
-            except (AdmissionRejected, AdmissionTimeout) as exc:
-                status = ("rejected" if isinstance(exc, AdmissionRejected)
-                          else "timeout")
+            except AdmissionRejected as exc:
                 self._record_flight(
                     svc, owner=owner, text=text, instance=instance,
-                    status=status, arrival=arrival, t0=t0, wait0=wait0,
-                    M=M, B=B, need=need, error=str(exc), exc=exc)
+                    status="rejected", arrival=arrival, t0=t0,
+                    wait0=wait0, M=M, B=B, need=need, error=str(exc))
                 raise
             wait_s = time.perf_counter() - wait0
             try:
@@ -156,19 +167,14 @@ class Session:
                 self._record_flight(
                     svc, owner=owner, text=text, instance=instance,
                     status="error", arrival=arrival, t0=t0, wait0=wait0,
-                    M=M, B=B, need=need, wait_s=wait_s, error=str(exc),
-                    exc=exc)
+                    M=M, B=B, need=need, wait_s=wait_s, error=str(exc))
                 raise
             finally:
                 svc.admission.release(grant)
         finally:
             svc.catalog.release(entry)
         self.queries += 1
-        admission = {"need": need, "wait_ms": round(wait_s * 1e3, 3),
-                     "outcome": "granted"}
-        quota = svc.admission.quota_state(owner)
-        if quota is not None:
-            admission["quota"] = quota
+        admission = _admission_doc(svc, owner, need, wait_s, "granted")
         result = dataclasses.replace(
             result, wall_s=time.perf_counter() - t0, admission=admission)
         if flight is not None:
@@ -192,28 +198,18 @@ class Session:
                        text: str, instance: str, status: str,
                        arrival: float, t0: float, wait0: float,
                        M: int, B: int, need: int, wait_s: float = 0.0,
-                       error: str | None = None,
-                       exc: BaseException | None = None) -> None:
+                       error: str | None = None) -> None:
         """Record a query that never produced a :class:`QueryResult`
-        (admission failure or execution error)."""
+        (admission rejection or execution error)."""
         flight = svc.flight
         if flight is None:
             return
-        if exc is not None:
-            # Batch workers consult this so a failure the session has
-            # already recorded is not recorded a second time.
-            exc._flight_recorded = True  # type: ignore[attr-defined]
         now = time.perf_counter()
         outcome = "granted"
-        if status in ("rejected", "timeout"):
+        if status == "rejected":
             wait_s = now - wait0
             outcome = status
-        admission = {"need": need,
-                     "wait_ms": round(wait_s * 1e3, 3),
-                     "outcome": outcome}
-        quota = svc.admission.quota_state(owner)
-        if quota is not None:
-            admission["quota"] = quota
+        admission = _admission_doc(svc, owner, need, wait_s, outcome)
         flight.record(
             session=self.name, owner=owner, query=text,
             instance=instance, status=status, arrival_unix=arrival,

@@ -293,3 +293,34 @@ class TestAnalyze:
         assert rc == 0
         assert "berge-acyclic  : False" in out
         assert "triangle" in out
+
+
+class _Bound(Exception):
+    """Raised by the stand-in for ``make_server``: serve got that far."""
+
+
+class TestServeFlags:
+    @pytest.fixture(autouse=True)
+    def no_socket(self, monkeypatch):
+        def bind(service, host, port):
+            raise _Bound(host, port)
+
+        monkeypatch.setattr("repro.server.make_server", bind)
+
+    @pytest.mark.parametrize("argv", [
+        ["--quota", "alice=2:0.5"],  # the old INFLIGHT:SHARE form
+        ["--default-quota", "0"],
+        ["--workers", "4"],
+    ], ids=" ".join)
+    def test_bad_flag_exits_2_before_binding(self, argv, capsys):
+        try:
+            code = main(["serve", *argv])
+        except SystemExit as exc:  # argparse refuses unknown flags
+            code = exc.code
+        assert code == 2
+        assert "serve" in capsys.readouterr().err
+
+    def test_share_quotas_reach_binding(self, capsys):
+        with pytest.raises(_Bound):
+            main(["serve", "--port", "0", "--quota", "alice=0.5",
+                  "--default-quota", "0.25"])

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.server import (AdmissionController, AdmissionRejected,
-                          AdmissionTimeout, FlightRecorder, QueryService,
-                          Quota, start_http_server)
+                          FlightRecorder, QueryService, Quota,
+                          start_http_server)
 from repro.workloads import fig3_line3_instance
 
 BENCH_TABLE1 = (Path(__file__).resolve().parent.parent
@@ -128,25 +128,16 @@ class TestFlightThroughService:
         assert r.admission["need"] == M
         assert r.as_dict()["flight_id"] == r.flight_id
 
-    def test_rejected_and_timeout_queries_leave_records(self):
+    def test_rejected_queries_leave_records(self):
         with line3_service() as svc:
             with pytest.raises(AdmissionRejected):
                 svc.execute(QUERY, session="big", M=4096, B=B)
-            hog = svc.admission.acquire(256)
-            try:
-                with pytest.raises(AdmissionTimeout):
-                    svc.execute(QUERY, session="slow", M=M, B=B)
-            finally:
-                svc.admission.release(hog)
-            records = svc.flight.records()
-        by_status = {r.status: r for r in records}
-        rej = by_status["rejected"]
+            (rej,) = svc.flight.records()
+        assert rej.status == "rejected"
         assert rej.owner == "big" and rej.results == 0
         assert rej.admission["outcome"] == "rejected"
         assert "budget" in rej.error
-        tmo = by_status["timeout"]
-        assert tmo.admission["outcome"] == "timeout"
-        assert tmo.wait_ms >= 0
+        assert rej.wait_ms >= 0
 
     def test_execution_error_leaves_an_error_record(self):
         with line3_service() as svc:
@@ -210,75 +201,55 @@ class TestFlightThroughService:
 class TestQuotas:
     def test_quota_validation(self):
         with pytest.raises(ValueError):
-            Quota(max_inflight=0)
-        with pytest.raises(ValueError):
             Quota(max_share=0.0)
         with pytest.raises(ValueError):
             Quota(max_share=1.5)
 
-    def test_max_inflight_blocks_only_that_owner(self):
-        adm = AdmissionController(100)
-        adm.set_quota("a", max_inflight=1)
-        g1 = adm.acquire(10, owner="a")
-        # Owner "a" is at its cap: its next acquire is refused...
-        with pytest.raises(AdmissionTimeout):
-            adm.acquire(10, owner="a")
-        # ...but owner "b" sails past the quota-blocked tenant.
-        g2 = adm.acquire(10, owner="b")
-        adm.release(g1)
-        g3 = adm.acquire(10, owner="a")  # freed: under the cap again
-        adm.release(g2)
-        adm.release(g3)
-        assert adm.snapshot()["granted"] == 0
-
     def test_max_share_caps_budget_not_concurrency(self):
         adm = AdmissionController(100)
         adm.set_quota("a", max_share=0.2)
-        g1 = adm.acquire(10, owner="a")
-        g2 = adm.acquire(10, owner="a")  # 20 = exactly the share
-        with pytest.raises(AdmissionTimeout):
-            adm.acquire(1, owner="a")
-        # A need that can never fit the share is rejected outright.
+        # 20 = exactly the share; a grant held does not count against
+        # the next one.
+        g1 = adm.acquire(20, owner="a")
+        g2 = adm.acquire(20, owner="a")
+        # A need over the share is rejected outright.
         with pytest.raises(AdmissionRejected):
             adm.acquire(21, owner="a")
         assert adm.stats["quota_rejections"] == 1
+        adm.acquire(21, owner="b")  # other owners are not capped
         adm.release(g1)
         adm.release(g2)
 
     def test_default_quota_and_clearing(self):
-        adm = AdmissionController(100,
-                                  default_quota=Quota(max_inflight=1))
-        g = adm.acquire(10, owner="anyone")
-        with pytest.raises(AdmissionTimeout):
-            adm.acquire(10, owner="anyone")
+        adm = AdmissionController(100, default_quota=Quota(0.1))
+        with pytest.raises(AdmissionRejected):
+            adm.acquire(11, owner="anyone")
         # An explicit per-owner quota overrides the default...
-        adm.set_quota("anyone", max_inflight=2)
-        g2 = adm.acquire(10, owner="anyone")
+        adm.set_quota("anyone", max_share=0.5)
+        adm.release(adm.acquire(11, owner="anyone"))
         # ...and clearing it falls back to the default.
         adm.set_quota("anyone")
-        assert adm.quota_for("anyone").max_inflight == 1
-        adm.release(g)
-        adm.release(g2)
+        assert adm.quota_for("anyone").max_share == 0.1
 
     def test_quota_state_in_snapshot_and_flight_record(self):
         with line3_service() as svc:
-            svc.set_quota("alice", max_inflight=2, max_share=0.5)
+            svc.set_quota("alice", max_share=0.5)
             r = svc.execute(QUERY, session="alice", M=M, B=B)
             rec = svc.flight.get(r.flight_id)
             snap = svc.admission.snapshot()
-        assert r.admission["quota"]["max_inflight"] == 2
-        assert rec.admission["quota"]["max_share"] == 0.5
-        assert snap["quotas"]["alice"]["max_inflight"] == 2
-        assert snap["quotas"]["alice"]["inflight"] == 0  # released
+        assert r.admission["quota"] == {"max_share": 0.5}
+        assert rec.admission["quota"] == {"max_share": 0.5}
+        assert snap["quotas"] == {"alice": {"max_share": 0.5}}
+        assert snap["admitted"] == snap["released"] == 1
 
     def test_tenant_overrides_session_as_owner(self):
         with line3_service() as svc:
-            svc.set_quota("team-a", max_inflight=4)
+            svc.set_quota("team-a", max_share=0.5)
             r = svc.execute(QUERY, session="s1", tenant="team-a",
                             M=M, B=B)
             rec = svc.flight.get(r.flight_id)
         assert rec.owner == "team-a" and rec.session == "s1"
-        assert r.admission["quota"]["max_inflight"] == 4
+        assert r.admission["quota"]["max_share"] == 0.5
 
     def test_unquotaed_owner_reports_no_quota_noise(self):
         with line3_service() as svc:
@@ -286,15 +257,15 @@ class TestQuotas:
         assert "quota" not in r.admission
 
 
-# --------------------------------------- concurrent metrics under batch
+# ------------------------------------------------ metrics under load
 
 
 class TestConcurrentMetrics:
-    def test_execute_batch_folds_every_query_exactly_once(self):
+    def test_session_loop_folds_every_query_exactly_once(self):
         n = 48
         with line3_service() as svc:
-            reqs = [{"query": QUERY, "M": M, "B": B} for _ in range(n)]
-            results = svc.execute_batch(reqs, concurrency=8)
+            s = svc.session("loop")
+            results = [s.execute(QUERY, M=M, B=B) for _ in range(n)]
             m = svc.metrics.as_dict()
             fs = svc.flight.stats()
         assert len(results) == n
@@ -305,7 +276,7 @@ class TestConcurrentMetrics:
         assert hist["count"] == n
         wait = m["histograms"]["service.admission_wait_ms"]
         assert wait["count"] == n
-        assert fs["seen"] == n  # one flight record per query, no races
+        assert fs["seen"] == n  # one flight record per query
 
     def test_histogram_observation_is_thread_safe(self):
         from repro.obs.metrics import MetricsRegistry
@@ -396,7 +367,8 @@ class TestDebugEndpoints:
     def test_stats_exposes_flight_and_admission(self, http_service):
         _, base = http_service
         _, doc = _get(base, "/stats")
-        assert doc["admission"]["granted"] == 0  # all released
+        adm = doc["admission"]
+        assert adm["admitted"] == adm["released"]  # all returned
         assert doc["flight"]["capacity"] == 8
         assert doc["flight"]["seen"] >= 1
 
@@ -413,10 +385,10 @@ class TestDebugEndpoints:
 
     def test_tenant_field_reaches_admission(self, http_service):
         svc, base = http_service
-        svc.set_quota("http-team", max_inflight=3)
+        svc.set_quota("http-team", max_share=0.5)
         _, r = _post(base, {"query": QUERY, "M": M, "B": B,
                             "tenant": "http-team"})
-        assert r["admission"]["quota"]["max_inflight"] == 3
+        assert r["admission"]["quota"]["max_share"] == 0.5
 
     def test_debug_on_recorder_off_service_is_404(self):
         svc = line3_service(flight_records=0)
