@@ -11,28 +11,26 @@ This benchmark quantifies that on the Figure-3 line-3 workload
 * **serial**: the CLI model.  Every query builds a fresh
   :class:`QueryService`, loads the CSVs, runs one-shot, and tears
   down.
-* **service**: one engine, 48 queries dealt over 1 / 4 / 16
-  persistent worker sessions (``concurrency``; run in request order
-  on one thread), shared pool off and on.
+* **service**: one engine, 48 queries run in order on one persistent
+  session, shared pool off and on.
 
 Reported per configuration: queries/sec and per-query wall p50/p99
 (informational — they move with the host) plus the model-level
 counters, which are *deterministic* and pinned in
 ``BENCH_service.json``:
 
-* pool off, any concurrency: every query costs exactly the solo-run
-  207 I/Os and 256 results — the byte-identity guarantee;
-* pool on, any concurrency: the 17 base-relation pages miss exactly
-  once service-wide, every other logical read hits, each query writes
-  back its own 80 intermediate pages, and nothing is evicted (request
-  ``i`` always runs on worker ``i mod c`` and frames are keyed by
+* pool off: every query costs exactly the solo-run 171 I/Os and 256
+  results — the byte-identity guarantee;
+* pool on: the 17 base-relation pages miss exactly once service-wide,
+  every other logical read hits, each query writes back its own 62
+  intermediate pages, and nothing is evicted (frames are keyed by
   shared labels);
 * flight recorder on (the default) vs off: identical counters — the
   recorder observes lifecycle records, it never charges the device.
 
 CI gate (``--check-baseline``): the deterministic counters match the
-committed baseline exactly, and the concurrency-16 pooled service
-beats the serial model by more than 1 query/sec.
+committed baseline exactly, and the pooled service beats the serial
+model by more than 1 query/sec.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ N_QUERIES = 48
 QUERY_M, QUERY_B = 8, 2  # the pinned line3_planner machine
 GLOBAL_M = 256
 POOL_FRAMES = 4096  # roomy: no evictions, so counters stay exact
-CONCURRENCIES = (1, 4, 16)
 #: Timing rounds per configuration; the best round is reported (the
 #: deterministic counters must agree across rounds, and do).
 REPEATS = 3
@@ -120,9 +117,9 @@ def run_serial(tables: dict[str, str], pool: bool) -> tuple[dict, dict]:
     return det, _timing_row(label, wall, walls)
 
 
-def run_service(tables: dict[str, str], concurrency: int,
-                pool: bool, flight: bool = True) -> tuple[dict, dict]:
-    """One engine, N_QUERIES requests over persistent workers.
+def run_service(tables: dict[str, str], pool: bool,
+                flight: bool = True) -> tuple[dict, dict]:
+    """One engine, N_QUERIES queries on one persistent session.
 
     ``flight=False`` switches the query flight recorder off — the
     recorder is an observer, so its setting must not move a counter.
@@ -130,13 +127,12 @@ def run_service(tables: dict[str, str], concurrency: int,
     q = line_query(3)
     svc = QueryService(M=GLOBAL_M, B=QUERY_B, default_query_M=QUERY_M,
                        pool_frames=POOL_FRAMES if pool else 0,
-                       flight_records=256 if flight else 0,
-                       workers=max(CONCURRENCIES))
+                       flight_records=256 if flight else 0)
     try:
         svc.load_tables("default", tables)
-        requests = [{"query": q} for _ in range(N_QUERIES)]
+        session = svc.session("bench")
         t0 = time.perf_counter()
-        rs = svc.execute_batch(requests, concurrency=concurrency)
+        rs = [session.execute(q) for _ in range(N_QUERIES)]
         wall = time.perf_counter() - t0
     finally:
         svc.close()
@@ -149,7 +145,7 @@ def run_service(tables: dict[str, str], concurrency: int,
         det["io_total"] = sum(r.io["total"] for r in rs)
     else:
         det["per_query_io_totals"] = sorted({r.io["total"] for r in rs})
-    label = f"service c={concurrency} pool={'on' if pool else 'off'}"
+    label = f"service pool={'on' if pool else 'off'}"
     if not flight:
         label += " flight=off"
     return det, _timing_row(label, wall, walls)
@@ -169,28 +165,17 @@ def measure() -> dict:
         tables = _write_csvs(Path(td))
         serial_det, serial_t = best(run_serial, tables, False)
         serial_pool_det, serial_pool_t = best(run_serial, tables, True)
-        timings = [serial_t, serial_pool_t]
-        pool_off: dict[int, dict] = {}
-        pool_on: dict[int, dict] = {}
-        for c in CONCURRENCIES:
-            for pool, bucket in ((False, pool_off), (True, pool_on)):
-                det, row = best(run_service, tables, c, pool)
-                bucket[c] = det
-                timings.append(row)
+        pool_off, pool_off_t = best(run_service, tables, False)
+        pool_on, pool_on_t = best(run_service, tables, True)
         # Flight-recorder identity leg: same configuration with the
         # recorder off must reproduce the recorder-on counters exactly.
-        flight_off_det, flight_off_row = best(
-            run_service, tables, CONCURRENCIES[0], False, False)
-        timings.append(flight_off_row)
-    assert flight_off_det == pool_off[CONCURRENCIES[0]], (
+        flight_off_det, flight_off_t = best(
+            run_service, tables, False, False)
+        timings = [serial_t, serial_pool_t, pool_off_t, pool_on_t,
+                   flight_off_t]
+    assert flight_off_det == pool_off, (
         "flight recorder moved the deterministic counters",
-        flight_off_det, pool_off[CONCURRENCIES[0]])
-    # Pool-off counters and pooled aggregates are schedule-independent:
-    # collapse across concurrency, failing loudly if they ever differ.
-    assert all(pool_off[c] == pool_off[CONCURRENCIES[0]]
-               for c in CONCURRENCIES), pool_off
-    assert all(pool_on[c] == pool_on[CONCURRENCIES[0]]
-               for c in CONCURRENCIES), pool_on
+        flight_off_det, pool_off)
     return {
         "deterministic": {
             "machine": {"M": QUERY_M, "B": QUERY_B,
@@ -199,15 +184,15 @@ def measure() -> dict:
             "n_queries": N_QUERIES,
             "serial": serial_det,
             "serial_pool_on": serial_pool_det,
-            "service_pool_off": pool_off[CONCURRENCIES[0]],
-            "service_pool_on": pool_on[CONCURRENCIES[0]],
+            "service_pool_off": pool_off,
+            "service_pool_on": pool_on,
         },
         "informational": {"timings": timings},
     }
 
 
 def speedup_gate(doc: dict) -> tuple[float, float, bool]:
-    """(qps_serial, qps_c16_pool_on, passed).
+    """(qps_serial, qps_service_pool_on, passed).
 
     Both legs run with the shared pool on, so the gate isolates what
     the service layer amortizes — engine construction, CSV parsing,
@@ -217,7 +202,7 @@ def speedup_gate(doc: dict) -> tuple[float, float, bool]:
     rows = {r["config"]: r["qps"]
             for r in doc["informational"]["timings"]}
     serial = rows["serial one-shot pool=on"]
-    pooled = rows[f"service c={max(CONCURRENCIES)} pool=on"]
+    pooled = rows["service pool=on"]
     return serial, pooled, pooled - serial > 1.0
 
 
@@ -234,7 +219,7 @@ def print_report(doc: dict) -> None:
     print(f"  pool-on aggregate cache: "
           f"{det['service_pool_on']['cache_aggregate']}")
     serial, pooled, ok = speedup_gate(doc)
-    print(f"  speedup gate: {pooled} qps (c=16, pool on) vs "
+    print(f"  speedup gate: {pooled} qps (service, pool on) vs "
           f"{serial} qps serial -> {'PASS' if ok else 'FAIL'}")
 
 
@@ -271,7 +256,7 @@ def check_baseline(path: Path, doc: dict) -> int:
     print(f"service baseline OK: deterministic counters match {path}")
     serial, pooled, ok = speedup_gate(doc)
     if not ok:
-        print(f"SPEEDUP GATE FAILED: c=16 pooled service at {pooled} "
+        print(f"SPEEDUP GATE FAILED: pooled service at {pooled} "
               f"qps does not beat serial {serial} qps by > 1")
         return 1
     print(f"speedup gate OK: {pooled} qps pooled vs {serial} qps serial")
@@ -300,8 +285,8 @@ def test_service_throughput(benchmark, capsys):
         print_report(doc)
     det = doc["deterministic"]
     # Byte-identity: every query through the service costs the solo run.
-    assert det["service_pool_off"]["per_query_io_totals"] == [207]
-    assert det["serial"]["per_query_io_totals"] == [207]
+    assert det["service_pool_off"]["per_query_io_totals"] == [171]
+    assert det["serial"]["per_query_io_totals"] == [171]
     assert det["service_pool_on"]["cache_aggregate"]["evictions"] == 0
 
 

@@ -13,7 +13,9 @@ surface under concurrent clients (served one request at a time):
    one-shots) and check every response;
 4. scrape ``/metrics`` and assert the service counters saw the
    queries, and ``/healthz`` reports live;
-5. shut the process down and fail on a non-clean exit.
+5. send one query as a tenant whose ``--quota`` share is too small for
+   it and expect a typed 422;
+6. shut the process down and fail on a non-clean exit.
 
 Exit status 0 on success; any assertion or timeout fails the job.
 """
@@ -27,6 +29,7 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -49,7 +52,8 @@ def start_server(table_args: list[str]) -> tuple[subprocess.Popen, int]:
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
          "-M", "256", "-B", "2", "--pool-frames", "2048",
-         *table_args],
+         # 0.01 of the 256-tuple budget is below one query's need.
+         "--quota", "smoke-tenant=0.01", *table_args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 30
     assert proc.stdout is not None
@@ -64,9 +68,9 @@ def start_server(table_args: list[str]) -> tuple[subprocess.Popen, int]:
     raise AssertionError("serve never printed its listening banner")
 
 
-def post_query(base: str, client: int, i: int) -> dict:
+def post_query(base: str, client: int, i: int, **extra) -> dict:
     body = {"query": "e1(v1,v2), e2(v2,v3), e3(v3,v4)",
-            "M": 8, "B": 2}
+            "M": 8, "B": 2, **extra}
     if client % 2 == 0:  # half the clients keep a sticky session
         body["session"] = f"smoke-{client}"
     req = urllib.request.Request(
@@ -91,11 +95,11 @@ def main() -> int:
                     for i in range(QUERIES_PER_CLIENT):
                         doc = post_query(base, c, i)
                         assert doc["results"] == 256, doc["results"]
-                        # Warm queries cost their 80 intermediate
+                        # Warm queries cost their 62 intermediate
                         # writes; whoever faults base pages pays up to
                         # 17 more.  (Which query pays is a race; the
                         # sum is not.)
-                        assert 80 <= doc["io"]["total"] <= 97, doc
+                        assert 62 <= doc["io"]["total"] <= 79, doc
                         io_totals.append(doc["io"]["total"])
                 except BaseException as exc:  # noqa: BLE001 - reported
                     errors.append(exc)
@@ -109,9 +113,9 @@ def main() -> int:
             if errors:
                 raise errors[0]
             total = N_CLIENTS * QUERIES_PER_CLIENT
-            # Schedule-independent: 80 writebacks per query, plus the
+            # Schedule-independent: 62 writebacks per query, plus the
             # 17 base pages faulted exactly once service-wide.
-            assert sum(io_totals) == total * 80 + 17, sum(io_totals)
+            assert sum(io_totals) == total * 62 + 17, sum(io_totals)
 
             with urllib.request.urlopen(f"{base}/metrics",
                                         timeout=10) as resp:
@@ -144,18 +148,30 @@ def main() -> int:
             assert full["admission"]["outcome"] == "granted"
             assert full["io"]["total"] == newest["io_total"]
 
+            # The tenant's share cannot hold the query's need: a typed
+            # 422, never a retryable status.
+            try:
+                post_query(base, 1, 0, tenant="smoke-tenant")
+            except urllib.error.HTTPError as exc:
+                assert exc.code == 422, exc.code
+                assert json.load(exc)["kind"] == "rejected"
+            else:
+                raise AssertionError("over-quota tenant was admitted")
+
             with urllib.request.urlopen(f"{base}/stats",
                                         timeout=10) as resp:
                 stats = json.load(resp)
-            assert stats["flight"]["seen"] == total, stats["flight"]
-            assert stats["admission"]["granted"] == 0, stats["admission"]
+            assert stats["flight"]["seen"] == total + 1, stats["flight"]
+            adm = stats["admission"]
+            assert adm["admitted"] == adm["released"], adm  # no leak
+            assert adm["quota_rejections"] == 1, adm
             assert "pins" in stats["pool"], stats["pool"]
 
             with urllib.request.urlopen(f"{base}/healthz",
                                         timeout=10) as resp:
                 assert json.load(resp)["ok"] is True
             print(f"smoke OK: {total} concurrent queries, flight "
-                  f"records, metrics and health check out")
+                  f"records, metrics, quota and health check out")
         finally:
             proc.terminate()
             rc = proc.wait(timeout=15)
