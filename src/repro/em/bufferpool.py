@@ -108,14 +108,17 @@ class PoolConfig:
 
 
 class _Frame:
-    """One resident page: dirtiness, pin count, and who dirtied it."""
+    """One resident page: dirtiness, pin count, and who dirtied it.
+
+    Frames start clean and unpinned; the pool marks them dirty.
+    """
 
     __slots__ = ("dirty", "pins", "dirtied_by")
 
-    def __init__(self, dirty: bool, dirtied_by: "Device | None") -> None:
-        self.dirty = dirty
+    def __init__(self) -> None:
+        self.dirty = False
         self.pins = 0
-        self.dirtied_by = dirtied_by if dirty else None
+        self.dirtied_by: "Device | None" = None
 
 
 class BufferPool:
@@ -170,41 +173,93 @@ class BufferPool:
                 for owner, held in self._owner_pins.items() if held}
 
     # -- page access (called by Device.charge_read / charge_write) -----
+    #
+    # One call per page: hit, miss, admission and eviction happen inline
+    # (a dirty victim goes through _write_back, which flush shares).
+    # The charged device's observers are notified only when it has any;
+    # the counters move the same way either way, and observed runs see
+    # the events in the same order.
 
-    def read_page(self, f: Hashable, page: int, *,
+    def read_page(self, f: Hashable, page: int,
                   via: "Device | None" = None) -> None:
         """Account one logical page read: a hit or a charged miss.
 
         ``via`` is the device doing the access (defaults to the pool's
-        own); its counters receive the hit/miss and any physical read.
+        own); its counters receive the hit/miss, the physical read and
+        any eviction.  A miss with every frame pinned is charged but
+        not cached.
+        """
+        dev = self.device if via is None else via
+        stats = dev.stats
+        key = (f, page)
+        frames = self._frames
+        if key in frames:
+            stats.cache.hits += 1
+            if dev.observers:
+                dev._notify_cache("hit", f, page)
+            self.policy.on_access(key)
+            return
+        stats.cache.misses += 1
+        if dev.observers:
+            dev._notify_cache("miss", f, page)
+            dev._record_read(f, page)
+        else:
+            stats.reads += 1
+        if len(frames) < self.n_frames:
+            frames[key] = _Frame()
+            self.device.metrics.gauge("pool.resident_pages").set(
+                len(frames))
+        else:
+            victim = self.policy.victim(frames)
+            if victim is None:
+                return
+            # The victim's frame (unpinned, clean after write-back) is
+            # reused for the new page.
+            frame = frames.pop(victim)
+            stats.cache.evictions += 1
+            if dev.observers:
+                dev._notify_cache("eviction", victim[0], victim[1])
+            if frame.dirty:
+                self._write_back(victim, frame)
+            frames[key] = frame
+        self.policy.on_insert(key)
+
+    def write_page(self, f: Hashable, page: int,
+                   via: "Device | None" = None) -> None:
+        """Account one logical page write, deferred until write-back.
+
+        With every frame pinned the write goes straight through,
+        uncached.
         """
         dev = self.device if via is None else via
         key = (f, page)
-        frame = self._frames.get(key)
-        if frame is not None:
-            dev.stats.cache.hits += 1
-            dev._notify_cache("hit", f, page)
+        frames = self._frames
+        frame = frames.get(key)
+        if frame is None:
+            if len(frames) < self.n_frames:
+                frame = frames[key] = _Frame()
+                self.device.metrics.gauge("pool.resident_pages").set(
+                    len(frames))
+            else:
+                victim = self.policy.victim(frames)
+                if victim is None:
+                    if dev.observers:
+                        dev._record_write(f, page)
+                    else:
+                        dev.stats.writes += 1
+                    return
+                frame = frames.pop(victim)
+                dev.stats.cache.evictions += 1
+                if dev.observers:
+                    dev._notify_cache("eviction", victim[0], victim[1])
+                if frame.dirty:
+                    self._write_back(victim, frame)
+                frames[key] = frame
+            self.policy.on_insert(key)
+        else:
             self.policy.on_access(key)
-            return
-        dev.stats.cache.misses += 1
-        dev._notify_cache("miss", f, page)
-        dev._record_read(f, page)
-        self._admit(key, dirty=False, via=dev)
-
-    def write_page(self, f: Hashable, page: int, *,
-                   via: "Device | None" = None) -> None:
-        """Account one logical page write, deferred until write-back."""
-        dev = self.device if via is None else via
-        key = (f, page)
-        frame = self._frames.get(key)
-        if frame is not None:
-            frame.dirty = True
-            frame.dirtied_by = dev
-            self.policy.on_access(key)
-            return
-        if not self._admit(key, dirty=True, via=dev):
-            # Every frame pinned: write through, uncached.
-            dev._record_write(f, page)
+        frame.dirty = True
+        frame.dirtied_by = dev
 
     # -- pinning -------------------------------------------------------
 
@@ -343,36 +398,18 @@ class BufferPool:
     # -- internals -----------------------------------------------------
 
     def _write_back(self, key: tuple[Hashable, int], frame: _Frame) -> None:
+        """Write one dirty frame back, charged to the device that
+        dirtied it; the frame stays resident, clean."""
         dev = frame.dirtied_by or self.device
-        dev._record_write(key[0], key[1])
-        dev.stats.cache.writebacks += 1
-        dev._notify_cache("writeback", key[0], key[1])
+        if dev.observers:
+            dev._record_write(key[0], key[1])
+            dev.stats.cache.writebacks += 1
+            dev._notify_cache("writeback", key[0], key[1])
+        else:
+            dev.stats.writes += 1
+            dev.stats.cache.writebacks += 1
         frame.dirty = False
         frame.dirtied_by = None
-
-    def _admit(self, key: tuple[Hashable, int], dirty: bool,
-               via: "Device | None" = None) -> bool:
-        """Make ``key`` resident, evicting if full.  False if impossible."""
-        dev = self.device if via is None else via
-        if len(self._frames) >= self.n_frames and not self._evict_one(dev):
-            return False
-        self._frames[key] = _Frame(dirty, dev)
-        self.policy.on_insert(key)
-        self.device.metrics.gauge("pool.resident_pages").set(
-            len(self._frames))
-        return True
-
-    def _evict_one(self, dev: "Device") -> bool:
-        victim = self.policy.victim(
-            lambda k: self._frames[k].pins == 0)
-        if victim is None:
-            return False
-        frame = self._frames.pop(victim)
-        dev.stats.cache.evictions += 1
-        dev._notify_cache("eviction", victim[0], victim[1])
-        if frame.dirty:
-            self._write_back(victim, frame)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BufferPool(frames={self.n_frames}, "

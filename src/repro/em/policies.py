@@ -8,8 +8,10 @@ hashable keys and three events:
 
 * :meth:`~ReplacementPolicy.on_insert` — the key became resident;
 * :meth:`~ReplacementPolicy.on_access` — the key was hit while resident;
-* :meth:`~ReplacementPolicy.victim` — choose (and forget) an evictable
-  key, or return ``None`` when every candidate is pinned.
+* :meth:`~ReplacementPolicy.victim` — given the pool's frame table
+  (key → frame), choose (and forget) a key whose frame has no pins,
+  or return ``None`` when every candidate is pinned.  The policy reads
+  ``frames[key].pins`` itself; it never writes a frame.
 
 Three classic policies are provided:
 
@@ -26,10 +28,21 @@ Three classic policies are provided:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable
+from typing import Any, Hashable, Mapping, Protocol
 
 Key = Hashable
-Evictable = Callable[[Key], bool]
+
+
+class Frame(Protocol):
+    """What a policy reads of a resident frame: its pin count."""
+
+    pins: int
+
+
+#: The pool's frame table as :meth:`ReplacementPolicy.victim` sees it.
+#: Keys are whatever the pool uses (``(file, page)`` pairs); every
+#: tracked key is present.
+Frames = Mapping[Any, Frame]
 
 
 class ReplacementPolicy:
@@ -41,11 +54,11 @@ class ReplacementPolicy:
     def on_access(self, key: Key) -> None:
         raise NotImplementedError
 
-    def victim(self, evictable: Evictable) -> Key | None:
-        """Choose an evictable key, remove it from the policy, return it.
+    def victim(self, frames: Frames) -> Key | None:
+        """Choose an unpinned key, remove it from the policy, return it.
 
-        Returns ``None`` when no tracked key satisfies ``evictable``
-        (every frame is pinned).
+        A key is a candidate when ``frames[key].pins == 0``.  Returns
+        ``None`` when every tracked key is pinned.
         """
         raise NotImplementedError
 
@@ -71,9 +84,9 @@ class LRUPolicy(ReplacementPolicy):
     def on_access(self, key: Key) -> None:
         self._order.move_to_end(key)
 
-    def victim(self, evictable: Evictable) -> Key | None:
+    def victim(self, frames: Frames) -> Key | None:
         for key in self._order:  # oldest first
-            if evictable(key):
+            if not frames[key].pins:
                 del self._order[key]
                 return key
         return None
@@ -95,9 +108,9 @@ class MRUPolicy(LRUPolicy):
 
     name = "mru"
 
-    def victim(self, evictable: Evictable) -> Key | None:
+    def victim(self, frames: Frames) -> Key | None:
         for key in reversed(self._order):  # newest first
-            if evictable(key):
+            if not frames[key].pins:
                 del self._order[key]
                 return key
         return None
@@ -125,7 +138,7 @@ class ClockPolicy(ReplacementPolicy):
     def on_access(self, key: Key) -> None:
         self._ref[key] = True
 
-    def victim(self, evictable: Evictable) -> Key | None:
+    def victim(self, frames: Frames) -> Key | None:
         if not self._ring:
             return None
         # Two full sweeps clear every reference bit; a third pass can
@@ -134,7 +147,7 @@ class ClockPolicy(ReplacementPolicy):
             if self._hand >= len(self._ring):
                 self._hand = 0
             key = self._ring[self._hand]
-            if not evictable(key):
+            if frames[key].pins:
                 self._hand += 1
             elif self._ref[key]:
                 self._ref[key] = False

@@ -102,6 +102,10 @@ class IOStats:
     cache:
         Buffer-pool counters; all zero unless the device opts into a
         :class:`~repro.em.bufferpool.BufferPool`.
+    suspended:
+        Nesting depth of :meth:`suspend`; truthy while counting is
+        suspended.  A plain attribute, since the device tests it on
+        every page charge.
 
     While :meth:`suspend` is active the device charges nothing — used
     for free input materialization, where rewinding the counters
@@ -112,27 +116,22 @@ class IOStats:
     reads: int = 0
     writes: int = 0
     cache: CacheStats = field(default_factory=CacheStats, compare=False)
-    _suspended: int = field(default=0, init=False, repr=False,
-                            compare=False)
+    suspended: int = field(default=0, init=False, repr=False,
+                           compare=False)
 
     @property
     def total(self) -> int:
         """Total block transfers, the cost measure of the EM model."""
         return self.reads + self.writes
 
-    @property
-    def suspended(self) -> bool:
-        """True while counting is suspended (free materialization)."""
-        return self._suspended > 0
-
     @contextlib.contextmanager
     def suspend(self) -> Iterator[None]:
         """Suspend all charging for the enclosed scope (re-entrant)."""
-        self._suspended += 1
+        self.suspended += 1
         try:
             yield
         finally:
-            self._suspended -= 1
+            self.suspended -= 1
 
     def snapshot(self) -> "IOStats":
         """Return an independent copy of the current counters.

@@ -92,48 +92,57 @@ class PoolView:
         self.shared = shared
         self.device = device
         self.owner = owner
-        # EMFile (by identity) -> label.  Shared entries persist for the
-        # view's lifetime; private ones are forgotten at end_query() so
-        # dead temp files do not accumulate.
-        self._shared_labels: dict["EMFile", str] = {}
-        self._private_labels: dict["EMFile", str] = {}
-        self._private_set: set[str] = set()
+        self._pool = shared.pool
+        # EMFile (by identity) -> label, one lookup per page access.
+        # Shared entries persist for the view's lifetime; private ones
+        # (also kept in _private, file -> label) are forgotten at
+        # end_query() so dead temp files do not accumulate.
+        self._labels: dict["EMFile", str] = {}
+        self._private: dict["EMFile", str] = {}
         self._n_private = 0
 
     # -- label management ---------------------------------------------
 
     def share(self, f: "EMFile", label: str) -> None:
         """Map this session's file onto a pool-wide shared label."""
-        self._shared_labels[f] = label
+        self._labels[f] = label
 
     def _label(self, f: "EMFile") -> str:
-        label = self._shared_labels.get(f)
-        if label is not None:
-            return label
-        label = self._private_labels.get(f)
-        if label is None:
-            # The counter (not the file name) guarantees uniqueness:
-            # distinct live files may share a name across instances.
-            self._n_private += 1
-            name = getattr(f, "name", None) or str(f)
-            label = f"view/{self.owner}/{self._n_private}:{name}"
-            self._private_labels[f] = label
-            self._private_set.add(label)
+        return self._labels.get(f) or self._new_private_label(f)
+
+    def _new_private_label(self, f: "EMFile") -> str:
+        # The counter (not the file name) guarantees uniqueness:
+        # distinct live files may share a name across instances.
+        self._n_private += 1
+        name = getattr(f, "name", None) or str(f)
+        label = f"view/{self.owner}/{self._n_private}:{name}"
+        self._labels[f] = self._private[f] = label
         return label
+
+    def _forget_private(self) -> set[str]:
+        """Forget this query's private files; return their labels."""
+        labels = set(self._private.values())
+        for f in self._private:
+            if self._labels[f] in labels:  # not shared since
+                del self._labels[f]
+        self._private.clear()
+        return labels
 
     # -- the Device pool surface --------------------------------------
 
     def read_page(self, f: "EMFile", page: int) -> None:
-        self.shared.pool.read_page(self._label(f), page,
-                                   via=self.device)
+        self._pool.read_page(
+            self._labels.get(f) or self._new_private_label(f), page,
+            self.device)
 
     def write_page(self, f: "EMFile", page: int) -> None:
-        self.shared.pool.write_page(self._label(f), page,
-                                    via=self.device)
+        self._pool.write_page(
+            self._labels.get(f) or self._new_private_label(f), page,
+            self.device)
 
     def flush(self) -> None:
         """Write back only this session's deferred dirty pages."""
-        self.shared.pool.flush(device=self.device)
+        self._pool.flush(device=self.device)
 
     def clear(self) -> None:
         """Drop this view's private frames without write-back.
@@ -142,20 +151,18 @@ class PoolView:
         base pages are only ever clean (inputs materialize uncharged,
         bypassing the pool).
         """
-        self.shared.pool.drop_matching(
-            lambda key: key[0] in self._private_set,
-            include_dirty=True)
-        self._private_labels.clear()
-        self._private_set.clear()
+        private = self._forget_private()
+        self._pool.drop_matching(lambda key: key[0] in private,
+                                 include_dirty=True)
 
     # -- session-facing extras ----------------------------------------
 
     def pin(self, f: "EMFile", page: int) -> None:
-        self.shared.pool.pin(self._label(f), page, via=self.device,
-                             owner=self.owner)
+        self._pool.pin(self._label(f), page, via=self.device,
+                       owner=self.owner)
 
     def unpin(self, f: "EMFile", page: int) -> None:
-        self.shared.pool.unpin(self._label(f), page, owner=self.owner)
+        self._pool.unpin(self._label(f), page, owner=self.owner)
 
     def end_query(self) -> None:
         """Retire one query's working set: flush own dirty pages, then
@@ -166,19 +173,16 @@ class PoolView:
         and dropping them keeps pooled counters independent of what ran
         before on this session.
         """
-        pool = self.shared.pool
-        pool.flush(device=self.device)
-        pool.drop_matching(lambda key: key[0] in self._private_set)
-        self._private_labels.clear()
-        self._private_set.clear()
+        self._pool.flush(device=self.device)
+        private = self._forget_private()
+        self._pool.drop_matching(lambda key: key[0] in private)
 
     def close(self) -> None:
         """Session teardown: release only *this* session's pins, write
         back its dirty pages, and drop its private frames."""
-        pool = self.shared.pool
+        pool = self._pool
         pool.release_owner(self.owner)
         pool.flush(device=self.device)
-        pool.drop_matching(lambda key: key[0] in self._private_set)
-        self._private_labels.clear()
-        self._private_set.clear()
-        self._shared_labels.clear()
+        private = self._forget_private()
+        pool.drop_matching(lambda key: key[0] in private)
+        self._labels.clear()

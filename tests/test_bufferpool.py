@@ -14,6 +14,7 @@ from conftest import make_random_data
 from repro import Device, Instance
 from repro.core import CountingEmitter, execute
 from repro.em import BufferPoolError, PoolConfig, make_policy
+from repro.obs import Tracer
 from repro.query import line_query, star_query
 
 
@@ -328,8 +329,8 @@ def test_pool_disabled_counts_equal_seed_counts(n_edges, size, domain,
     q = line_query(n_edges)
     schemas, data = make_random_data(q, size, domain, seed=seed)
 
-    def run(pool):
-        dev = Device(M=4, B=2, buffer_pool=pool)
+    def run(pool, observers=()):
+        dev = Device(M=4, B=2, buffer_pool=pool, observers=observers)
         inst = Instance.from_dicts(dev, schemas, data)
         em = CountingEmitter()
         execute(q, inst, em)
@@ -348,3 +349,23 @@ def test_pool_disabled_counts_equal_seed_counts(n_edges, size, domain,
     c = dev_on.stats.cache
     assert c.logical_reads == dev_a.stats.reads
     assert dev_on.stats.reads == c.misses
+
+    # The observed pool path (notifications on) counts exactly what the
+    # observer-free path counts, and the observer sees every event.
+    tracer = Tracer()
+    dev_obs, em_obs = run(PoolConfig(tuples=4, policy=policy), [tracer])
+    assert em_obs.count == em_on.count
+    assert _pool_counts(dev_obs) == _pool_counts(dev_on)
+    summary = tracer.summary()
+    assert (summary["io"]["reads"], summary["io"]["writes"]) == \
+        (dev_on.stats.reads, dev_on.stats.writes)
+    assert summary["cache"] == {
+        k: v for k, v in c.as_dict().items()
+        if k in ("hits", "misses", "evictions", "writebacks")}
+
+
+def _pool_counts(dev):
+    """Reads, writes, hits, misses, evictions and write-backs."""
+    c = dev.stats.cache
+    return (dev.stats.reads, dev.stats.writes, c.hits, c.misses,
+            c.evictions, c.writebacks)

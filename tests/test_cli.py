@@ -214,6 +214,24 @@ class TestRunProfile:
         assert "# TYPE repro_sort_run_tuples histogram" in text
         assert "repro_sort_run_tuples_count" in text
 
+    def test_resident_pages_gauge(self, csv_tables, capsys):
+        """``pool.resident_pages`` reports the frames resident at the
+        end of the run and the most ever resident."""
+        met_path = csv_tables / "metrics.prom"
+        rc = main(["run",
+                   "--query", "follows(src, dst), lives(dst, city)",
+                   "--table", f"follows={csv_tables}/follows.csv",
+                   "--table", f"lives={csv_tables}/lives.csv",
+                   "-M", "8", "-B", "2", "--pool-frames", "2", "--json",
+                   "--metrics-out", str(met_path)])
+        assert rc == 0
+        p = json.loads(capsys.readouterr().out)
+        gauge = p["metrics"]["gauges"]["pool.resident_pages"]
+        assert (gauge["value"], gauge["max"]) == (2, 2)
+        lines = met_path.read_text().splitlines()
+        assert "repro_pool_resident_pages 2" in lines
+        assert "repro_pool_resident_pages_max 2" in lines
+
     def test_profile_prose_line(self, csv_tables, capsys):
         rc = main(["run",
                    "--query", "follows(src, dst), lives(dst, city)",

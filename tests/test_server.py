@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.em import BufferPoolError
+from repro.obs import Tracer
 from repro.query import line_query
 from repro.server import (AdmissionRejected, Catalog, CatalogError,
                           QueryService, ServiceError, Session,
@@ -231,6 +232,46 @@ class TestSharedPool:
         with line3_service() as svc:
             with pytest.raises(RuntimeError, match="shared pool"):
                 svc.session("a").pin_relation("e1", M=M, B=B)
+
+    def test_observed_session_counts_equal_unobserved(self):
+        """An observer on the session device changes no pool counter,
+        and it sees every hit, miss, eviction and write-back."""
+        keys = ("hits", "misses", "evictions", "writebacks")
+
+        def run(observe):
+            tracer = Tracer()
+            with line3_service(pool_frames=8) as svc:
+                s = svc.session("a")
+                if observe:
+                    s._device(M, B).observe(tracer)
+                rs = [s.execute(line_query(3), M=M, B=B)
+                      for _ in range(2)]
+            return [(r.io, r.cache) for r in rs], tracer.summary()
+
+        plain, _ = run(False)
+        observed, summary = run(True)
+        assert observed == plain
+        assert plain[0][1]["evictions"] > 0
+        assert plain[0][1]["writebacks"] > 0
+        assert summary["cache"] == {
+            k: sum(cache[k] for _, cache in plain) for k in keys}
+        assert summary["io"]["reads"] == sum(io["reads"] for io, _ in plain)
+        assert summary["io"]["writes"] == sum(io["writes"]
+                                              for io, _ in plain)
+
+    def test_resident_pages_gauge_in_metrics(self):
+        """``pool.resident_pages`` in ``/metrics``: the frames resident
+        now, and the most ever resident."""
+        with line3_service(pool_frames=64) as svc:
+            s = svc.session("a")
+            for _ in range(2):
+                s.execute(line_query(3), M=M, B=B)
+            gauge = svc.refresh_metrics().as_dict()["gauges"][
+                "pool.resident_pages"]
+            text = svc.prometheus()
+        assert (gauge["value"], gauge["max"]) == (8, 64)
+        assert "repro_pool_resident_pages 8\n" in text
+        assert "repro_pool_resident_pages_max 64\n" in text
 
 
 # --------------------------------------------------------- admission
