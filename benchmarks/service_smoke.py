@@ -13,9 +13,11 @@ surface under concurrent clients (served one request at a time):
    one-shots) and check every response;
 4. scrape ``/metrics`` and assert the service counters saw the
    queries, and ``/healthz`` reports live;
-5. send one query as a tenant whose ``--quota`` share is too small for
-   it and expect a typed 422;
-6. shut the process down and fail on a non-clean exit.
+5. check the flight recorder: one record per query, and the record
+   fetched by id is the query's own ``POST`` reply;
+6. send one query as a tenant whose ``--quota`` share is too small for
+   it, expect a typed 422 and find it recorded as ``rejected``;
+7. shut the process down and fail on a non-clean exit.
 
 Exit status 0 on success; any assertion or timeout fails the job.
 """
@@ -89,6 +91,7 @@ def main() -> int:
         try:
             errors: list[BaseException] = []
             io_totals: list[int] = []
+            replies: dict[int, dict] = {}  # flight_id -> POST reply
 
             def client(c: int) -> None:
                 try:
@@ -101,6 +104,7 @@ def main() -> int:
                         # sum is not.)
                         assert 62 <= doc["io"]["total"] <= 79, doc
                         io_totals.append(doc["io"]["total"])
+                        replies[doc["flight_id"]] = doc
                 except BaseException as exc:  # noqa: BLE001 - reported
                     errors.append(exc)
 
@@ -147,6 +151,10 @@ def main() -> int:
                 full = json.load(resp)
             assert full["admission"]["outcome"] == "granted"
             assert full["io"]["total"] == newest["io_total"]
+            # ...and it is the very document the POST replied with.
+            reply = replies[newest["id"]]
+            for key in ("io", "phases", "admission", "wall_ms"):
+                assert full[key] == reply[key], (key, full, reply)
 
             # The tenant's share cannot hold the query's need: a typed
             # 422, never a retryable status.
@@ -157,6 +165,11 @@ def main() -> int:
                 assert json.load(exc)["kind"] == "rejected"
             else:
                 raise AssertionError("over-quota tenant was admitted")
+            with urllib.request.urlopen(f"{base}/debug/queries?n=1",
+                                        timeout=10) as resp:
+                (rejected,) = json.load(resp)["records"]
+            assert rejected["status"] == "rejected", rejected
+            assert rejected["owner"] == "smoke-tenant", rejected
 
             with urllib.request.urlopen(f"{base}/stats",
                                         timeout=10) as resp:

@@ -93,13 +93,14 @@ import sys
 
 from repro.analysis import FIT_CLASSES, certify, fit_class
 from repro.core import CollectingEmitter, execute
+from repro.data.instance import Instance
 from repro.data.io import dump_results_csv, instance_from_csv
 from repro.em.bufferpool import PoolConfig
 from repro.em.device import Device
 from repro.em.policies import POLICIES
 from repro.obs import (MetricsRegistry, ProfiledEmitter, SpanProfiler,
                        Tracer, to_prometheus, write_chrome_trace)
-from repro.query import (fractional_edge_cover, gens_all,
+from repro.query import (JoinQuery, fractional_edge_cover, gens_all,
                          is_berge_acyclic)
 from repro.query.parse import parse_query, parse_query_and_layouts
 from repro.query.shapes import classify_shape, detect_line
@@ -305,22 +306,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI entry point: loads CSVs and writes reports on the host; the measured run happens inside execute()
-    query, layouts = parse_query_and_layouts(args.query)
+class _UsageError(Exception):
+    """Bad command-line input: reported as ``error: ...``, exit 2."""
+
+
+def _load_tables(specs: list[str], query: JoinQuery, layouts: dict,
+                 M: int, B: int, **device_kw) -> tuple[Device, Instance]:
+    """Load ``--table NAME=PATH`` specs onto a fresh ``Device(M, B)``.
+
+    Every relation of ``query`` needs a table, and each table's columns
+    must be the attributes the query text names for it.
+    """
     tables = {}
-    for spec in args.table:
-        name, _, path = spec.partition("=")
-        if not path:
-            print(f"error: --table expects NAME=PATH, got {spec!r}",
-                  file=sys.stderr)
-            return 2
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep or not name or not path:
+            raise _UsageError(f"--table expects NAME=PATH, got {spec!r}")
         tables[name] = path
     missing = set(query.edges) - set(tables)
     if missing:
-        print(f"error: no --table for relations {sorted(missing)}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"no --table for relations {sorted(missing)}")
+    try:
+        device = Device(M=M, B=B, **device_kw)
+        instance = instance_from_csv(device, tables)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(str(exc)) from exc
+    for e, attrs in layouts.items():
+        have = instance[e].schema.attributes
+        if set(have) != set(attrs):
+            raise _UsageError(f"{tables[e]} has columns {list(have)}, "
+                              f"query names {list(attrs)} for {e}")
+    return device, instance
 
+
+def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI entry point: loads CSVs and writes reports on the host; the measured run happens inside execute()
+    query, layouts = parse_query_and_layouts(args.query)
     pool = None
     if args.pool_frames:
         if args.pool_frames < 0:
@@ -339,17 +359,13 @@ def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
     profiler = SpanProfiler() if args.profile else None
     metrics = (MetricsRegistry() if args.metrics or args.metrics_out
                else None)
-    device = Device(M=args.M, B=args.B, buffer_pool=pool,
-                    observers=filter(None, (tracer, profiler)),
-                    metrics=metrics)
-    instance = instance_from_csv(device, tables)
-    # Align loaded column layouts to the query text's attribute order.
-    for e, attrs in layouts.items():
-        have = instance[e].schema.attributes
-        if set(have) != set(attrs):
-            print(f"error: {tables[e]} has columns {list(have)}, query "
-                  f"names {list(attrs)} for {e}", file=sys.stderr)
-            return 2
+    try:
+        device, instance = _load_tables(
+            args.table, query, layouts, args.M, args.B, buffer_pool=pool,
+            observers=filter(None, (tracer, profiler)), metrics=metrics)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     emitter = CollectingEmitter()
     sink = (ProfiledEmitter(emitter, profiler) if profiler is not None
@@ -526,28 +542,12 @@ def cmd_explain(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CL
     from repro.core import CountingEmitter
 
     query, layouts = parse_query_and_layouts(args.query)
-    tables = {}
-    for spec in args.table:
-        name, _, path = spec.partition("=")
-        if not path:
-            print(f"error: --table expects NAME=PATH, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        tables[name] = path
-    missing = set(query.edges) - set(tables)
-    if missing:
-        print(f"error: no --table for relations {sorted(missing)}",
-              file=sys.stderr)
+    try:
+        device, instance = _load_tables(args.table, query, layouts,
+                                        args.M, args.B)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    device = Device(M=args.M, B=args.B)
-    instance = instance_from_csv(device, tables)
-    for e, attrs in layouts.items():
-        have = instance[e].schema.attributes
-        if set(have) != set(attrs):
-            print(f"error: {tables[e]} has columns {list(have)}, query "
-                  f"names {list(attrs)} for {e}", file=sys.stderr)
-            return 2
     sizes = {e: len(instance[e]) for e in query.edges}
 
     emitter = CountingEmitter()
@@ -804,15 +804,17 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
                   file=sys.stderr)
             return 2
 
-    svc = QueryService(
-        M=args.M, B=args.B, pool_frames=args.pool_frames,
-        pool_policy=args.pool_policy, max_pin_share=args.max_pin_share,
-        flight_records=args.flight_records,
-        slow_query_ms=args.slow_query_ms, default_quota=default_quota,
-        fitted=fitted)
-    for owner, quota in quotas.items():
-        svc.set_quota(owner, max_share=quota.max_share)
+    svc = None
     try:
+        svc = QueryService(
+            M=args.M, B=args.B, pool_frames=args.pool_frames,
+            pool_policy=args.pool_policy,
+            max_pin_share=args.max_pin_share,
+            flight_records=args.flight_records,
+            slow_query_ms=args.slow_query_ms,
+            default_quota=default_quota, fitted=fitted)
+        for owner, quota in quotas.items():
+            svc.set_quota(owner, max_share=quota.max_share)
         if tables:
             svc.load_tables(args.instance, tables)
             print(f"serve: loaded {len(tables)} table(s) into instance "
@@ -820,7 +822,8 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
         server = make_server(svc, args.host, args.port)
     except (OSError, ValueError, KeyError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
-        svc.close()
+        if svc is not None:
+            svc.close()
         return 2
     pool = (f"pool={args.pool_frames} frames ({args.pool_policy})"
             if args.pool_frames else "pool=off")

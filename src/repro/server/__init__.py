@@ -15,7 +15,8 @@ run to completion:
 * :mod:`repro.server.session` — parse → classify → plan → execute with
   per-session counter/trace isolation (solo-run byte identity);
 * :mod:`repro.server.flight` — the query flight recorder: one bounded
-  ring of per-query lifecycle records behind ``/debug/queries``;
+  ring of the sessions' :class:`QueryResult` records behind
+  ``/debug/queries``;
 * :mod:`repro.server.service` — the engine tying those together;
 * :mod:`repro.server.http` — ``/metrics`` (Prometheus text), ``/query``
   (JSON) and friends, behind ``repro serve``.
@@ -24,7 +25,7 @@ run to completion:
 from repro.server.admission import (AdmissionController, AdmissionError,
                                     AdmissionRejected, Grant, Quota)
 from repro.server.catalog import Catalog, CatalogEntry, CatalogError
-from repro.server.flight import FlightRecord, FlightRecorder
+from repro.server.flight import FlightRecorder
 from repro.server.http import ServiceServer, make_server, start_http_server
 from repro.server.pool import PoolView, SharedPool
 from repro.server.service import QueryService, ServiceError
@@ -34,7 +35,7 @@ __all__ = [
     "AdmissionController", "AdmissionError", "AdmissionRejected",
     "Grant", "Quota",
     "Catalog", "CatalogEntry", "CatalogError",
-    "FlightRecord", "FlightRecorder",
+    "FlightRecorder",
     "SharedPool", "PoolView",
     "Session", "SessionClosed", "QueryResult",
     "QueryService", "ServiceError",

@@ -13,7 +13,9 @@ Routes (all rooted at the bind address of ``repro serve``):
   ``?n=`` caps the count, ``?slow=1`` filters to slow queries), plus
   the ring's seen/stored/overwritten accounting so a truncated history
   is visible as such;
-* ``GET /debug/queries/<id>`` — one full flight record;
+* ``GET /debug/queries/<id>`` — one full flight record: the same
+  document ``POST /query`` replied with (``<id>`` is its
+  ``flight_id``), without ``rows``;
 * ``POST /query`` — run one query.  Body::
 
       {"query": "e1(v1,v2), e2(v2,v3), e3(v3,v4)",

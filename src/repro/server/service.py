@@ -12,10 +12,9 @@ requests.  It owns the pieces individual runs would otherwise rebuild:
 * a :class:`~repro.obs.metrics.MetricsRegistry` aggregating
   service-wide instruments for the ``/metrics`` exposition;
 * a :class:`~repro.server.flight.FlightRecorder` keeping the newest
-  query lifecycle records (``GET /debug/queries``); pass
-  ``flight_records=0`` to turn recording off — I/O counters are
-  byte-identical either way (the recorder only copies deltas the
-  session already computed).
+  query records (``GET /debug/queries``); pass ``flight_records=0`` to
+  turn recording off — I/O counters are byte-identical either way (the
+  recorder only keeps the records the sessions already built).
 
 Every query runs to completion on the calling thread.  The win of a
 long-lived service is amortization, not parallel compute: instances

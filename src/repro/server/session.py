@@ -23,6 +23,11 @@ Per query the session:
 5. releases the grant and reports a :class:`QueryResult` built from
    counter deltas, so a long-lived session reports each query as if it
    were the device's first.
+
+A rejected or failed query gets a :class:`QueryResult` too (``status``
+``"rejected"``/``"error"``, its ``error`` text, no results or I/O);
+every outcome's record goes to the service's flight recorder, and the
+exception still reaches the caller.
 """
 
 from __future__ import annotations
@@ -47,58 +52,71 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.service import QueryService
 
 
-def _admission_doc(svc: "QueryService", owner: str, need: int,
-                   wait_s: float, outcome: str) -> dict:
-    """A query's ``admission`` entry: need, wait, verdict, quota."""
-    doc: dict = {"need": need, "wait_ms": round(wait_s * 1e3, 3),
-                 "outcome": outcome}
-    quota = svc.admission.quota_for(owner)
-    if quota is not None:
-        doc["quota"] = quota.as_dict()
-    return doc
-
-
 class SessionClosed(RuntimeError):
     """The session was closed; open a new one."""
 
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Everything one query did, in solo-run-comparable units."""
+    """One query, end to end: what it did, in solo-run-comparable
+    units, and how it fared.  The ``POST /query`` reply and the flight
+    record are both this one document (:meth:`as_dict`)."""
 
     query: str
     instance: str
     session: str
-    shape: str
-    algorithm: str
-    results: int
-    io: dict
-    phases: dict
-    peak_mem: int
+    owner: str                     #: admission owner (tenant)
+    status: str                    #: "ok", "rejected" or "error"
     machine: dict
-    admission: dict
-    cache: dict | None = None
-    wall_s: float = 0.0
+    arrival_unix: float            #: wall-clock arrival (epoch seconds)
+    admission: dict = field(default_factory=dict)
+    shape: str = ""
+    algorithm: str = ""
+    results: int = 0
+    io: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict)
+    peak_mem: int = 0
+    cache: dict | None = None      #: owner-attributed pool deltas
+    wall_s: float = 0.0            #: arrival to finish
+    run_s: float = 0.0             #: grant to finish
+    error: str | None = None
     rows: list | None = field(default=None, repr=False)
-    #: id of this query's flight record (None with recording off).
+    #: set by the flight recorder (None with recording off).
     flight_id: int | None = None
+    slow: bool = False
 
     def as_dict(self) -> dict:
         out = {"query": self.query, "instance": self.instance,
-               "session": self.session, "shape": self.shape,
-               "algorithm": self.algorithm, "results": self.results,
-               "io": self.io, "phases": self.phases,
-               "peak_mem": self.peak_mem, "machine": self.machine,
-               "admission": self.admission,
-               "wall_ms": round(self.wall_s * 1e3, 3)}
+               "session": self.session, "owner": self.owner,
+               "status": self.status,
+               "arrival_unix": round(self.arrival_unix, 6),
+               "shape": self.shape, "algorithm": self.algorithm,
+               "results": self.results, "io": self.io,
+               "phases": self.phases, "peak_mem": self.peak_mem,
+               "machine": self.machine, "admission": self.admission,
+               "wall_ms": round(self.wall_s * 1e3, 3),
+               "run_ms": round(self.run_s * 1e3, 3), "slow": self.slow}
         if self.cache is not None:
             out["cache"] = self.cache
+        if self.error is not None:
+            out["error"] = self.error
         if self.flight_id is not None:
             out["flight_id"] = self.flight_id
         if self.rows is not None:
             out["rows"] = [{edge: list(t) for edge, t in r.items()}
                            for r in self.rows]
         return out
+
+    def summary(self) -> dict:
+        """The compact row ``GET /debug/queries`` lists."""
+        return {"id": self.flight_id, "session": self.session,
+                "owner": self.owner, "status": self.status,
+                "query": self.query, "shape": self.shape,
+                "results": self.results,
+                "io_total": self.io.get("total", 0),
+                "wait_ms": self.admission.get("wait_ms", 0.0),
+                "wall_ms": round(self.wall_s * 1e3, 3),
+                "slow": self.slow}
 
 
 class Session:
@@ -134,9 +152,7 @@ class Session:
         if self.closed:
             raise SessionClosed(f"session {self.name!r} is closed")
         svc = self._service
-        flight = svc.flight
-        owner = self.name if tenant is None else tenant
-        arrival = time.time() if flight is not None else 0.0
+        arrival = time.time()
         t0 = time.perf_counter()
         if isinstance(query, str):
             text = query
@@ -146,83 +162,70 @@ class Session:
             text = format_query(q)
         M = svc.default_query_M if M is None else M
         B = svc.B if B is None else B
+        head = QueryResult(
+            query=text, instance=instance, session=self.name,
+            owner=self.name if tenant is None else tenant, status="ok",
+            machine={"M": M, "B": B}, arrival_unix=arrival)
         entry = svc.catalog.acquire(instance)
         try:
             self._check_layouts(q, layouts, entry)
             need = estimate_memory_need(q, M=M, B=B)
             wait0 = time.perf_counter()
             try:
-                grant = svc.admission.acquire(need, owner=owner)
+                grant = svc.admission.acquire(need, owner=head.owner)
             except AdmissionRejected as exc:
-                self._record_flight(
-                    svc, owner=owner, text=text, instance=instance,
-                    status="rejected", arrival=arrival, t0=t0,
-                    wait0=wait0, M=M, B=B, need=need, error=str(exc))
+                self._finish(
+                    dataclasses.replace(head, status="rejected",
+                                        error=str(exc)),
+                    need, t0, wait0)
                 raise
             wait_s = time.perf_counter() - wait0
             try:
-                result = self._run(q, text, entry, instance, M, B,
-                                   collect, reduce_first)
+                result = self._run(head, q, entry, collect,
+                                   reduce_first)
             except Exception as exc:
-                self._record_flight(
-                    svc, owner=owner, text=text, instance=instance,
-                    status="error", arrival=arrival, t0=t0, wait0=wait0,
-                    M=M, B=B, need=need, wait_s=wait_s, error=str(exc))
+                self._finish(
+                    dataclasses.replace(head, status="error",
+                                        error=str(exc)),
+                    need, t0, wait0, wait_s)
                 raise
             finally:
                 svc.admission.release(grant)
         finally:
             svc.catalog.release(entry)
         self.queries += 1
-        admission = _admission_doc(svc, owner, need, wait_s, "granted")
-        result = dataclasses.replace(
-            result, wall_s=time.perf_counter() - t0, admission=admission)
-        if flight is not None:
-            rec = flight.record(
-                session=self.name, owner=owner, query=text,
-                instance=instance, status="ok", arrival_unix=arrival,
-                wait_ms=admission["wait_ms"],
-                run_ms=round((time.perf_counter() - wait0 - wait_s)
-                             * 1e3, 3),
-                total_ms=round(result.wall_s * 1e3, 3),
-                admission=admission, machine=result.machine,
-                shape=result.shape, algorithm=result.algorithm,
-                results=result.results, io=result.io,
-                phases=result.phases, peak_mem=result.peak_mem,
-                cache=result.cache)
-            result = dataclasses.replace(result, flight_id=rec.id)
+        result = self._finish(result, need, t0, wait0, wait_s)
         svc._observe(result)
         return result
 
-    def _record_flight(self, svc: "QueryService", *, owner: str,
-                       text: str, instance: str, status: str,
-                       arrival: float, t0: float, wait0: float,
-                       M: int, B: int, need: int, wait_s: float = 0.0,
-                       error: str | None = None) -> None:
-        """Record a query that never produced a :class:`QueryResult`
-        (admission rejection or execution error)."""
-        flight = svc.flight
-        if flight is None:
-            return
+    def _finish(self, result: QueryResult, need: int, t0: float,
+                wait0: float, wait_s: float | None = None) -> QueryResult:
+        """Stamp the admission entry (need, wait, verdict, quota) and
+        timings every outcome shares, and hand the finished record to
+        the flight recorder.  ``wait_s=None``: admission took until
+        now (a rejection)."""
+        svc = self._service
         now = time.perf_counter()
-        outcome = "granted"
-        if status == "rejected":
+        if wait_s is None:
             wait_s = now - wait0
-            outcome = status
-        admission = _admission_doc(svc, owner, need, wait_s, outcome)
-        flight.record(
-            session=self.name, owner=owner, query=text,
-            instance=instance, status=status, arrival_unix=arrival,
-            wait_ms=admission["wait_ms"],
-            run_ms=round(max(0.0, now - wait0 - wait_s) * 1e3, 3),
-            total_ms=round((now - t0) * 1e3, 3), admission=admission,
-            machine={"M": M, "B": B}, error=error)
+        admission: dict = {
+            "need": need, "wait_ms": round(wait_s * 1e3, 3),
+            "outcome": ("rejected" if result.status == "rejected"
+                        else "granted")}
+        quota = svc.admission.quota_for(result.owner)
+        if quota is not None:
+            admission["quota"] = quota.as_dict()
+        result = dataclasses.replace(
+            result, admission=admission, wall_s=now - t0,
+            run_s=max(0.0, now - wait0 - wait_s))
+        return result if svc.flight is None else svc.flight.record(result)
 
-    def _run(self, q: JoinQuery, text: str,
-             entry: "CatalogEntry", instance: str, M: int, B: int,
-             collect: bool, reduce_first: bool) -> QueryResult:
+    def _run(self, head: QueryResult, q: JoinQuery,
+             entry: "CatalogEntry", collect: bool,
+             reduce_first: bool) -> QueryResult:
+        M, B = head.machine["M"], head.machine["B"]
         device = self._device(M, B)
-        inst = self._materialize(entry, device, instance)
+        inst = self._materialize(entry, device, head.instance)
         view = self._views.get((M, B))
         # Per-query isolation on a long-lived device: zero the phase and
         # memory trackers (query-scoped by definition) and diff the
@@ -239,9 +242,8 @@ class Session:
                 view.end_query()
         delta = device.stats.delta_since(before)
         cache = delta.cache.as_dict() if view is not None else None
-        return QueryResult(
-            query=text, instance=instance, session=self.name,
-            shape=report.shape, algorithm=report.algorithm,
+        return dataclasses.replace(
+            head, shape=report.shape, algorithm=report.algorithm,
             results=emitter.count,
             io={"reads": delta.reads, "writes": delta.writes,
                 "total": delta.reads + delta.writes,
@@ -250,8 +252,6 @@ class Session:
                 "join": {"reads": report.reads, "writes": report.writes}},
             phases=device.phases.report(),
             peak_mem=device.memory.peak,
-            machine={"M": M, "B": B},
-            admission={},
             cache=cache,
             rows=emitter.results if collect else None)
 

@@ -54,10 +54,22 @@ class TestRun:
         assert rc == 2
         assert "no --table" in capsys.readouterr().err
 
-    def test_bad_table_spec(self, csv_tables, capsys):
-        rc = main(["run", "--query", "follows(src,dst)",
-                   "--table", "followspath.csv"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--table", "followspath.csv"],
+        ["run", "--table", "follows={d}/follows.csv",
+         "--table", "={d}/lives.csv"],
+        ["run", "--table", "follows={d}/nope.csv"],
+        ["run", "--table", "follows={d}/follows.csv", "-M", "0"],
+        ["run", "--table", "follows={d}/follows.csv", "-B", "0"],
+        ["run", "--table", "follows={d}/follows.csv", "-M", "2", "-B", "4"],
+        ["explain", "--table", "follows={d}/nope.csv"],
+    ], ids=" ".join)
+    def test_bad_table_spec(self, argv, csv_tables, capsys):
+        argv = [a.format(d=csv_tables) for a in argv]
+        rc = main([*argv, "--query", "follows(src,dst)"])
         assert rc == 2
+        io = capsys.readouterr()
+        assert io.err.startswith("error: ") and not io.out
 
     def test_mismatched_columns(self, csv_tables, capsys):
         rc = main(["run", "--query", "follows(a, b)",
@@ -329,6 +341,12 @@ class TestServeFlags:
         ["--quota", "alice=2:0.5"],  # the old INFLIGHT:SHARE form
         ["--default-quota", "0"],
         ["--workers", "4"],
+        ["--pool-frames", "-3"],
+        ["--flight-records", "-1"],
+        ["--slow-query-ms", "-5"],
+        ["--pool-frames", "4", "--max-pin-share", "2"],
+        ["-B", "0"],
+        ["-M", "2", "-B", "4"],
     ], ids=" ".join)
     def test_bad_flag_exits_2_before_binding(self, argv, capsys):
         try:

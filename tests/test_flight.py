@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.server import (AdmissionController, AdmissionRejected,
-                          FlightRecorder, QueryService, Quota,
-                          start_http_server)
+                          FlightRecorder, QueryResult, QueryService,
+                          Quota, start_http_server)
 from repro.workloads import fig3_line3_instance
 
 BENCH_TABLE1 = (Path(__file__).resolve().parent.parent
@@ -48,14 +48,14 @@ def pinned_line3():
 class TestFlightRecorder:
     def _record(self, rec, i=0, **over):
         fields = dict(session="s", owner="s", query="q", instance="d",
-                      status="ok", arrival_unix=1000.0 + i,
-                      wait_ms=0.0, run_ms=1.0, total_ms=1.0 + i)
+                      status="ok", machine={}, arrival_unix=1000.0 + i,
+                      wall_s=(1.0 + i) / 1e3)
         fields.update(over)
-        return rec.record(**fields)
+        return rec.record(QueryResult(**fields))
 
     def test_ids_are_sequential_and_queryable(self):
         rec = FlightRecorder(capacity=8)
-        ids = [self._record(rec, i).id for i in range(3)]
+        ids = [self._record(rec, i).flight_id for i in range(3)]
         assert ids == [1, 2, 3]
         assert rec.get(2).arrival_unix == 1001.0
         assert rec.get(99) is None
@@ -69,7 +69,7 @@ class TestFlightRecorder:
         assert rec.overwritten == 6
         assert rec.seen == rec.stored + rec.overwritten
         # The ring keeps the NEWEST records, newest first.
-        assert [r.id for r in rec.records()] == [10, 9, 8, 7]
+        assert [r.flight_id for r in rec.records()] == [10, 9, 8, 7]
         # Overwritten ids are gone, not silently renumbered.
         assert rec.get(1) is None and rec.get(7) is not None
         s = rec.stats()
@@ -79,10 +79,10 @@ class TestFlightRecorder:
     def test_records_n_and_slow_filter(self):
         rec = FlightRecorder(capacity=16, slow_ms=5.0)
         for i in range(8):
-            self._record(rec, i)  # total_ms = 1 + i
+            self._record(rec, i)  # wall_ms = 1 + i
         assert len(rec.records(3)) == 3
         slow = rec.records(slow_only=True)
-        assert [r.total_ms for r in slow] == [8.0, 7.0, 6.0, 5.0]
+        assert [r.wall_s * 1e3 for r in slow] == [8.0, 7.0, 6.0, 5.0]
         assert all(r.slow for r in slow)
         assert rec.stats()["slow"] == 4
 
@@ -97,9 +97,10 @@ class TestFlightRecorder:
         r = self._record(rec, io={"total": 7, "reads": 5, "writes": 2},
                          error=None, cache=None)
         doc = r.as_dict()
-        assert doc["id"] == 1 and doc["status"] == "ok"
+        assert doc["flight_id"] == 1 and doc["status"] == "ok"
         assert "cache" not in doc and "error" not in doc
         assert r.summary()["io_total"] == 7
+        assert r.summary()["id"] == 1
 
 
 # ------------------------------------------- recording through sessions
@@ -119,7 +120,7 @@ class TestFlightThroughService:
         assert rec.machine == {"M": M, "B": B}
         assert rec.admission["outcome"] == "granted"
         assert rec.arrival_unix > 0
-        assert rec.total_ms >= rec.wait_ms
+        assert rec.wall_s * 1e3 >= rec.admission["wait_ms"]
 
     def test_result_admission_gains_outcome(self):
         with line3_service() as svc:
@@ -137,7 +138,7 @@ class TestFlightThroughService:
         assert rej.owner == "big" and rej.results == 0
         assert rej.admission["outcome"] == "rejected"
         assert "budget" in rej.error
-        assert rej.wait_ms >= 0
+        assert rej.admission["wait_ms"] >= 0 and rej.run_s == 0.0
 
     def test_execution_error_leaves_an_error_record(self):
         with line3_service() as svc:
@@ -349,6 +350,30 @@ class TestDebugEndpoints:
         assert doc["query"] == QUERY
         assert doc["io"] == r["io"] and doc["phases"] == r["phases"]
         assert doc["admission"]["outcome"] == "granted"
+
+    def test_reply_and_debug_record_are_one_document(self, http_service):
+        _, base = http_service
+        _, r = _post(base, {"query": QUERY, "M": M, "B": B,
+                            "session": "one", "collect": True})
+        _, doc = _get(base, f"/debug/queries/{r['flight_id']}")
+        assert r.pop("rows")
+        assert doc == r
+
+    def test_over_quota_422_leaves_a_rejected_record(self, http_service):
+        svc, base = http_service
+        svc.set_quota("tiny-team", max_share=0.01)
+        with pytest.raises(urllib.error.HTTPError) as e:
+            _post(base, {"query": QUERY, "M": M, "B": B,
+                         "tenant": "tiny-team"})
+        assert e.value.code == 422
+        body = json.load(e.value)
+        _, listing = _get(base, "/debug/queries?n=1")
+        (row,) = listing["records"]
+        assert row["status"] == "rejected" and row["owner"] == "tiny-team"
+        _, doc = _get(base, f"/debug/queries/{row['id']}")
+        assert doc["status"] == "rejected" and doc["results"] == 0
+        assert doc["error"] == body["error"]
+        assert doc["io"] == {} and doc["phases"] == {}
 
     def test_debug_queries_n_cap_and_bad_inputs(self, http_service):
         _, base = http_service
