@@ -17,7 +17,10 @@ surface under concurrent clients (served one request at a time):
    fetched by id is the query's own ``POST`` reply;
 6. send one query as a tenant whose ``--quota`` share is too small for
    it, expect a typed 422 and find it recorded as ``rejected``;
-7. shut the process down and fail on a non-clean exit.
+7. send one query over an unknown relation, expect a 400 and find it
+   recorded as ``error``;
+8. check the ``/stats`` pool section, then shut the process down and
+   fail on a non-clean exit.
 
 Exit status 0 on success; any assertion or timeout fails the job.
 """
@@ -171,14 +174,30 @@ def main() -> int:
             assert rejected["status"] == "rejected", rejected
             assert rejected["owner"] == "smoke-tenant", rejected
 
+            # A query the catalog cannot serve fails before admission:
+            # a 400, still recorded.
+            try:
+                post_query(base, 1, 0, query="e9(v1,v2)")
+            except urllib.error.HTTPError as exc:
+                assert exc.code == 400, exc.code
+            else:
+                raise AssertionError("unknown relation was served")
+            with urllib.request.urlopen(f"{base}/debug/queries?n=1",
+                                        timeout=10) as resp:
+                (failed,) = json.load(resp)["records"]
+            assert failed["status"] == "error", failed
+            assert failed["query"] == "e9(v1,v2)", failed
+
             with urllib.request.urlopen(f"{base}/stats",
                                         timeout=10) as resp:
                 stats = json.load(resp)
-            assert stats["flight"]["seen"] == total + 1, stats["flight"]
+            assert stats["flight"]["seen"] == total + 2, stats["flight"]
             adm = stats["admission"]
             assert adm["admitted"] == adm["released"], adm  # no leak
             assert adm["quota_rejections"] == 1, adm
-            assert "pins" in stats["pool"], stats["pool"]
+            pool = stats["pool"]
+            assert pool["frames"] == 2048 and pool["policy"] == "lru", pool
+            assert pool["resident_pages"] <= pool["frames"], pool
 
             with urllib.request.urlopen(f"{base}/healthz",
                                         timeout=10) as resp:

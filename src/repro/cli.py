@@ -28,7 +28,7 @@ Six subcommands::
 
     python -m repro serve --table R=follows.csv --table S=lives.csv \\
         [-M 4096 -B 64] [--host 127.0.0.1 --port 8707] \\
-        [--pool-frames 256 --pool-policy lru --max-pin-share 0.5] \\
+        [--pool-frames 256 --pool-policy lru] \\
         [--instance default] \\
         [--fitted benchmarks/BENCH_fitted.json] \\
         [--flight-records 256] [--slow-query-ms 100] \\
@@ -280,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="lru",
                        help="replacement policy for --pool-frames "
                             "(default lru)")
-    serve.add_argument("--max-pin-share", type=float, default=0.5,
-                       help="fraction of pool frames one session may "
-                            "pin (default 0.5)")
     serve.add_argument("--fitted", metavar="PATH",
                        help="fitted-constants document (benchmarks/"
                             "BENCH_fitted.json) arming POST "
@@ -809,7 +806,6 @@ def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long
         svc = QueryService(
             M=args.M, B=args.B, pool_frames=args.pool_frames,
             pool_policy=args.pool_policy,
-            max_pin_share=args.max_pin_share,
             flight_records=args.flight_records,
             slow_query_ms=args.slow_query_ms,
             default_quota=default_quota, fitted=fitted)

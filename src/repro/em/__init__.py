@@ -6,7 +6,7 @@ accounting, page-buffered readers and writers, the skew-aware chunk
 loaders of Section 2.3, and external merge sort.
 """
 
-from repro.em.bufferpool import BufferPool, BufferPoolError, PoolConfig
+from repro.em.bufferpool import BufferPool, PoolConfig
 from repro.em.device import Device
 from repro.em.file import EMFile, FileSegment, SequentialReader, Writer
 from repro.em.loaders import (Group, group_boundaries, load_chunks,
@@ -20,7 +20,7 @@ from repro.em.stats import (CacheStats, IOStats, MemoryBudgetExceeded,
 
 __all__ = [
     "Device", "EMFile", "FileSegment", "SequentialReader", "Writer",
-    "BufferPool", "BufferPoolError", "PoolConfig",
+    "BufferPool", "PoolConfig",
     "POLICIES", "ReplacementPolicy", "LRUPolicy", "ClockPolicy",
     "MRUPolicy", "make_policy",
     "Group", "group_boundaries", "load_chunks", "load_group_chunks",

@@ -19,9 +19,6 @@ Semantics:
   page is written back exactly once, so with a final :meth:`flush` the
   write count equals the pool-off write count and all savings are read
   hits;
-* **pinned** pages are never evicted (operators pin pages they are
-  actively consuming); if every frame is pinned the access bypasses the
-  pool (charged directly, not cached);
 * :meth:`flush` writes back all dirty pages; call it (or
   ``device.flush_pool()``) at the end of a run so counts are
   deterministic and comparable.
@@ -35,7 +32,7 @@ Cross-query sharing (``repro.server``)
 
 A pool can also back *several* devices at once — the service's shared
 pool, where hot relations are read once and hit from cache across
-sessions.  Three extensions make that sound without disturbing the
+sessions.  Two extensions make that sound without disturbing the
 single-device accounting above:
 
 * every access may name the device doing the work (``via=``); hits,
@@ -43,11 +40,6 @@ single-device accounting above:
   counters, so each session's :class:`~repro.em.stats.IOStats` stays
   byte-identical to what it alone caused (omitting ``via`` charges the
   pool's own device — the historical behavior);
-* pins may name an ``owner`` (a session); :meth:`release_owner` drops
-  exactly one owner's pins, and closing a session can therefore never
-  leak pins that keep another session's frames unevictable.  An
-  optional :attr:`PoolConfig.max_pin_share` caps the fraction of frames
-  any one owner may pin (per-session fairness);
 * dirty frames remember which device dirtied them, so
   ``flush(device=...)`` writes back only one session's deferred writes,
   charged to that session.
@@ -55,7 +47,6 @@ single-device accounting above:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable, Hashable, TYPE_CHECKING
 
@@ -65,10 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.em.device import Device
 
 
-class BufferPoolError(RuntimeError):
-    """Raised on pin/unpin misuse."""
-
-
 @dataclass(frozen=True)
 class PoolConfig:
     """Configuration for an opt-in buffer pool.
@@ -76,15 +63,12 @@ class PoolConfig:
     The frame budget is given either in ``tuples`` (a fraction of the
     device's ``M``, the paper-natural unit; rounded down to whole
     frames) or directly in page ``frames``.  With neither set, the
-    budget defaults to ``M`` tuples.  ``max_pin_share`` (0 < share <= 1)
-    caps the fraction of frames a single pin owner may hold pinned —
-    the fairness knob for cross-query pools; ``None`` means no cap.
+    budget defaults to ``M`` tuples.
     """
 
     tuples: int | None = None
     frames: int | None = None
     policy: str = "lru"
-    max_pin_share: float | None = None
 
     def n_frames(self, M: int, B: int) -> int:
         """Resolve the frame budget in pages for a given machine."""
@@ -97,27 +81,17 @@ class PoolConfig:
             raise ValueError(f"tuples must be >= 1, got {budget}")
         return max(1, budget // B)
 
-    def pin_cap(self, n_frames: int) -> int | None:
-        """Max pinned frames per owner, or ``None`` when uncapped."""
-        if self.max_pin_share is None:
-            return None
-        if not 0 < self.max_pin_share <= 1:
-            raise ValueError(
-                f"max_pin_share must be in (0, 1], got {self.max_pin_share}")
-        return max(1, int(self.max_pin_share * n_frames))
-
 
 class _Frame:
-    """One resident page: dirtiness, pin count, and who dirtied it.
+    """One resident page: dirtiness and who dirtied it.
 
-    Frames start clean and unpinned; the pool marks them dirty.
+    Frames start clean; the pool marks them dirty.
     """
 
-    __slots__ = ("dirty", "pins", "dirtied_by")
+    __slots__ = ("dirty", "dirtied_by")
 
     def __init__(self) -> None:
         self.dirty = False
-        self.pins = 0
         self.dirtied_by: "Device | None" = None
 
 
@@ -133,11 +107,8 @@ class BufferPool:
         self.device = device
         self.config = config
         self.n_frames = config.n_frames(device.M, device.B)
-        self._pin_cap = config.pin_cap(self.n_frames)
         self.policy: ReplacementPolicy = make_policy(config.policy)
         self._frames: dict[tuple[Hashable, int], _Frame] = {}
-        # owner -> {key: pins held by that owner on that frame}
-        self._owner_pins: dict[Hashable, dict[tuple[Hashable, int], int]] = {}
 
     # -- introspection -------------------------------------------------
 
@@ -159,19 +130,6 @@ class BufferPool:
         """Upper bound on memory held by the pool, in tuples."""
         return len(self._frames) * self.device.B
 
-    def pin_count(self, f: Hashable, page: int) -> int:
-        frame = self._frames.get((f, page))
-        return 0 if frame is None else frame.pins
-
-    def owner_pins(self, owner: Hashable = None) -> int:
-        """Total pins currently held by ``owner``."""
-        return sum(self._owner_pins.get(owner, {}).values())
-
-    def pin_accounting(self) -> dict[Hashable, dict[str, int]]:
-        """Per-owner fairness view: pinned frames and total pins."""
-        return {owner: {"frames": len(held), "pins": sum(held.values())}
-                for owner, held in self._owner_pins.items() if held}
-
     # -- page access (called by Device.charge_read / charge_write) -----
     #
     # One call per page: hit, miss, admission and eviction happen inline
@@ -186,8 +144,7 @@ class BufferPool:
 
         ``via`` is the device doing the access (defaults to the pool's
         own); its counters receive the hit/miss, the physical read and
-        any eviction.  A miss with every frame pinned is charged but
-        not cached.
+        any eviction.
         """
         dev = self.device if via is None else via
         stats = dev.stats
@@ -210,11 +167,9 @@ class BufferPool:
             self.device.metrics.gauge("pool.resident_pages").set(
                 len(frames))
         else:
-            victim = self.policy.victim(frames)
-            if victim is None:
-                return
-            # The victim's frame (unpinned, clean after write-back) is
-            # reused for the new page.
+            # The victim's frame (clean after write-back) is reused for
+            # the new page.
+            victim = self.policy.victim()
             frame = frames.pop(victim)
             stats.cache.evictions += 1
             if dev.observers:
@@ -226,11 +181,7 @@ class BufferPool:
 
     def write_page(self, f: Hashable, page: int,
                    via: "Device | None" = None) -> None:
-        """Account one logical page write, deferred until write-back.
-
-        With every frame pinned the write goes straight through,
-        uncached.
-        """
+        """Account one logical page write, deferred until write-back."""
         dev = self.device if via is None else via
         key = (f, page)
         frames = self._frames
@@ -241,13 +192,7 @@ class BufferPool:
                 self.device.metrics.gauge("pool.resident_pages").set(
                     len(frames))
             else:
-                victim = self.policy.victim(frames)
-                if victim is None:
-                    if dev.observers:
-                        dev._record_write(f, page)
-                    else:
-                        dev.stats.writes += 1
-                    return
+                victim = self.policy.victim()
                 frame = frames.pop(victim)
                 dev.stats.cache.evictions += 1
                 if dev.observers:
@@ -260,81 +205,6 @@ class BufferPool:
             self.policy.on_access(key)
         frame.dirty = True
         frame.dirtied_by = dev
-
-    # -- pinning -------------------------------------------------------
-
-    def pin(self, f: Hashable, page: int, *, via: "Device | None" = None,
-            owner: Hashable = None) -> None:
-        """Fault the page in if needed and protect it from eviction.
-
-        Pins are attributed to ``owner`` (a session, or the anonymous
-        ``None`` owner for classic single-device use) so they can be
-        released wholesale with :meth:`release_owner` and audited with
-        :meth:`pin_accounting`.
-        """
-        key = (f, page)
-        held = self._owner_pins.get(owner, {})
-        if (self._pin_cap is not None and key not in held
-                and len(held) >= self._pin_cap):
-            raise BufferPoolError(
-                f"owner {owner!r} already pins {len(held)} frames; the "
-                f"fairness cap is {self._pin_cap} of {self.n_frames} "
-                f"(max_pin_share={self.config.max_pin_share})")
-        if key not in self._frames:
-            self.read_page(f, page, via=via)
-        frame = self._frames.get(key)
-        if frame is None:
-            raise BufferPoolError(
-                f"cannot pin page {page} of {f!r}: every frame is pinned")
-        frame.pins += 1
-        held = self._owner_pins.setdefault(owner, {})
-        held[key] = held.get(key, 0) + 1
-
-    def unpin(self, f: Hashable, page: int, *,
-              owner: Hashable = None) -> None:
-        key = (f, page)
-        frame = self._frames.get(key)
-        held = self._owner_pins.get(owner)
-        if frame is None or not held or held.get(key, 0) == 0:
-            raise BufferPoolError(
-                f"unpin of page {page} of {f!r} without a matching pin"
-                + (f" (owner {owner!r})" if owner is not None else ""))
-        frame.pins -= 1
-        if held[key] == 1:
-            del held[key]
-        else:
-            held[key] -= 1
-        if not held:
-            del self._owner_pins[owner]
-
-    def release_owner(self, owner: Hashable = None) -> int:
-        """Drop every pin held by ``owner``; returns how many.
-
-        This is the session-close path: a departing owner's pins must
-        not keep frames unevictable for everyone else, and — the other
-        direction of the same bug — closing one session must *not*
-        disturb pins other sessions still hold.
-        """
-        held = self._owner_pins.pop(owner, None)
-        if not held:
-            return 0
-        released = 0
-        for key, count in held.items():
-            frame = self._frames.get(key)
-            if frame is not None:
-                frame.pins -= count
-            released += count
-        return released
-
-    @contextlib.contextmanager
-    def pinned(self, f: Hashable, page: int, *,
-               via: "Device | None" = None, owner: Hashable = None):
-        """Context manager pinning one page for the enclosed scope."""
-        self.pin(f, page, via=via, owner=owner)
-        try:
-            yield
-        finally:
-            self.unpin(f, page, owner=owner)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -355,21 +225,17 @@ class BufferPool:
             self._write_back(key, frame)
 
     def close(self) -> None:
-        """Flush, then drop every frame and all pin accounting."""
+        """Flush, then drop every frame."""
         self.flush()
-        self._frames.clear()
-        self._owner_pins.clear()
-        self.policy.clear()
+        self.clear()
 
     def clear(self) -> None:
         """Drop every frame *without* write-back.
 
         Only for ``Device.reset_stats``: deferred writes would otherwise
-        leak into the zeroed counters.  Pin accounting is reset with the
-        frames it described.
+        leak into the zeroed counters.
         """
         self._frames.clear()
-        self._owner_pins.clear()
         self.policy.clear()
 
     def drop_matching(self, pred: Callable[[tuple[Hashable, int]], bool],
@@ -378,14 +244,13 @@ class BufferPool:
 
         No write-back is performed (flush first if the deferred writes
         matter); dirty frames are skipped unless ``include_dirty``.
-        Pinned frames are never dropped.  Used by session pool views to
+        Used by session pool views to
         retire their private (temp-file) frames without touching pages
         shared across sessions.
         """
         dropped = 0
         for key in [k for k in self._frames if pred(k)]:
-            frame = self._frames[key]
-            if frame.pins or (frame.dirty and not include_dirty):
+            if self._frames[key].dirty and not include_dirty:
                 continue
             del self._frames[key]
             self.policy.remove(key)

@@ -1,17 +1,14 @@
 """Replacement policies for the buffer pool.
 
 A policy owns the *ordering* question only: given the set of resident
-page keys, which unpinned frame should be evicted next?  Residency,
-dirtiness, pin counts, and all I/O accounting stay in
-:class:`~repro.em.bufferpool.BufferPool`; the policy sees opaque
-hashable keys and three events:
+page keys, which frame should be evicted next?  Residency, dirtiness
+and all I/O accounting stay in :class:`~repro.em.bufferpool.BufferPool`;
+the policy sees opaque hashable keys and three events:
 
 * :meth:`~ReplacementPolicy.on_insert` — the key became resident;
 * :meth:`~ReplacementPolicy.on_access` — the key was hit while resident;
-* :meth:`~ReplacementPolicy.victim` — given the pool's frame table
-  (key → frame), choose (and forget) a key whose frame has no pins,
-  or return ``None`` when every candidate is pinned.  The policy reads
-  ``frames[key].pins`` itself; it never writes a frame.
+* :meth:`~ReplacementPolicy.victim` — choose (and forget) a tracked
+  key.  The pool asks only when it is full, so there is always one.
 
 Three classic policies are provided:
 
@@ -28,21 +25,9 @@ Three classic policies are provided:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Mapping, Protocol
+from typing import Hashable
 
 Key = Hashable
-
-
-class Frame(Protocol):
-    """What a policy reads of a resident frame: its pin count."""
-
-    pins: int
-
-
-#: The pool's frame table as :meth:`ReplacementPolicy.victim` sees it.
-#: Keys are whatever the pool uses (``(file, page)`` pairs); every
-#: tracked key is present.
-Frames = Mapping[Any, Frame]
 
 
 class ReplacementPolicy:
@@ -54,12 +39,8 @@ class ReplacementPolicy:
     def on_access(self, key: Key) -> None:
         raise NotImplementedError
 
-    def victim(self, frames: Frames) -> Key | None:
-        """Choose an unpinned key, remove it from the policy, return it.
-
-        A key is a candidate when ``frames[key].pins == 0``.  Returns
-        ``None`` when every tracked key is pinned.
-        """
+    def victim(self) -> Key:
+        """Choose a tracked key, remove it from the policy, return it."""
         raise NotImplementedError
 
     def remove(self, key: Key) -> None:
@@ -84,12 +65,8 @@ class LRUPolicy(ReplacementPolicy):
     def on_access(self, key: Key) -> None:
         self._order.move_to_end(key)
 
-    def victim(self, frames: Frames) -> Key | None:
-        for key in self._order:  # oldest first
-            if not frames[key].pins:
-                del self._order[key]
-                return key
-        return None
+    def victim(self) -> Key:
+        return self._order.popitem(last=False)[0]
 
     def remove(self, key: Key) -> None:
         self._order.pop(key, None)
@@ -108,12 +85,8 @@ class MRUPolicy(LRUPolicy):
 
     name = "mru"
 
-    def victim(self, frames: Frames) -> Key | None:
-        for key in reversed(self._order):  # newest first
-            if not frames[key].pins:
-                del self._order[key]
-                return key
-        return None
+    def victim(self) -> Key:
+        return self._order.popitem()[0]
 
 
 class ClockPolicy(ReplacementPolicy):
@@ -121,7 +94,7 @@ class ClockPolicy(ReplacementPolicy):
 
     Pages are admitted with their reference bit set; a hit re-sets it.
     The hand sweeps the ring clearing set bits and evicts the first
-    unpinned page found with its bit already clear.
+    page found with its bit already clear.
     """
 
     name = "clock"
@@ -138,25 +111,18 @@ class ClockPolicy(ReplacementPolicy):
     def on_access(self, key: Key) -> None:
         self._ref[key] = True
 
-    def victim(self, frames: Frames) -> Key | None:
-        if not self._ring:
-            return None
-        # Two full sweeps clear every reference bit; a third pass can
-        # only fail if every page is pinned.
-        for _ in range(3 * len(self._ring)):
+    def victim(self) -> Key:
+        # One full sweep clears every reference bit, so this ends.
+        while True:
             if self._hand >= len(self._ring):
                 self._hand = 0
             key = self._ring[self._hand]
-            if frames[key].pins:
-                self._hand += 1
-            elif self._ref[key]:
-                self._ref[key] = False
-                self._hand += 1
-            else:
+            if not self._ref[key]:
                 self._ring.pop(self._hand)
                 del self._ref[key]
                 return key
-        return None
+            self._ref[key] = False
+            self._hand += 1
 
     def remove(self, key: Key) -> None:
         if key in self._ref:

@@ -6,7 +6,7 @@ this package serves many sessions from it, one query at a time, each
 run to completion:
 
 * :mod:`repro.server.catalog` — load an instance once, serve many
-  queries (ref-counting, eviction, generations);
+  queries (ref-counting, generations);
 * :mod:`repro.server.admission` — a stateless size check: a query's
   planner-estimated need must fit the budget ``M`` (or its tenant's
   share of it), or it is refused at once;

@@ -7,9 +7,8 @@ exact value :meth:`~repro.data.instance.Instance.from_dicts` consumes —
 so sessions materialize instances onto their devices from memory,
 byte-identically to a solo run (inputs are uncharged either way).
 
-Entries are ref-counted (:meth:`acquire` / :meth:`release`): eviction
-under a capacity limit only removes entries no session is using, in
-least-recently-acquired order.  Replacing an entry bumps its
+Entries are ref-counted (:meth:`acquire` / :meth:`release`), so an
+unpaired release is caught.  Replacing an entry bumps its
 ``generation`` so sessions holding materialized copies of the old data
 can tell they are stale.
 """
@@ -61,16 +60,11 @@ class CatalogEntry:
 
 
 class Catalog:
-    """Named, ref-counted, evictable instances."""
+    """Named, ref-counted instances."""
 
-    def __init__(self, *, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        # Insertion/refresh order doubles as least-recently-acquired.
+    def __init__(self) -> None:
         self._entries: dict[str, CatalogEntry] = {}
-        self.stats = {"loads": 0, "hits": 0,
-                      "evictions": 0, "replaced": 0}
+        self.stats = {"loads": 0, "hits": 0, "replaced": 0}
 
     # -- loading -------------------------------------------------------
 
@@ -87,10 +81,8 @@ class Catalog:
         entry = CatalogEntry(name, layouts, rows, generation)
         if old is not None:
             self.stats["replaced"] += 1
-            del self._entries[name]  # re-insert at the fresh end
         self._entries[name] = entry
         self.stats["loads"] += 1
-        self._evict_over_capacity()
         return entry
 
     def load_csv(self, name: str,  # em-effects: HOST_ONLY -- reads host CSVs once, outside any measured run
@@ -115,7 +107,7 @@ class Catalog:
     # -- lookup and ref-counting --------------------------------------
 
     def get(self, name: str) -> CatalogEntry:
-        """Look up without pinning (introspection only)."""
+        """Look up without taking a reference (introspection only)."""
         entry = self._entries.get(name)
         if entry is None:
             raise CatalogError(
@@ -124,13 +116,10 @@ class Catalog:
         return entry
 
     def acquire(self, name: str) -> CatalogEntry:
-        """Pin an entry for use; pairs with :meth:`release`."""
+        """Take a reference to an entry; pairs with :meth:`release`."""
         entry = self.get(name)
         entry.pins += 1
         self.stats["hits"] += 1
-        # Refresh recency: move to the most-recently-acquired end.
-        del self._entries[name]
-        self._entries[name] = entry
         return entry
 
     def release(self, entry: CatalogEntry) -> None:
@@ -140,24 +129,11 @@ class Catalog:
                 f"matching acquire")
         entry.pins -= 1
 
-    # -- eviction ------------------------------------------------------
-
-    def evict(self, name: str, *, force: bool = False) -> bool:
-        """Drop an entry; refuses (returns False) while it is pinned,
-        unless ``force``."""
-        entry = self.get(name)
-        if entry.pins > 0 and not force:
-            return False
-        del self._entries[name]
-        self.stats["evictions"] += 1
-        return True
-
     def names(self) -> list[str]:
         return list(self._entries)
 
     def info(self) -> dict[str, object]:
-        return {"capacity": self.capacity,
-                "entries": [e.info() for e in self._entries.values()],
+        return {"entries": [e.info() for e in self._entries.values()],
                 **self.stats}
 
     def __len__(self) -> int:
@@ -165,21 +141,3 @@ class Catalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
-
-    # -- internals -----------------------------------------------------
-
-    def _evict_over_capacity(self) -> None:
-        """Drop least-recently-acquired unpinned entries over capacity.
-
-        Pinned entries are immune, so the catalog may transiently sit
-        over capacity while everything is in use.
-        """
-        if self.capacity is None:
-            return
-        while len(self._entries) > self.capacity:
-            victim = next((n for n, e in self._entries.items()
-                           if e.pins == 0), None)
-            if victim is None:
-                return
-            del self._entries[victim]
-            self.stats["evictions"] += 1

@@ -26,8 +26,8 @@ Routes (all rooted at the bind address of ``repro serve``):
        "collect": false}               // include result rows
 
   Without ``session`` the query runs one-shot (open, run, close);
-  with it, repeated requests share devices, instance caches and pins —
-  the connection abstraction over a stateless protocol.  With
+  with it, repeated requests share devices and instance caches — the
+  connection abstraction over a stateless protocol.  With
   ``?explain=1`` the response gains an ``"explain"`` key: predicted vs
   measured I/O per phase from the service's fitted Table-1 constants
   (or the reason no prediction applies).
@@ -39,11 +39,12 @@ dropped after :attr:`_Handler.timeout` seconds, so it cannot hold the
 loop for longer than that.
 
 Every non-2xx reply is a typed JSON document with an ``error``: a
-malformed body (``query`` not a string; ``M``/``B`` not integers
-``>= 1``, or ``B > M``; ``collect`` not a boolean) and unknown
-queries/instances are 400; a memory need over the global budget or the
-tenant's share is 422 (no retry will help); anything unexpected inside
-the engine is 500, never a dropped connection.
+malformed body (``query``, ``session`` or ``instance`` not a string;
+``M``/``B`` not integers ``>= 1``, or ``B > M``; ``collect`` not a
+boolean) and unknown queries/instances are 400; a memory need over the
+global budget or the tenant's share is 422 (no retry will help);
+anything unexpected inside the engine is 500, never a dropped
+connection.
 """
 
 from __future__ import annotations
@@ -208,6 +209,9 @@ def _query_kwargs(req, service: "QueryService") -> dict:
         raise ValueError('the body needs a "query" field')
     if not isinstance(req["query"], str):
         raise ValueError('"query" must be a string')
+    for key in ("session", "instance"):
+        if not isinstance(req.get(key), (str, type(None))):
+            raise ValueError(f'"{key}" must be a string')
     kwargs = {"instance": req.get("instance", "default"),
               "collect": req.get("collect", False)}
     if not isinstance(kwargs["collect"], bool):

@@ -14,9 +14,7 @@ session talks to it through a :class:`PoolView` — an object with the
   partitions) gets a view-private label, invisible to other sessions;
 * routes every charge ``via`` the session's device, so hits, misses and
   write-backs appear in *that* session's counters — per-session
-  accounting stays byte-identical to what the session alone caused;
-* attributes pins to the session (``owner``), so closing a session
-  releases exactly its own pins (see ``BufferPool.release_owner``).
+  accounting stays byte-identical to what the session alone caused.
 
 Page numbering depends on ``B``, so shared labels embed the block size
 and the catalog generation: sessions on a different ``B`` (or stale
@@ -43,10 +41,8 @@ class SharedPool:
     """The service-wide pool every session view charges through."""
 
     def __init__(self, *, frames: int, policy: str = "lru", B: int,
-                 max_pin_share: float | None = None,
                  metrics=None) -> None:
-        config = PoolConfig(frames=frames, policy=policy,
-                            max_pin_share=max_pin_share)
+        config = PoolConfig(frames=frames, policy=policy)
         # The anchor device exists to carry B and the residency gauge;
         # no query I/O is ever charged to it (views charge via= their
         # session devices).
@@ -55,8 +51,8 @@ class SharedPool:
         self.pool = BufferPool(self.device, config)
 
     def view(self, device: Device, owner: Hashable) -> "PoolView":
-        """A session-facing view charging ``device``, pinning as
-        ``owner``."""
+        """A session-facing view charging ``device``; ``owner`` names
+        its private labels."""
         if device.B != self.B:
             raise ValueError(
                 f"session device has B={device.B} but the shared pool "
@@ -69,9 +65,6 @@ class SharedPool:
             "frames": self.pool.n_frames,
             "resident_pages": self.pool.resident_pages,
             "policy": self.pool.config.policy,
-            "max_pin_share": self.pool.config.max_pin_share,
-            "pins": {str(owner): counts for owner, counts in
-                     self.pool.pin_accounting().items()},
         }
 
     def close(self) -> None:
@@ -106,9 +99,6 @@ class PoolView:
     def share(self, f: "EMFile", label: str) -> None:
         """Map this session's file onto a pool-wide shared label."""
         self._labels[f] = label
-
-    def _label(self, f: "EMFile") -> str:
-        return self._labels.get(f) or self._new_private_label(f)
 
     def _new_private_label(self, f: "EMFile") -> str:
         # The counter (not the file name) guarantees uniqueness:
@@ -155,14 +145,7 @@ class PoolView:
         self._pool.drop_matching(lambda key: key[0] in private,
                                  include_dirty=True)
 
-    # -- session-facing extras ----------------------------------------
-
-    def pin(self, f: "EMFile", page: int) -> None:
-        self._pool.pin(self._label(f), page, via=self.device,
-                       owner=self.owner)
-
-    def unpin(self, f: "EMFile", page: int) -> None:
-        self._pool.unpin(self._label(f), page, owner=self.owner)
+    # -- query and session lifecycle ----------------------------------
 
     def end_query(self) -> None:
         """Retire one query's working set: flush own dirty pages, then
@@ -178,11 +161,7 @@ class PoolView:
         self._pool.drop_matching(lambda key: key[0] in private)
 
     def close(self) -> None:
-        """Session teardown: release only *this* session's pins, write
-        back its dirty pages, and drop its private frames."""
-        pool = self._pool
-        pool.release_owner(self.owner)
-        pool.flush(device=self.device)
-        private = self._forget_private()
-        pool.drop_matching(lambda key: key[0] in private)
+        """Session teardown: write back this session's dirty pages,
+        drop its private frames and forget its labels."""
+        self.end_query()
         self._labels.clear()

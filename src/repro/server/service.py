@@ -45,8 +45,6 @@ class QueryService:
     def __init__(self, *, M: int = 4096, B: int = 64,
                  default_query_M: int | None = None,
                  pool_frames: int = 0, pool_policy: str = "lru",
-                 max_pin_share: float | None = 0.5,
-                 catalog_capacity: int | None = None,
                  metrics: MetricsRegistry | None = None,
                  flight_records: int = 256,
                  slow_query_ms: float | None = None,
@@ -62,7 +60,7 @@ class QueryService:
         self.default_query_M = M if default_query_M is None \
             else default_query_M
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        self.catalog = Catalog(capacity=catalog_capacity)
+        self.catalog = Catalog()
         self.admission = AdmissionController(M, default_quota=default_quota)
         self.flight = (FlightRecorder(flight_records,
                                       slow_ms=slow_query_ms)
@@ -71,8 +69,7 @@ class QueryService:
         #: :meth:`explain` predicts against.
         self.fitted = dict(fitted) if fitted is not None else None
         self.pool = (SharedPool(frames=pool_frames, policy=pool_policy,
-                                B=B, max_pin_share=max_pin_share,
-                                metrics=self.metrics)
+                                B=B, metrics=self.metrics)
                      if pool_frames else None)
         self._sessions: dict[str, Session] = {}
         self._session_ids = itertools.count(1)
@@ -102,7 +99,7 @@ class QueryService:
 
         Without a name a fresh one is minted.  Re-joining an existing
         live session by name is how stateless protocols (HTTP) keep a
-        connection: same devices, same instance caches, same pins.
+        connection: same devices, same instance caches.
         """
         self._require_open()
         if name is not None:
@@ -164,10 +161,11 @@ class QueryService:
         from repro.analysis.predict import explain as predict_explain
         from repro.query.parse import parse_query_and_layouts
 
-        q = (parse_query_and_layouts(query)[0]
-             if isinstance(query, str) else query)
+        # The session parses first, so a bad query leaves its record.
         result = self.execute(query, session=session,
                               instance=instance, **kwargs)
+        q = (parse_query_and_layouts(query)[0]
+             if isinstance(query, str) else query)
         if self.fitted is None:
             return result, ExplainReport(
                 prediction=None,

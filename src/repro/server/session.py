@@ -25,8 +25,10 @@ Per query the session:
    were the device's first.
 
 A rejected or failed query gets a :class:`QueryResult` too (``status``
-``"rejected"``/``"error"``, its ``error`` text, no results or I/O);
-every outcome's record goes to the service's flight recorder, and the
+``"rejected"``/``"error"``, its ``error`` text, no results or I/O); a
+query that fails before step 2 (unparseable text, an unknown instance
+or relation, a layout mismatch) keeps an empty ``admission`` entry.
+Every outcome's record goes to the service's flight recorder, and the
 exception still reaches the caller.
 """
 
@@ -122,7 +124,7 @@ class QueryResult:
 class Session:
     """A named connection to a :class:`~repro.server.service.
     QueryService`.  Each query runs to completion before the next
-    starts; sessions keep devices, instance caches and pins between
+    starts; sessions keep devices and instance caches between
     queries."""
 
     def __init__(self, service: "QueryService", name: str) -> None:
@@ -132,7 +134,6 @@ class Session:
         self._views: dict[tuple[int, int], "PoolView"] = {}
         # (instance, generation, M, B) -> materialized Instance
         self._instances: dict[tuple[str, int, int, int], Instance] = {}
-        self._pinned: list[tuple[object, object, int]] = []
         self.queries = 0
         self.closed = False
 
@@ -154,22 +155,27 @@ class Session:
         svc = self._service
         arrival = time.time()
         t0 = time.perf_counter()
-        if isinstance(query, str):
-            text = query
-            q, layouts = parse_query_and_layouts(text)
-        else:
-            q, layouts = query, None
-            text = format_query(q)
         M = svc.default_query_M if M is None else M
         B = svc.B if B is None else B
         head = QueryResult(
-            query=text, instance=instance, session=self.name,
+            query=query if isinstance(query, str) else format_query(query),
+            instance=instance, session=self.name,
             owner=self.name if tenant is None else tenant, status="ok",
             machine={"M": M, "B": B}, arrival_unix=arrival)
-        entry = svc.catalog.acquire(instance)
+        entry = None
         try:
-            self._check_layouts(q, layouts, entry)
-            need = estimate_memory_need(q, M=M, B=B)
+            try:
+                if isinstance(query, str):
+                    q, layouts = parse_query_and_layouts(query)
+                else:
+                    q, layouts = query, None
+                entry = svc.catalog.acquire(instance)
+                self._check_layouts(q, layouts, entry)
+                need = estimate_memory_need(q, M=M, B=B)
+            except Exception as exc:
+                self._finish(dataclasses.replace(head, status="error",
+                                                 error=str(exc)), t0)
+                raise
             wait0 = time.perf_counter()
             try:
                 grant = svc.admission.acquire(need, owner=head.owner)
@@ -177,7 +183,7 @@ class Session:
                 self._finish(
                     dataclasses.replace(head, status="rejected",
                                         error=str(exc)),
-                    need, t0, wait0)
+                    t0, need, wait0)
                 raise
             wait_s = time.perf_counter() - wait0
             try:
@@ -187,37 +193,42 @@ class Session:
                 self._finish(
                     dataclasses.replace(head, status="error",
                                         error=str(exc)),
-                    need, t0, wait0, wait_s)
+                    t0, need, wait0, wait_s)
                 raise
             finally:
                 svc.admission.release(grant)
         finally:
-            svc.catalog.release(entry)
+            if entry is not None:
+                svc.catalog.release(entry)
         self.queries += 1
-        result = self._finish(result, need, t0, wait0, wait_s)
+        result = self._finish(result, t0, need, wait0, wait_s)
         svc._observe(result)
         return result
 
-    def _finish(self, result: QueryResult, need: int, t0: float,
-                wait0: float, wait_s: float | None = None) -> QueryResult:
-        """Stamp the admission entry (need, wait, verdict, quota) and
-        timings every outcome shares, and hand the finished record to
-        the flight recorder.  ``wait_s=None``: admission took until
-        now (a rejection)."""
+    def _finish(self, result: QueryResult, t0: float,
+                need: int | None = None, wait0: float = 0.0,
+                wait_s: float | None = None) -> QueryResult:
+        """Stamp the timings and admission entry (need, wait, verdict,
+        quota) every outcome shares, and hand the finished record to
+        the flight recorder.  ``need=None``: the query failed before
+        admission, which leaves the entry empty; ``wait_s=None``:
+        admission took until now (a rejection)."""
         svc = self._service
         now = time.perf_counter()
-        if wait_s is None:
-            wait_s = now - wait0
-        admission: dict = {
-            "need": need, "wait_ms": round(wait_s * 1e3, 3),
-            "outcome": ("rejected" if result.status == "rejected"
-                        else "granted")}
-        quota = svc.admission.quota_for(result.owner)
-        if quota is not None:
-            admission["quota"] = quota.as_dict()
-        result = dataclasses.replace(
-            result, admission=admission, wall_s=now - t0,
-            run_s=max(0.0, now - wait0 - wait_s))
+        stamps: dict = {"wall_s": now - t0}
+        if need is not None:
+            if wait_s is None:
+                wait_s = now - wait0
+            admission: dict = {
+                "need": need, "wait_ms": round(wait_s * 1e3, 3),
+                "outcome": ("rejected" if result.status == "rejected"
+                            else "granted")}
+            quota = svc.admission.quota_for(result.owner)
+            if quota is not None:
+                admission["quota"] = quota.as_dict()
+            stamps.update(admission=admission,
+                          run_s=max(0.0, now - wait0 - wait_s))
+        result = dataclasses.replace(result, **stamps)
         return result if svc.flight is None else svc.flight.record(result)
 
     def _run(self, head: QueryResult, q: JoinQuery,
@@ -255,66 +266,15 @@ class Session:
             cache=cache,
             rows=emitter.results if collect else None)
 
-    # -- pinning hot relations ----------------------------------------
-
-    def pin_relation(self, relation: str, *, instance: str = "default",
-                     M: int | None = None,
-                     B: int | None = None) -> int:
-        """Pin every page of a base relation into the shared pool.
-
-        Faulting the pages in charges this session's counters (honest
-        I/O); afterwards the pages cannot be evicted until
-        :meth:`unpin_relation` or session close.  Returns the number of
-        pages pinned.  Requires the service to run with a shared pool.
-        """
-        if self.closed:
-            raise SessionClosed(f"session {self.name!r} is closed")
-        svc = self._service
-        M = svc.default_query_M if M is None else M
-        B = svc.B if B is None else B
-        device = self._device(M, B)
-        view = self._views.get((M, B))
-        if view is None:
-            raise RuntimeError(
-                "pin_relation needs a shared pool "
-                "(service started with pool_frames=0)")
-        entry = svc.catalog.acquire(instance)
-        try:
-            inst = self._materialize(entry, device, instance)
-            segment = inst[relation].data
-            f = segment.file
-            pages = segment.n_pages
-            for page in range(pages):
-                view.pin(f, page)
-                self._pinned.append((view, f, page))
-            return pages
-        finally:
-            svc.catalog.release(entry)
-
-    def unpin_relation(self, relation: str, *,
-                       instance: str = "default") -> int:
-        """Release this session's pins on a relation's pages."""
-        remaining, dropped = [], 0
-        for view, f, page in self._pinned:
-            name = getattr(f, "name", None)
-            if name == relation:
-                view.unpin(f, page)
-                dropped += 1
-            else:
-                remaining.append((view, f, page))
-        self._pinned = remaining
-        return dropped
-
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Flush and drop this session's pool footprint; its pins only."""
+        """Flush and drop this session's pool footprint."""
         if self.closed:
             return
         self.closed = True
-        self._pinned.clear()
         for view in self._views.values():
-            view.close()  # releases exactly this session's pins
+            view.close()
         for device in self._devices.values():
             device.detach_pool()
         self._views.clear()

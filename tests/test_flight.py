@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.query.parse import QueryParseError
 from repro.server import (AdmissionController, AdmissionRejected,
-                          FlightRecorder, QueryResult, QueryService,
-                          Quota, start_http_server)
+                          CatalogError, FlightRecorder, QueryResult,
+                          QueryService, Quota, start_http_server)
 from repro.workloads import fig3_line3_instance
 
 BENCH_TABLE1 = (Path(__file__).resolve().parent.parent
@@ -156,6 +157,30 @@ class TestFlightThroughService:
         assert rec.status == "error"
         assert rec.error == "kaput"
         assert rec.admission["outcome"] == "granted"
+
+    @pytest.mark.parametrize("query, instance, exc", [
+        ("e1(v1,v2", "default", QueryParseError),
+        (QUERY, "nope", CatalogError),
+        ("e9(v1,v2)", "default", CatalogError),
+        ("e1(v1,wrong)", "default", CatalogError),
+    ], ids=["parse", "unknown-instance", "unknown-relation", "layout"])
+    def test_failures_before_admission_leave_error_records(
+            self, query, instance, exc):
+        """No admission ran, so the record's admission entry is empty;
+        the catalog reference the failed query took is given back."""
+        with line3_service() as svc:
+            svc.execute(QUERY, session="s", M=M, B=B)
+            with pytest.raises(exc):
+                svc.execute(query, session="s", instance=instance,
+                            M=M, B=B)
+            assert svc.flight.stats()["seen"] == 2
+            rec, _ = svc.flight.records()
+            assert svc.catalog.get("default").pins == 0
+            assert svc.admission.snapshot()["admitted"] == 1
+        assert rec.status == "error" and rec.error
+        assert rec.query == query and rec.instance == instance
+        assert rec.admission == {} and rec.results == 0
+        assert rec.run_s == 0.0 and rec.wall_s > 0
 
     def test_recording_off_means_no_recorder_and_no_ids(self):
         with line3_service(flight_records=0) as svc:

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.em import BufferPoolError
 from repro.obs import Tracer
 from repro.query import line_query
 from repro.server import (AdmissionRejected, Catalog, CatalogError,
@@ -82,26 +81,6 @@ class TestCatalog:
             Catalog().add("d", {"r": ("a", "b")}, {"s": []})
         with pytest.raises(ValueError):
             Catalog().add("d", {"r": ("a", "b")}, {"r": [(1, 2, 3)]})
-
-    def test_eviction_skips_pinned(self):
-        cat = Catalog(capacity=2)
-        cat.add("a", self.LAYOUTS, self.ROWS)
-        held = cat.acquire("a")  # pins a, refreshes its recency
-        cat.add("b", self.LAYOUTS, self.ROWS)
-        cat.add("c", self.LAYOUTS, self.ROWS)  # b is LRU and unpinned
-        assert "a" in cat and "b" not in cat and "c" in cat
-        cat.release(held)
-        cat.add("d", self.LAYOUTS, self.ROWS)  # a LRU, now evictable
-        assert "a" not in cat
-        assert cat.stats["evictions"] == 2
-
-    def test_force_evict_only_when_unpinned(self):
-        cat = Catalog()
-        cat.add("d", self.LAYOUTS, self.ROWS)
-        held = cat.acquire("d")
-        assert cat.evict("d") is False  # refused: in use
-        assert cat.evict("d", force=True) is True
-        cat.release(held)  # releasing a ghost entry still works
 
     def test_load_csv_matches_solo_normalization(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -190,48 +169,6 @@ class TestSharedPool:
         with line3_service(pool_frames=64) as svc:
             r = svc.execute(line_query(3), M=16, B=4)  # B != pool B
         assert r.cache is None  # no view attached: pool-off semantics
-
-    def test_pin_relation_survives_other_sessions(self):
-        with line3_service(pool_frames=64) as svc:
-            a = svc.session("a")
-            pages = a.pin_relation("e1", M=M, B=B)
-            assert pages == 8  # 16 tuples at B=2
-            assert svc.pool.stats()["pins"]["a"]["pins"] == 8
-            b = svc.session("b")
-            b.execute(line_query(3), M=M, B=B)  # churns the pool
-            # a's pinned pages never left residency: re-reading them
-            # through a's device is all hits.
-            ra = a.execute(line_query(3), M=M, B=B)
-            assert ra.results == 256
-            svc.close_session("a")
-            assert svc.pool.stats()["pins"] == {}  # pins died with a
-
-    def test_pin_leak_regression_close_releases_only_own_pins(self):
-        """Satellite: closing one session must unpin its frames and
-        nobody else's."""
-        with line3_service(pool_frames=64) as svc:
-            a = svc.session("a")
-            b = svc.session("b")
-            a.pin_relation("e1", M=M, B=B)
-            b.pin_relation("e3", M=M, B=B)
-            svc.close_session("a")
-            pins = svc.pool.stats()["pins"]
-            assert "a" not in pins
-            assert pins["b"]["pins"] == 8  # b's pins untouched
-            svc.close_session("b")
-            assert svc.pool.stats()["pins"] == {}
-
-    def test_pin_cap_fairness(self):
-        """One session cannot pin the pool out from under the others."""
-        with line3_service(pool_frames=16, max_pin_share=0.25) as svc:
-            a = svc.session("a")
-            with pytest.raises(BufferPoolError, match="fairness cap"):
-                a.pin_relation("e1", M=M, B=B)  # 8 pages > 4-frame cap
-
-    def test_pin_relation_needs_a_pool(self):
-        with line3_service() as svc:
-            with pytest.raises(RuntimeError, match="shared pool"):
-                svc.session("a").pin_relation("e1", M=M, B=B)
 
     def test_observed_session_counts_equal_unobserved(self):
         """An observer on the session device changes no pool counter,
@@ -602,6 +539,9 @@ class TestHttp:
         {"B": 9999},             # B > the default per-query M
         {"query": 5},
         {"collect": "false"},    # a non-empty string is truthy
+        {"session": [1]},        # unhashable as a session name
+        {"session": {"x": 1}},
+        {"instance": []},
     ], ids=repr)
     def test_malformed_body_400(self, http_service, body):
         """Bodies the engine would choke on (500) or misread (200) are
