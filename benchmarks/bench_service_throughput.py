@@ -4,6 +4,8 @@
 The service layer (``repro.server``) exists to amortize what a solo
 ``repro run`` pays per query: CSV parsing, instance materialization,
 and — with the shared pool on — the base relations' physical reads.
+The service owns one device per ``(M, B)`` machine and one
+materialized copy per instance and machine, whatever the session.
 This benchmark quantifies that on the Figure-3 line-3 workload
 (``n1 = n3 = 16``, per-query machine ``M=8, B=2`` — the pinned
 ``line3_planner`` class of ``BENCH_table1.json``):
@@ -21,6 +23,8 @@ counters, which are *deterministic* and pinned in
 
 * pool off: every query costs exactly the solo-run 171 I/Os and 256
   results — the byte-identity guarantee;
+* ``materializations``: the instance is materialized once for the
+  whole service, against once per query in the serial model;
 * pool on: the 17 base-relation pages miss exactly once service-wide,
   every other logical read hits, each query writes back its own 62
   intermediate pages, and nothing is evicted (frames are keyed by
@@ -29,8 +33,11 @@ counters, which are *deterministic* and pinned in
   recorder observes lifecycle records, it never charges the device.
 
 CI gate (``--check-baseline``): the deterministic counters match the
-committed baseline exactly, and the pooled service beats the serial
-model by more than 1 query/sec.
+committed baseline exactly, and the amortization gate holds on them
+(:func:`amortization_gate`): one materialization service-wide against
+one per serial query, and the pooled service's base-page misses over
+all 48 queries equal to one serial pool-on query's.  Wall clock is
+reported, never gated: it moves with the host.
 """
 
 from __future__ import annotations
@@ -94,10 +101,11 @@ def run_serial(tables: dict[str, str], pool: bool) -> tuple[dict, dict]:
 
     With ``pool=True`` every query also rebuilds the (cold) shared
     pool, so each one re-faults the base pages the long-lived service
-    faults exactly once — the serial leg of the speedup gate.
+    faults exactly once — the serial leg of the amortization gate.
     """
     q = line_query(3)
-    walls, io_totals, results = [], set(), set()
+    walls, io_totals, results, misses = [], set(), set(), set()
+    materializations = 0
     t0 = time.perf_counter()
     for _ in range(N_QUERIES):
         svc = QueryService(M=GLOBAL_M, B=QUERY_B,
@@ -105,14 +113,20 @@ def run_serial(tables: dict[str, str], pool: bool) -> tuple[dict, dict]:
         try:
             svc.load_tables("default", tables)
             r = svc.execute(q, M=QUERY_M)
+            materializations += _materializations(svc)
         finally:
             svc.close()
         walls.append(r.wall_s * 1e3)
         io_totals.add(r.io["total"])
         results.add(r.results)
+        if pool:
+            misses.add(r.cache["misses"])
     wall = time.perf_counter() - t0
-    det = {"per_query_io_totals": sorted(io_totals),
+    det = {"materializations": materializations,
+           "per_query_io_totals": sorted(io_totals),
            "per_query_results": sorted(results)}
+    if pool:
+        det["per_query_misses"] = sorted(misses)
     label = f"serial one-shot pool={'on' if pool else 'off'}"
     return det, _timing_row(label, wall, walls)
 
@@ -134,10 +148,12 @@ def run_service(tables: dict[str, str], pool: bool,
         t0 = time.perf_counter()
         rs = [session.execute(q) for _ in range(N_QUERIES)]
         wall = time.perf_counter() - t0
+        materializations = _materializations(svc)
     finally:
         svc.close()
     walls = [r.wall_s * 1e3 for r in rs]
-    det: dict = {"per_query_results": sorted({r.results for r in rs})}
+    det: dict = {"materializations": materializations,
+                 "per_query_results": sorted({r.results for r in rs})}
     if pool:
         agg = {k: sum(r.cache[k] for r in rs)
                for k in ("hits", "misses", "evictions", "writebacks")}
@@ -149,6 +165,11 @@ def run_service(tables: dict[str, str], pool: bool,
     if not flight:
         label += " flight=off"
     return det, _timing_row(label, wall, walls)
+
+
+def _materializations(svc: QueryService) -> int:
+    """How often ``svc`` materialized an instance onto a device."""
+    return svc.metrics.counter("service.materializations").value
 
 
 def measure() -> dict:
@@ -191,19 +212,30 @@ def measure() -> dict:
     }
 
 
-def speedup_gate(doc: dict) -> tuple[float, float, bool]:
-    """(qps_serial, qps_service_pool_on, passed).
+def amortization_gate(doc: dict) -> list[tuple[str, int, int, bool]]:
+    """``(check, service, serial, passed)`` rows over the deterministic
+    counters of the pool-on legs: what the long-lived service amortizes
+    that the serial model pays per query.
 
-    Both legs run with the shared pool on, so the gate isolates what
-    the service layer amortizes — engine construction, CSV parsing,
-    materialization, cold-pool faults — from the pool's fixed
-    bookkeeping cost, which both sides pay per page.
+    * materializations: 1 service-wide vs the serial model's total, one
+      per query;
+    * base-page misses: the service's over all queries vs one serial
+      query's (every serial query faults the base pages in cold).
     """
-    rows = {r["config"]: r["qps"]
-            for r in doc["informational"]["timings"]}
-    serial = rows["serial one-shot pool=on"]
-    pooled = rows["service pool=on"]
-    return serial, pooled, pooled - serial > 1.0
+    det = doc["deterministic"]
+    serial, pooled = det["serial_pool_on"], det["service_pool_on"]
+    n = det["n_queries"]
+    once = serial["per_query_misses"]
+    return [
+        ("materializations", pooled["materializations"],
+         serial["materializations"],
+         pooled["materializations"] == 1
+         and serial["materializations"] == n),
+        ("base-page misses", pooled["cache_aggregate"]["misses"],
+         once[0],
+         len(once) == 1 and pooled["cache_aggregate"]["misses"]
+         == once[0] > 0),
+    ]
 
 
 def print_report(doc: dict) -> None:
@@ -218,9 +250,9 @@ def print_report(doc: dict) -> None:
           f"(solo-run identical)")
     print(f"  pool-on aggregate cache: "
           f"{det['service_pool_on']['cache_aggregate']}")
-    serial, pooled, ok = speedup_gate(doc)
-    print(f"  speedup gate: {pooled} qps (service, pool on) vs "
-          f"{serial} qps serial -> {'PASS' if ok else 'FAIL'}")
+    for check, pooled, serial, ok in amortization_gate(doc):
+        print(f"  amortization gate, {check}: service {pooled} vs "
+              f"serial {serial} -> {'PASS' if ok else 'FAIL'}")
 
 
 def write_baseline(path: Path, doc: dict) -> int:
@@ -252,14 +284,15 @@ def check_baseline(path: Path, doc: dict) -> int:
             print(f"  {line}")
         print("If the change is intentional, regenerate with "
               "--write-baseline and commit the result.")
+    else:
+        print(f"service baseline OK: deterministic counters match {path}")
+    failed = [row for row in amortization_gate(doc) if not row[3]]
+    for check, pooled, serial, _ in failed:
+        print(f"AMORTIZATION GATE FAILED: {check}: service {pooled} "
+              f"vs serial {serial}")
+    if drift or failed:
         return 1
-    print(f"service baseline OK: deterministic counters match {path}")
-    serial, pooled, ok = speedup_gate(doc)
-    if not ok:
-        print(f"SPEEDUP GATE FAILED: pooled service at {pooled} "
-              f"qps does not beat serial {serial} qps by > 1")
-        return 1
-    print(f"speedup gate OK: {pooled} qps pooled vs {serial} qps serial")
+    print("amortization gate OK")
     return 0
 
 
@@ -288,6 +321,7 @@ def test_service_throughput(benchmark, capsys):
     assert det["service_pool_off"]["per_query_io_totals"] == [171]
     assert det["serial"]["per_query_io_totals"] == [171]
     assert det["service_pool_on"]["cache_aggregate"]["evictions"] == 0
+    assert all(ok for *_, ok in amortization_gate(doc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -299,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="measure and (re)write BENCH_service.json")
     mode.add_argument("--check-baseline", action="store_true",
                       help="re-measure; exit 1 on counter drift or a "
-                           "failed speedup gate")
+                           "failed amortization gate (materializations "
+                           "and base-page misses, service vs serial)")
     parser.add_argument("--baseline-path", type=Path,
                         default=BASELINE_PATH, metavar="PATH")
     args = parser.parse_args(argv)

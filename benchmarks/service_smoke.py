@@ -19,8 +19,10 @@ surface under concurrent clients (served one request at a time):
    it, expect a typed 422 and find it recorded as ``rejected``;
 7. send one query over an unknown relation, expect a 400 and find it
    recorded as ``error``;
-8. check the ``/stats`` pool section, then shut the process down and
-   fail on a non-clean exit.
+8. check the ``/stats`` pool section, and that sticky and one-shot
+   queries alike ran on one device and one materialized copy of the
+   one instance; then shut the process down and fail on a non-clean
+   exit.
 
 Exit status 0 on success; any assertion or timeout fails the job.
 """
@@ -198,6 +200,13 @@ def main() -> int:
             pool = stats["pool"]
             assert pool["frames"] == 2048 and pool["policy"] == "lru", pool
             assert pool["resident_pages"] <= pool["frames"], pool
+            # Sessions are names: every query shared the service's one
+            # (M, B) device and its one copy of the instance.
+            assert [(d["M"], d["B"]) for d in stats["devices"]] == \
+                [(8, 2)], stats["devices"]
+            assert [(m["instance"], m["M"], m["B"])
+                    for m in stats["materialized"]] == \
+                [("default", 8, 2)], stats["materialized"]
 
             with urllib.request.urlopen(f"{base}/healthz",
                                         timeout=10) as resp:

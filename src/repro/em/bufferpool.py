@@ -32,17 +32,17 @@ Cross-query sharing (``repro.server``)
 
 A pool can also back *several* devices at once — the service's shared
 pool, where hot relations are read once and hit from cache across
-sessions.  Two extensions make that sound without disturbing the
+queries and machine shapes.  Two extensions make that sound without disturbing the
 single-device accounting above:
 
 * every access may name the device doing the work (``via=``); hits,
   misses, evictions and write-backs are charged to *that* device's
-  counters, so each session's :class:`~repro.em.stats.IOStats` stays
+  counters, so each device's :class:`~repro.em.stats.IOStats` stays
   byte-identical to what it alone caused (omitting ``via`` charges the
   pool's own device — the historical behavior);
 * dirty frames remember which device dirtied them, so
-  ``flush(device=...)`` writes back only one session's deferred writes,
-  charged to that session.
+  ``flush(device=...)`` writes back only one device's deferred writes,
+  charged to that device.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class BufferPool:
         """Write back dirty pages (pages stay resident, clean).
 
         With ``device`` given, only pages *dirtied by* that device are
-        written back, charged to it — so one session flushing its
+        written back, charged to it — so one device flushing its
         deferred writes cannot pay for (or expose) another's.  Without,
         every dirty page is written back, each charged to the device
         that dirtied it (the pool's own device when unrecorded).
@@ -244,9 +244,9 @@ class BufferPool:
 
         No write-back is performed (flush first if the deferred writes
         matter); dirty frames are skipped unless ``include_dirty``.
-        Used by session pool views to
-        retire their private (temp-file) frames without touching pages
-        shared across sessions.
+        Used by the service's pool views to
+        retire private (temp-file) frames and a replaced generation's
+        frames without touching the pages other queries share.
         """
         dropped = 0
         for key in [k for k in self._frames if pred(k)]:

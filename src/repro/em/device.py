@@ -118,7 +118,7 @@ class Device:
         ``pool`` must expose the charging surface of
         :class:`~repro.em.bufferpool.BufferPool` (``read_page`` /
         ``write_page`` / ``flush`` / ``clear``) — in practice a server
-        session's view of a shared cross-query pool.  Replaces any
+        device's view of a shared cross-query pool.  Replaces any
         constructor-owned pool; ``pool_config`` still describes only
         the latter.
         """

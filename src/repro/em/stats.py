@@ -193,7 +193,7 @@ class PhaseTracker:
         self._stack: list[list[int]] = []
         # I/O total when the tracker was last reset: the remainder in
         # report() is measured from here, so a long-lived device (a
-        # server session) can zero its phase view per query without
+        # query service's) can zero its phase view per query without
         # rewinding the monotone counters.
         self._origin: int = 0
 

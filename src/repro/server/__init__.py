@@ -11,13 +11,15 @@ run to completion:
   planner-estimated need must fit the budget ``M`` (or its tenant's
   share of it), or it is refused at once;
 * :mod:`repro.server.pool` — one cross-query buffer pool, with each
-  session's charges routed to its own :class:`~repro.em.stats.IOStats`;
-* :mod:`repro.server.session` — parse → classify → plan → execute with
-  per-session counter/trace isolation (solo-run byte identity);
+  device's charges routed to its own :class:`~repro.em.stats.IOStats`;
+* :mod:`repro.server.session` — the :class:`QueryResult` each query
+  reports (solo-run byte identity) and sessions, which are names;
 * :mod:`repro.server.flight` — the query flight recorder: one bounded
   ring of the sessions' :class:`QueryResult` records behind
   ``/debug/queries``;
-* :mod:`repro.server.service` — the engine tying those together;
+* :mod:`repro.server.service` — the engine tying those together: it
+  owns one device per ``(M, B)`` and one materialized copy per
+  instance and machine, and runs parse → classify → plan → execute;
 * :mod:`repro.server.http` — ``/metrics`` (Prometheus text), ``/query``
   (JSON) and friends, behind ``repro serve``.
 """

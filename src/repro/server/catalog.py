@@ -4,13 +4,13 @@ A one-shot ``repro run`` pays the host-side cost of parsing CSVs and
 materializing relations for every invocation.  The catalog keeps each
 named dataset host-resident — attribute layouts plus typed rows, the
 exact value :meth:`~repro.data.instance.Instance.from_dicts` consumes —
-so sessions materialize instances onto their devices from memory,
+so the service materializes instances onto its devices from memory,
 byte-identically to a solo run (inputs are uncharged either way).
 
 Entries are ref-counted (:meth:`acquire` / :meth:`release`), so an
 unpaired release is caught.  Replacing an entry bumps its
-``generation`` so sessions holding materialized copies of the old data
-can tell they are stale.
+``generation``; the service's ``add_instance``/``load_tables`` then
+drop the older generation's materialized copies and shared frames.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class Catalog:
         """Load ``{relation: csv path}`` from disk, once, as ``name``.
 
         Rows are normalized exactly like :func:`repro.data.io.load_csv`
-        (sorted, de-duplicated), so a session materializing from this
-        entry sees the same relation a solo ``repro run`` would.
+        (sorted, de-duplicated), so a copy materialized from this
+        entry holds the same relation a solo ``repro run`` would.
         """
         layouts: dict[str, tuple[str, ...]] = {}
         rows: dict[str, list[tuple]] = {}

@@ -7,7 +7,7 @@ Routes (all rooted at the bind address of ``repro serve``):
   at scrape time;
 * ``GET /healthz`` — liveness;
 * ``GET /stats`` — the full engine view (admission, catalog, pool,
-  sessions) as JSON;
+  sessions, devices, materialized instances) as JSON;
 * ``GET /catalog`` — loaded instances;
 * ``GET /debug/queries`` — newest flight records (compact rows;
   ``?n=`` caps the count, ``?slow=1`` filters to slow queries), plus
@@ -25,9 +25,9 @@ Routes (all rooted at the bind address of ``repro serve``):
        "tenant": "team-a",             // admission owner (optional)
        "collect": false}               // include result rows
 
-  Without ``session`` the query runs one-shot (open, run, close);
-  with it, repeated requests share devices and instance caches — the
-  connection abstraction over a stateless protocol.  With
+  Every query runs on the service's devices and materialized
+  instances; ``session`` only names the default tenant and the query
+  count it accrues (without it, a one-shot name is minted).  With
   ``?explain=1`` the response gains an ``"explain"`` key: predicted vs
   measured I/O per phase from the service's fitted Table-1 constants
   (or the reason no prediction applies).

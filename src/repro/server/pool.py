@@ -1,29 +1,31 @@
-"""The cross-query shared buffer pool and its per-session views.
+"""The cross-query shared buffer pool and the service devices' views.
 
 One :class:`~repro.em.bufferpool.BufferPool` (anchored on a private
-device that only lends its ``B``) is shared by every session: hot base
-relations are faulted in once and hit from cache service-wide.  Each
-session talks to it through a :class:`PoolView` — an object with the
-``BufferPool`` charging surface that a session device adopts via
-:meth:`~repro.em.device.Device.attach_pool`.  The view
+device that only lends its ``B``) is shared by every query: hot base
+relations are faulted in once and hit from cache service-wide.  The
+service keeps one device per ``(M, B)`` machine shape, and each of
+those devices talks to the pool through a :class:`PoolView` — an
+object with the ``BufferPool`` charging surface that the device adopts
+via :meth:`~repro.em.device.Device.attach_pool`.  The view
 
-* translates the session's :class:`~repro.em.file.EMFile` objects into
-  pool-wide *labels*, so two sessions' independent materializations of
-  the same catalog relation land on the same frames.  Shared labels are
-  registered explicitly (``share``); everything else (sort runs, temp
-  partitions) gets a view-private label, invisible to other sessions;
-* routes every charge ``via`` the session's device, so hits, misses and
-  write-backs appear in *that* session's counters — per-session
-  accounting stays byte-identical to what the session alone caused.
+* translates the device's :class:`~repro.em.file.EMFile` objects into
+  pool-wide *labels*.  The service registers the labels of its
+  materialized catalog relations explicitly (:meth:`PoolView.share`),
+  so copies on two devices of the same ``B`` land on the same frames;
+  everything else (sort runs, temp partitions) gets a view-private
+  label that lives for one query;
+* routes every charge ``via`` its device, so hits, misses and
+  write-backs appear in the counters of the query running on it.
 
 Page numbering depends on ``B``, so shared labels embed the block size
-and the catalog generation: sessions on a different ``B`` (or stale
-data) simply do not share frames rather than corrupting each other's.
+and the catalog generation (:func:`shared_label`): devices on a
+different ``B`` do not share frames, and a replaced generation's
+frames are dropped with its copies (:meth:`PoolView.forget`).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, TYPE_CHECKING
+from typing import Iterable, TYPE_CHECKING
 
 from repro.em.bufferpool import BufferPool, PoolConfig
 from repro.em.device import Device
@@ -38,27 +40,17 @@ def shared_label(instance: str, generation: int, B: int, rel: str) -> str:
 
 
 class SharedPool:
-    """The service-wide pool every session view charges through."""
+    """The service-wide pool every device view charges through."""
 
     def __init__(self, *, frames: int, policy: str = "lru", B: int,
                  metrics=None) -> None:
         config = PoolConfig(frames=frames, policy=policy)
         # The anchor device exists to carry B and the residency gauge;
         # no query I/O is ever charged to it (views charge via= their
-        # session devices).
+        # own devices).
         self.device = Device(M=max(B, frames * B), B=B, metrics=metrics)
         self.B = B
         self.pool = BufferPool(self.device, config)
-
-    def view(self, device: Device, owner: Hashable) -> "PoolView":
-        """A session-facing view charging ``device``; ``owner`` names
-        its private labels."""
-        if device.B != self.B:
-            raise ValueError(
-                f"session device has B={device.B} but the shared pool "
-                f"pages with B={self.B}; sharing frames would mix page "
-                f"boundaries")
-        return PoolView(self, device, owner)
 
     def stats(self) -> dict[str, object]:
         return {
@@ -72,51 +64,49 @@ class SharedPool:
 
 
 class PoolView:
-    """One session's window onto the shared pool.
+    """One device's window onto the shared pool.
 
     Implements the surface ``Device.charge_read``/``charge_write`` and
     ``Device.reset_stats`` expect of a pool (``read_page``,
-    ``write_page``, ``flush``, ``clear``), so a session device can
-    simply :meth:`~repro.em.device.Device.attach_pool` it.
+    ``write_page``, ``flush``, ``clear``), so a device can simply
+    :meth:`~repro.em.device.Device.attach_pool` it.
     """
 
-    def __init__(self, shared: SharedPool, device: Device,
-                 owner: Hashable) -> None:
-        self.shared = shared
+    def __init__(self, shared: SharedPool, device: Device) -> None:
         self.device = device
-        self.owner = owner
         self._pool = shared.pool
         # EMFile (by identity) -> label, one lookup per page access.
-        # Shared entries persist for the view's lifetime; private ones
-        # (also kept in _private, file -> label) are forgotten at
-        # end_query() so dead temp files do not accumulate.
+        # Shared entries stay until forget(); private ones (also listed
+        # in _private) go at end_query() so dead temp files do not
+        # accumulate.
         self._labels: dict["EMFile", str] = {}
-        self._private: dict["EMFile", str] = {}
+        self._private: list["EMFile"] = []
         self._n_private = 0
 
     # -- label management ---------------------------------------------
 
     def share(self, f: "EMFile", label: str) -> None:
-        """Map this session's file onto a pool-wide shared label."""
+        """Map this device's file onto a pool-wide shared label."""
         self._labels[f] = label
+
+    def forget(self, files: Iterable["EMFile"]) -> None:
+        """Forget ``files`` and drop their frames, dirty ones without
+        write-back."""
+        labels = {self._labels.pop(f) for f in files}
+        if labels:
+            self._pool.drop_matching(lambda key: key[0] in labels,
+                                     include_dirty=True)
 
     def _new_private_label(self, f: "EMFile") -> str:
         # The counter (not the file name) guarantees uniqueness:
-        # distinct live files may share a name across instances.
+        # distinct live files may share a name; M tells the views on
+        # one pool apart.
         self._n_private += 1
         name = getattr(f, "name", None) or str(f)
-        label = f"view/{self.owner}/{self._n_private}:{name}"
-        self._labels[f] = self._private[f] = label
+        label = self._labels[f] = \
+            f"private/M{self.device.M}/{self._n_private}:{name}"
+        self._private.append(f)
         return label
-
-    def _forget_private(self) -> set[str]:
-        """Forget this query's private files; return their labels."""
-        labels = set(self._private.values())
-        for f in self._private:
-            if self._labels[f] in labels:  # not shared since
-                del self._labels[f]
-        self._private.clear()
-        return labels
 
     # -- the Device pool surface --------------------------------------
 
@@ -131,37 +121,27 @@ class PoolView:
             self.device)
 
     def flush(self) -> None:
-        """Write back only this session's deferred dirty pages."""
+        """Write back only this device's deferred dirty pages."""
         self._pool.flush(device=self.device)
 
     def clear(self) -> None:
         """Drop this view's private frames without write-back.
 
-        The shared-label frames stay: they belong to every session, and
-        base pages are only ever clean (inputs materialize uncharged,
+        The shared-label frames stay: they serve every query, and base
+        pages are only ever clean (inputs materialize uncharged,
         bypassing the pool).
         """
-        private = self._forget_private()
-        self._pool.drop_matching(lambda key: key[0] in private,
-                                 include_dirty=True)
-
-    # -- query and session lifecycle ----------------------------------
+        self.forget(self._private)
+        self._private.clear()
 
     def end_query(self) -> None:
         """Retire one query's working set: flush own dirty pages, then
         drop the private (temp-file) frames they lived in.
 
         Temp files are query-private by construction, so keeping their
-        frames would only crowd out shared pages for other sessions —
-        and dropping them keeps pooled counters independent of what ran
-        before on this session.
+        frames would only crowd out shared pages for later queries —
+        and dropping them keeps pooled counters independent of what
+        ran before on this device.
         """
         self._pool.flush(device=self.device)
-        private = self._forget_private()
-        self._pool.drop_matching(lambda key: key[0] in private)
-
-    def close(self) -> None:
-        """Session teardown: write back this session's dirty pages,
-        drop its private frames and forget its labels."""
-        self.end_query()
-        self._labels.clear()
+        self.clear()

@@ -144,15 +144,14 @@ class TestFlightThroughService:
     def test_execution_error_leaves_an_error_record(self):
         with line3_service() as svc:
             session = svc.session("boom")
-            original = session._run
 
             def explode(*a, **k):
                 raise RuntimeError("kaput")
 
-            session._run = explode
+            svc._execute = explode  # the stage after admission
             with pytest.raises(RuntimeError):
                 session.execute(QUERY, M=M, B=B)
-            session._run = original
+            del svc._execute
             (rec,) = svc.flight.records()
         assert rec.status == "error"
         assert rec.error == "kaput"

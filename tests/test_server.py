@@ -171,8 +171,8 @@ class TestSharedPool:
         assert r.cache is None  # no view attached: pool-off semantics
 
     def test_observed_session_counts_equal_unobserved(self):
-        """An observer on the session device changes no pool counter,
-        and it sees every hit, miss, eviction and write-back."""
+        """An observer on the service's (M, B) device changes no pool
+        counter, and it sees every hit, miss, eviction and write-back."""
         keys = ("hits", "misses", "evictions", "writebacks")
 
         def run(observe):
@@ -180,7 +180,7 @@ class TestSharedPool:
             with line3_service(pool_frames=8) as svc:
                 s = svc.session("a")
                 if observe:
-                    s._device(M, B).observe(tracer)
+                    svc.device(M, B).observe(tracer)
                 rs = [s.execute(line_query(3), M=M, B=B)
                       for _ in range(2)]
             return [(r.io, r.cache) for r in rs], tracer.summary()
@@ -303,6 +303,12 @@ class TestSessionsAndService:
         assert doc["catalog"]["entries"][0]["name"] == "default"
         assert doc["pool"]["frames"] == 64
         assert any(s["name"] == "alice" for s in doc["sessions"])
+        # Sessions are names; the machine state is the service's.
+        assert doc["sessions"] == [{"name": "alice", "queries": 1}]
+        assert doc["devices"] == [{"M": M, "B": B, "io": 79,
+                                   "pooled": True}]
+        assert doc["materialized"] == [
+            {"instance": "default", "generation": 1, "M": M, "B": B}]
 
 
 # ------------------------------------------------ batches on one thread
