@@ -14,7 +14,7 @@ is either its one remaining query attribute or a fixed column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.data.schema import RelationSchema
@@ -87,7 +87,7 @@ class Relation:
         with self.device.phases.phase("sort"):
             out = external_sort(self.data, self.key(attribute),
                                 name=f"{self.name}.by_{attribute}")
-        return replace(self, data=out.whole(), sorted_on=attribute)
+        return Relation(self.schema, out.whole(), attribute, self.fixed)
 
     def restrict(self, start: int, stop: int, *, attribute: str,
                  value: Any) -> "Relation":
@@ -103,14 +103,14 @@ class Relation:
                 f"(currently sorted on {self.sorted_on!r})")
         fixed = dict(self.fixed)
         fixed[attribute] = value
-        return replace(self, data=self.data.subsegment(start, stop),
-                       fixed=fixed)
+        return Relation(self.schema, self.data.subsegment(start, stop),
+                        self.sorted_on, fixed)
 
     def rewrite(self, tuples: Iterable[tuple], *, label: str = "tmp",
                 sorted_on: str | None = None) -> "Relation":
         """Write ``tuples`` to a new file (charged) with the same schema."""
         f = self.device.file_from_tuples(tuples, f"{self.name}.{label}")
-        return replace(self, data=f.whole(), sorted_on=sorted_on)
+        return Relation(self.schema, f.whole(), sorted_on, self.fixed)
 
     # em-cost: N/B -- one write per page of the appended blocks
     def rewrite_blocks(self, blocks: Iterable[Sequence[tuple]], *,
@@ -127,7 +127,7 @@ class Relation:
             # tuples; append_block charges one write per page filled
             for block in blocks:
                 w.append_block(block)
-        return replace(self, data=f.whole(), sorted_on=sorted_on)
+        return Relation(self.schema, f.whole(), sorted_on, self.fixed)
 
     # -- uncharged helpers (oracles and tests only) ----------------------
 

@@ -1,9 +1,13 @@
 """Tests for per-phase I/O attribution."""
 
+import pytest
+
 from repro import Device, Instance
 from repro.core import CountingEmitter, acyclic_join
 from repro.core.triangle import triangle_join
-from repro.em import PhaseTracker
+from repro.em import MemoryBudgetExceeded
+from repro.obs import SpanProfiler
+from repro.obs.observer import Observer
 from repro.query import line_query, triangle_query
 
 
@@ -38,6 +42,73 @@ class TestPhaseTracker:
         small_device.reset_stats()
         assert small_device.phases.totals == {}
         assert small_device.stats.total == 0
+
+
+class _Recorder(Observer):
+    """Logs phase and span boundaries in the order they arrive."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_phase_enter(self, label):
+        self.events.append(("enter", label))
+
+    def on_phase_exit(self, label, exclusive_io):
+        self.events.append(("exit", label, exclusive_io))
+
+    def on_span_open(self, device, name, kind, attrs):
+        self.events.append(("open", name, kind))
+        return name
+
+    def on_span_close(self, device, handle):
+        self.events.append(("close", handle))
+
+
+class TestScopesUnwindOnError:
+    """A raise inside nested phases and memory holds leaves no phase
+    open and no tuple held, and the attribution still adds up."""
+
+    def test_nested_phases_and_holds(self):
+        device = Device(M=8, B=2)
+        recorder, profiler = _Recorder(), SpanProfiler()
+        device.observe(recorder)
+        device.observe(profiler)
+        phases, memory = device.phases, device.memory
+        device.file_from_tuples([(1,)])             # 1 write, no phase
+        with pytest.raises(KeyError):
+            with phases.phase("outer"), memory.hold(3):
+                device.file_from_tuples([(i,) for i in range(4)])  # 2
+                with phases.phase("inner"), memory.hold(5):
+                    device.file_from_tuples([(i,) for i in range(6)])
+                    assert memory.current == 8
+                    raise KeyError("boom")
+        assert phases._stack == []
+        assert memory.current == 0 and memory.peak == 8
+        report = phases.report()
+        assert report == {"inner": 3, "outer": 2, "(unattributed)": 1}
+        assert sum(report.values()) == device.stats.total == 6
+        assert recorder.events == [
+            ("enter", "outer"), ("open", "outer", "phase"),
+            ("enter", "inner"), ("open", "inner", "phase"),
+            ("close", "inner"), ("exit", "inner", 3),
+            ("close", "outer"), ("exit", "outer", 2)]
+        (root,) = profiler.roots
+        assert root.closed and [c.name for c in root.children] == ["inner"]
+        assert (root.exclusive_io, root.children[0].io) == (2, 3)
+        # The scopes are reusable afterwards.
+        with phases.phase("outer"), memory.hold(1):
+            device.file_from_tuples([(1,)])
+        assert phases.totals["outer"] == 3 and memory.current == 0
+
+    def test_failed_strict_hold_inside_a_phase(self):
+        device = Device(M=2, B=2, mem_slack=1.0, strict_memory=True)
+        with pytest.raises(MemoryBudgetExceeded):
+            with device.phases.phase("load"), device.memory.hold(2):
+                with device.memory.hold(1):
+                    pass
+        assert device.phases._stack == []
+        assert device.memory.current == 0
+        assert device.phases.report() == {"load": 0, "(unattributed)": 0}
 
 
 class TestFreeMaterializationAttribution:
