@@ -27,7 +27,8 @@ Routes (all rooted at the bind address of ``repro serve``):
 
   Every query runs on the service's devices and materialized
   instances; ``session`` only names the default tenant and the query
-  count it accrues (without it, a one-shot name is minted).  With
+  count it accrues (without it, a one-shot name starting with ``~`` is
+  minted; a client's ``session`` may not start with ``~``).  With
   ``?explain=1`` the response gains an ``"explain"`` key: predicted vs
   measured I/O per phase from the service's fitted Table-1 constants
   (or the reason no prediction applies).
@@ -40,8 +41,9 @@ loop for longer than that.
 
 Every non-2xx reply is a typed JSON document with an ``error``: a
 malformed body (``query``, ``session`` or ``instance`` not a string;
-``M``/``B`` not integers ``>= 1``, or ``B > M``; ``collect`` not a
-boolean) and unknown queries/instances are 400; a memory need over the
+``session`` starting with ``~``; ``M``/``B`` not integers ``>= 1``,
+or ``B > M``; ``collect`` not a boolean) and unknown
+queries/instances are 400; a memory need over the
 global budget or the tenant's share is 422 (no retry will help);
 anything unexpected inside the engine is 500, never a dropped
 connection.
@@ -52,23 +54,20 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.export import metrics_payload
 from repro.query.parse import QueryParseError
 from repro.server.admission import AdmissionRejected
 from repro.server.catalog import CatalogError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.server.service import QueryService
+from repro.server.service import MINTED_PREFIX, QueryService
 
 
 class ServiceServer(HTTPServer):
     """One HTTP front end bound to one :class:`QueryService`."""
 
     def __init__(self, addr: tuple[str, int],
-                 service: "QueryService") -> None:
+                 service: QueryService) -> None:
         super().__init__(addr, _Handler)
         self.service = service
 
@@ -199,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._json(200, doc)
 
 
-def _query_kwargs(req, service: "QueryService") -> dict:
+def _query_kwargs(req, service: QueryService) -> dict:
     """Check a ``POST /query`` body; the execute keyword arguments.
 
     Raises ``ValueError`` naming the first malformed field, so bad
@@ -212,6 +211,9 @@ def _query_kwargs(req, service: "QueryService") -> dict:
     for key in ("session", "instance"):
         if not isinstance(req.get(key), (str, type(None))):
             raise ValueError(f'"{key}" must be a string')
+    if (req.get("session") or "").startswith(MINTED_PREFIX):
+        raise ValueError(f'"session" must not start with '
+                         f'{MINTED_PREFIX!r} (the service mints those)')
     kwargs = {"instance": req.get("instance", "default"),
               "collect": req.get("collect", False)}
     if not isinstance(kwargs["collect"], bool):
@@ -234,13 +236,13 @@ def _query_kwargs(req, service: "QueryService") -> dict:
     return kwargs
 
 
-def make_server(service: "QueryService", host: str = "127.0.0.1",
+def make_server(service: QueryService, host: str = "127.0.0.1",
                 port: int = 8707) -> ServiceServer:
     """Bind (``port=0`` picks a free one) without starting to serve."""
     return ServiceServer((host, port), service)
 
 
-def start_http_server(service: "QueryService", host: str = "127.0.0.1",
+def start_http_server(service: QueryService, host: str = "127.0.0.1",
                       port: int = 0) -> ServiceServer:
     """Bind and serve on a daemon thread (tests, embedding).
 

@@ -547,6 +547,7 @@ class TestHttp:
         {"collect": "false"},    # a non-empty string is truthy
         {"session": [1]},        # unhashable as a session name
         {"session": {"x": 1}},
+        {"session": "~s1"},      # the service mints "~" names
         {"instance": []},
     ], ids=repr)
     def test_malformed_body_400(self, http_service, body):
