@@ -85,13 +85,13 @@ def execute(query: JoinQuery, instance: Instance, emitter: Emitter, *,
 
     ``reduce_first`` runs the external-memory full reducer before
     joining (skip it only for instances known to be reduced).
-    ``plan_limit`` caps the branch exploration of Algorithm 2.
+    ``plan_limit`` caps the peel plans Algorithm 2 prices.
     ``strategy`` selects how Algorithm 2's nondeterminism is resolved
-    where it applies: ``"best-branch"`` explores every peel plan (the
-    round-robin guarantee); ``"guided"`` runs once using the paper's
-    explicit peel rules (Section 7.2's ``N0`` vs ``Nn`` comparison on
-    lollipops, the star-at-``e_m``-first order on dumbbells, and the
-    greedy smallest-leaf heuristic elsewhere).
+    where it applies: ``"best-branch"`` prices every peel plan and runs
+    the cheapest (the round-robin guarantee); ``"guided"`` runs once
+    using the paper's explicit peel rules (Section 7.2's ``N0`` vs
+    ``Nn`` comparison on lollipops, the star-at-``e_m``-first order on
+    dumbbells, and the greedy smallest-leaf heuristic elsewhere).
     """
     require_berge_acyclic(query)
     devices = {rel.device for rel in instance.values()}

@@ -93,7 +93,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _json(self, status: int, doc) -> None:
-        body = json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
+        # Compact: any ``indent`` makes json fall back to its pure-Python
+        # encoder, which costs more than the rest of a small reply.
+        body = json.dumps(doc, separators=(",", ":"),
+                          sort_keys=True).encode("utf-8")
         self._send(status, body, "application/json")
 
     # -- routes --------------------------------------------------------

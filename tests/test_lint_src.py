@@ -72,12 +72,16 @@ def test_core_layer_never_reaches_raw_io():
 
 def test_sanctioned_peek_sites_are_declared():
     """The audited peek_tuples() uses carry FREE_PEEK declarations
-    with justifications (the core/acyclic.py clone audit)."""
+    with justifications (the core/acyclic.py clone audit and the plan
+    pricer's snapshot in core/price.py)."""
     result = lint_paths([SRC], root=ROOT)
     funcs = result.signatures["functions"]
     clone = funcs["repro.core.acyclic.clone_instance"]
     assert clone["declared"] == ["FREE_PEEK"]
     assert "pre-existing inputs" in clone["justification"]
+    snapshot = funcs["repro.core.price.snapshot"]
+    assert snapshot["declared"] == ["FREE_PEEK"]
+    assert "pre-existing inputs" in snapshot["justification"]
     sorted_probe = funcs["repro.em.sort.is_sorted"]
     assert sorted_probe["declared"] == ["FREE_PEEK"]
 

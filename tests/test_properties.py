@@ -7,7 +7,8 @@ baseline) emits exactly the oracle's result set, with exact counts (no
 duplicates) — and structural invariants (Lemma 1, GenS well-formedness)
 hold along the way.  The external-memory reducer is held to the
 in-memory one, relation by relation, and every sort order it reports
-must be physically true of the pages it returns.
+must be physically true of the pages it returns.  The exact price of
+every peel plan equals what a trial run of that plan is charged.
 """
 
 import random
@@ -16,13 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Device, Instance
-from repro.core import (AssignmentEmitter, acyclic_join, execute,
-                        full_reduce_em, smallest_leaf_chooser,
-                        yannakakis_em)
+from repro.core import (AssignmentEmitter, CountingEmitter, acyclic_join,
+                        acyclic_join_best, clone_instance, enumerate_plans,
+                        execute, full_reduce_em, plan_chooser,
+                        smallest_leaf_chooser, yannakakis_em)
+from repro.core.price import price_plan, snapshot
 from repro.em import PoolConfig
 from repro.internal import generic_join, join_query, yannakakis
 from repro.query import full_reduce, gens_all, is_berge_acyclic, JoinQuery
 from repro.query.classify import has_island_bud_or_leaf
+from repro.workloads import skewed_instance, uniform_instance
+
+from test_classify import random_acyclic_query
 
 
 @st.composite
@@ -180,3 +186,36 @@ def test_execute_under_strict_memory_matches_oracle(case, mb, pool):
     execute(query, Instance.from_dicts(device, schemas, data), em)
     assert em.assignment_set() == oracle
     assert em.count == len(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_acyclic_query(), st.sampled_from(["uniform", "skewed"]),
+       st.sampled_from([(4, 1), (4, 2), (6, 3), (8, 2), (16, 4)]),
+       st.booleans(), st.integers(0, 10**6))
+def test_every_plan_is_priced_at_its_trial_run_cost(query, gen, mb, reduce,
+                                                     seed):
+    """The walk prices each plan at exactly its trial run's reads and
+    writes, and every trial emits the real run's results."""
+    M, B = mb
+    sizes = {e: min(14, 3 ** len(a)) for e, a in query.edges.items()}
+    if gen == "uniform":
+        schemas, data = uniform_instance(query, sizes, 3, seed=seed)
+    else:
+        schemas, data = skewed_instance(query, sizes, 6, hot_fraction=0.7,
+                                        hot_values=1, seed=seed)
+    inst = Instance.from_dicts(Device(M=M, B=B), schemas, data)
+    if reduce:
+        inst = full_reduce_em(query, inst)
+    real = CountingEmitter()
+    best = acyclic_join_best(query, inst, real, limit=8)
+    plans = enumerate_plans(query, limit=8) or [{}]
+    rows = snapshot(inst)
+    for plan, run in zip(plans, best.runs, strict=True):
+        dev, trial_inst = clone_instance(inst)
+        trial = CountingEmitter()
+        acyclic_join(query, trial_inst, trial, chooser=plan_chooser(plan))
+        price = price_plan(query, rows, plan, M, B)
+        assert (price.reads, price.writes) == \
+            (run.reads, run.writes) == (dev.stats.reads, dev.stats.writes)
+        assert trial.signature() == real.signature() == \
+            (run.emitted, run.checksum)
