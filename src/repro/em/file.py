@@ -56,6 +56,16 @@ Tuple = tuple
 Key = Callable[[Tuple], Any]
 
 
+def span_pages(off: int, n: int, B: int) -> int:
+    """Pages spanned by ``n`` tuples whose first sits at ``off`` in its page.
+
+    One sequential pass over them is charged this many reads.  A new
+    file starts at ``off = 0``, so a :class:`Writer` given ``n`` tuples
+    charges ``span_pages(0, n, B)`` writes.
+    """
+    return (off + n - 1) // B + 1 if n else 0
+
+
 class EMFile:
     """A sequence of tuples stored on the simulated disk.
 
@@ -389,10 +399,8 @@ class FileSegment:
     @property
     def n_pages(self) -> int:
         """Pages this segment's tuples span (including straddled ones)."""
-        if len(self) == 0:
-            return 0
         B = self.device.B
-        return self.stop // B - self.start // B + (1 if self.stop % B else 0)
+        return span_pages(self.start % B, len(self), B)
 
     def reader(self) -> SequentialReader:
         return SequentialReader(self.file, self.start, self.stop)

@@ -24,16 +24,23 @@ algorithms: :func:`semijoin_matches` (one merge pass of two sorted
 cursors, yielding the matches in blocks) and :func:`take_through` (the
 value-bounded prefix of a shared sorted cursor that the light-value
 loops of Algorithms 1 and 2 filter).
+
+Beside each operator whose charge depends on more than the pages its
+segment spans (:func:`~repro.em.file.span_pages`), a pure function
+counts that charge from the tuples' positions and keys without a file:
+:func:`chunk_count`, :func:`light_chunk_reads`,
+:func:`semijoin_right_reads` and :func:`take_through_reads`.
+:mod:`repro.core.price` prices a peel plan with them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.em.file import FileSegment, SequentialReader, Tuple
+from repro.em.file import FileSegment, SequentialReader, Tuple, span_pages
 
 Key = Callable[[Tuple], Any]
 
@@ -113,6 +120,11 @@ def load_chunks(segment: FileSegment, M: int) -> Iterator[list[Tuple]]:
             yield chunk
 
 
+def chunk_count(n: int, M: int) -> int:
+    """Memory loads :func:`load_chunks` yields for ``n`` tuples."""
+    return -(-n // M)
+
+
 # em-cost: N/B -- one pass over the group's pages (via load_chunks)
 # em-yields: N/M
 def load_group_chunks(segment: FileSegment, group: Group, M: int) -> Iterator[list[Tuple]]:
@@ -169,6 +181,24 @@ def load_light_chunks(segment: FileSegment, light_groups: list[Group],
     if chunk:
         with segment.device.memory.hold(len(chunk)):
             yield chunk
+
+
+def light_chunk_reads(groups: Iterable[tuple[int, int]], off: int,
+                      B: int) -> int:
+    """Reads :func:`load_light_chunks` is charged for the light groups.
+
+    ``groups`` are ``(start, stop)`` positions, ascending, relative to a
+    segment whose first tuple sits at ``off`` in its page.  One reader
+    serves them all and keeps its last page buffered, so a page shared
+    with the previous group is read once; skipped pages are free.
+    """
+    reads = 0
+    last_page = -1
+    for start, stop in groups:
+        first, last = (off + start) // B, (off + stop - 1) // B
+        reads += last - max(first, last_page + 1) + 1
+        last_page = last
+    return reads
 
 
 # em-cost: N/B -- one sequential scan of the segment
@@ -236,6 +266,19 @@ def semijoin_matches(left: SequentialReader, right: SequentialReader,
             i = j
 
 
+def semijoin_right_reads(right_keys: Sequence[Any], off: int, left_max: Any,
+                         B: int) -> int:
+    """Reads :func:`semijoin_matches` charges the right cursor.
+
+    ``right_keys`` are the right input's sorted keys, its first tuple at
+    ``off`` in its page; ``left_max`` is the non-empty left input's
+    largest key.  The cursor fetches pages until one ends at a key of at
+    least ``left_max``, or it runs out.
+    """
+    n = len(right_keys)
+    return span_pages(off, min(bisect_left(right_keys, left_max) + 1, n), B)
+
+
 # em-cost: amortized N/B -- callers share one cursor across calls with
 # ascending ``vmax``, so all calls together read each page once
 def take_through(reader: SequentialReader, col: int, vmax: Any,
@@ -263,3 +306,15 @@ def take_through(reader: SequentialReader, col: int, vmax: Any,
         if taken < len(page):
             break
     return matched
+
+
+def take_through_reads(keys: Sequence[Any], off: int, vmax: Any,
+                       B: int) -> int:
+    """Reads one shared cursor's :func:`take_through` calls are charged.
+
+    ``keys`` are the cursor's sorted keys, its first tuple at ``off`` in
+    its page, and ``vmax`` is the last call's bound: the calls together
+    read every page up to the one holding the first key past ``vmax``.
+    """
+    n = len(keys)
+    return span_pages(off, min(bisect_right(keys, vmax) + 1, n), B)

@@ -20,9 +20,39 @@ import itertools
 from typing import Any, Callable
 
 from repro.em.device import Device
-from repro.em.file import EMFile, FileSegment, Tuple
+from repro.em.file import EMFile, FileSegment, Tuple, span_pages
 
 Key = Callable[[Tuple], Any]
+
+
+def merge_fan_in(M: int, B: int) -> int:
+    """Runs one merge reads at once: a page each, plus one output page."""
+    return max(2, M // B - 1)
+
+
+def sort_io(n: int, off: int, M: int, B: int) -> tuple[int, int]:
+    """``(reads, writes)`` :func:`external_sort` is charged, pool off.
+
+    ``n`` tuples whose first sits at ``off`` in its page.  Run
+    formation reads every page they span and writes one run per ``M``
+    tuples; each merge level reads every page of the runs it merges and
+    writes the merged output, passing a batch of one run on for free.
+    """
+    reads = span_pages(off, n, B)
+    runs = [M] * (n // M) + ([n % M] if n % M else [])
+    writes = sum(span_pages(0, r, B) for r in runs)
+    fan_in = merge_fan_in(M, B)
+    while len(runs) > 1:
+        merged = []
+        for j in range(0, len(runs), fan_in):
+            batch = runs[j:j + fan_in]
+            total = sum(batch)
+            if len(batch) > 1:
+                reads += sum(span_pages(0, r, B) for r in batch)
+                writes += span_pages(0, total, B)
+            merged.append(total)
+        runs = merged
+    return reads, writes
 
 
 # em-cost: N/B * log(N/M) + N/B -- form runs in one pass, then
@@ -88,8 +118,8 @@ def _form_runs(segment: FileSegment, key: Key,
 # em-cost: N/B * log(N/M) -- one full read-and-write pass per merge level
 def _merge_runs(device: Device, runs: list[EMFile], key: Key,
                 name: str | None) -> EMFile:
-    """Phase 2: repeatedly merge with fan-in ``max(2, M//B - 1)``."""
-    fan_in = max(2, device.M // device.B - 1)
+    """Phase 2: repeatedly merge with fan-in :func:`merge_fan_in`."""
+    fan_in = merge_fan_in(device.M, device.B)
     level = 0
     # em-loop-bound: log(N/M) -- fan-in M/B shrinks the run count
     # geometrically, so the level count is log_{M/B}(N/M)

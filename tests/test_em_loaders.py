@@ -8,7 +8,10 @@ import pytest
 from repro.em import (Device, PoolConfig, group_boundaries, load_chunks,
                       load_group_chunks, load_light_chunks, scan_matching,
                       split_heavy_light)
-from repro.em.loaders import semijoin_matches
+from repro.em.file import span_pages
+from repro.em.loaders import (light_chunk_reads, semijoin_matches,
+                              semijoin_right_reads, take_through,
+                              take_through_reads)
 from repro.obs.tracer import Tracer
 
 
@@ -218,3 +221,67 @@ class TestSemijoinMatches:
                                        key0, key0))
         assert all(blocks)
         assert [t[0] for b in blocks for t in b] == [2, 2, 5, 9]
+
+
+def _segment_at(device, keys, rng):
+    """``keys`` (sorted) as a segment starting at a random page offset."""
+    off = rng.randrange(device.B)
+    rows = [(-1, 0)] * off + [(k, i) for i, k in enumerate(keys)]
+    f = device.file_from_tuples_free(rows)
+    return f.segment(off, off + len(keys)), off
+
+
+def _sorted_keys(rng, n, values):
+    return sorted(rng.randrange(values) for _ in range(n))
+
+
+@pytest.mark.parametrize("M,B", [(2, 1), (4, 2), (6, 3), (8, 4), (8, 8)])
+class TestChargeCounts:
+    """The pure charge counts beside the loaders equal what the loaders
+    are charged, for segments starting anywhere in a page."""
+
+    def test_light_chunk_reads(self, M, B):
+        rng = random.Random(M * 10 + B)
+        for _ in range(60):
+            device = Device(M=M, B=B)
+            keys = _sorted_keys(rng, rng.randrange(40), rng.randrange(1, 12))
+            seg, off = _segment_at(device, keys, rng)
+            _, light = split_heavy_light(group_boundaries(seg, key0), M)
+            before = device.stats.snapshot()
+            for _chunk in load_light_chunks(seg, light, M):
+                pass
+            reads = device.stats.delta_since(before).reads
+            spans = [(g.start - seg.start, g.stop - seg.start)
+                     for g in light]
+            assert reads == light_chunk_reads(spans, off, B)
+
+    def test_semijoin_right_reads(self, M, B):
+        rng = random.Random(M * 10 + B + 1)
+        for _ in range(60):
+            device = Device(M=M, B=B)
+            lkeys = _sorted_keys(rng, rng.randrange(20), 15)
+            rkeys = _sorted_keys(rng, rng.randrange(20), 15)
+            left, loff = _segment_at(device, lkeys, rng)
+            right, roff = _segment_at(device, rkeys, rng)
+            before = device.stats.snapshot()
+            for _block in semijoin_matches(left.reader(), right.reader(),
+                                           key0, key0):
+                pass
+            want = span_pages(loff, len(lkeys), B)
+            if lkeys:
+                want += semijoin_right_reads(rkeys, roff, lkeys[-1], B)
+            assert device.stats.delta_since(before).reads == want
+
+    def test_take_through_reads(self, M, B):
+        rng = random.Random(M * 10 + B + 2)
+        for _ in range(60):
+            device = Device(M=M, B=B)
+            keys = _sorted_keys(rng, rng.randrange(30), 20)
+            seg, off = _segment_at(device, keys, rng)
+            bounds = sorted(rng.randrange(22) for _ in range(rng.randint(1, 4)))
+            reader = seg.reader()
+            before = device.stats.snapshot()
+            for vmax in bounds:
+                take_through(reader, 0, vmax, {vmax})
+            assert device.stats.delta_since(before).reads == \
+                take_through_reads(keys, off, bounds[-1], B)

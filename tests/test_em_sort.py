@@ -210,3 +210,21 @@ def test_merge_matches_reference_heap_merge_on_ties(B, pool, monkeypatch):
             m.setattr(em_sort, "_merge_once", _reference_merge_once)
             want = _traced_sort(rows, M, B, pool)
         assert got == want, f"fan-in {fan_in}, n={n}"
+
+
+@pytest.mark.parametrize("M,B", [(1, 1), (2, 1), (4, 1), (4, 2), (4, 4),
+                                 (6, 3), (8, 2), (9, 3), (16, 4)])
+def test_sort_io_is_what_external_sort_charges(M, B):
+    """``sort_io`` counts the reads and writes ``external_sort`` is
+    charged on a segment of any length starting anywhere in a page."""
+    rng = random.Random(M * 100 + B)
+    for n in range(5 * M + 4):
+        off = rng.randrange(B)
+        device = Device(M=M, B=B)
+        f = device.file_from_tuples_free(
+            [(rng.randrange(9), i) for i in range(off + n)])
+        before = device.stats.snapshot()
+        external_sort(f.segment(off, off + n), lambda t: t[0])
+        cost = device.stats.delta_since(before)
+        assert (cost.reads, cost.writes) == em_sort.sort_io(n, off, M, B), \
+            f"n={n}, off={off}"
