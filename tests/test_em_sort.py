@@ -181,10 +181,15 @@ def _reference_merge_once(device, runs, key, name):
 
 
 def _traced_sort(rows, M, B, pool):
+    """Sort ``rows`` on their first field under a tracer: the
+    ``(kind, file, page)`` stream, the output and the memory peak.
+    ``pool`` is a :class:`PoolConfig`, or ``True`` for an LRU pool of
+    ``M // B`` frames."""
     tracer = Tracer(capacity=1_000_000)
-    config = PoolConfig(frames=M // B, policy="lru") if pool else None
+    if pool is True:
+        pool = PoolConfig(frames=M // B, policy="lru")
     device = Device(M=M, B=B, observers=[tracer], strict_memory=True,
-                    buffer_pool=config)
+                    buffer_pool=pool or None)
     f = device.file_from_tuples_free(rows, "src")
     out = external_sort(f, lambda t: t[0], name="sorted")
     device.flush_pool()
@@ -212,19 +217,90 @@ def test_merge_matches_reference_heap_merge_on_ties(B, pool, monkeypatch):
         assert got == want, f"fan-in {fan_in}, n={n}"
 
 
+def _reference_traced_sort(rows, M, B, pool):
+    """:func:`_traced_sort` with the heap merge in place.  (Hypothesis
+    tests cannot take the function-scoped ``monkeypatch`` fixture.)"""
+    saved = em_sort._merge_once
+    em_sort._merge_once = _reference_merge_once
+    try:
+        return _traced_sort(rows, M, B, pool)
+    finally:
+        em_sort._merge_once = saved
+
+
+@st.composite
+def merge_cases(draw):
+    """Sorts whose merges a heap would tie-break in every way: B = 1,
+    odd B and B = M; key domains from 1 to 10⁴; a last run shorter than
+    a page; up to three merge levels; no pool, or an LRU, clock or MRU
+    pool with fewer frames than the fan-in."""
+    B_kind = draw(st.sampled_from(["1", "odd", "M"]))
+    M = draw(st.integers(3 if B_kind == "odd" else 1, 16))
+    if B_kind == "odd":
+        B = draw(st.sampled_from(range(3, M + 1, 2)))
+    else:
+        B = 1 if B_kind == "1" else M
+    fan_in = em_sort.merge_fan_in(M, B)
+    full = draw(st.integers(0, min(fan_in ** 2 + 2, 40)))
+    last = draw(st.one_of(st.integers(0, B - 1), st.integers(0, M - 1)))
+    domain = draw(st.one_of(st.integers(1, 8), st.integers(1, 10 ** 4)))
+    rows = [(draw(st.integers(0, domain - 1)), i)
+            for i in range(full * M + last)]
+    policy = draw(st.sampled_from([None, "lru", "clock", "mru"]))
+    pool = (None if policy is None else
+            PoolConfig(frames=draw(st.integers(1, max(1, fan_in - 1))),
+                       policy=policy))
+    return rows, M, B, pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_merge_matches_reference_heap_merge(case):
+    """The closed-form merge against the heap it replaced: the same
+    output order, the same tracer event stream (pool events included)
+    and the same memory peak."""
+    assert _traced_sort(*case) == _reference_traced_sort(*case)
+
+
+def test_chained_ties_follow_the_reordered_predecessor():
+    """A tie block's turn is set by where its predecessor left, even
+    when that predecessor itself tied across runs.  M=4, B=1 merges
+    runs ``[0a 1a 2a 9a] [1b 2b 9b 9b'] [2c 9c 9c' 9c"]`` at once:
+    ``1b`` opens its run, so it leaves before ``1a``; ``2c`` opens its
+    run and ``2b``'s predecessor left before ``2a``'s, so the 2s leave
+    ``c, b, a``; the 9s then go round-robin in that order."""
+    runs = [[(0, "a"), (1, "a"), (2, "a"), (9, "a")],
+            [(1, "b"), (2, "b"), (9, "b"), (9, "b'")],
+            [(2, "c"), (9, "c"), (9, "c'"), (9, 'c"')]]
+    rows = [t for run in runs for t in run]
+    got = _traced_sort(rows, 4, 1, None)
+    assert got == _reference_traced_sort(rows, 4, 1, None)
+    assert [f"{k}{tag}" for k, tag in got[1]] == [
+        "0a", "1b", "1a", "2c", "2b", "2a",
+        "9c", "9b", "9a", "9c'", "9b'", '9c"']
+
+
 @pytest.mark.parametrize("M,B", [(1, 1), (2, 1), (4, 1), (4, 2), (4, 4),
                                  (6, 3), (8, 2), (9, 3), (16, 4)])
 def test_sort_io_is_what_external_sort_charges(M, B):
     """``sort_io`` counts the reads and writes ``external_sort`` is
-    charged on a segment of any length starting anywhere in a page."""
+    charged on a segment of any length starting anywhere in a page,
+    up to three merge levels (n > M·fan_in²).  With a pool of fewer
+    frames than the fan-in, ``hits + misses`` are its reads and, after
+    a flush, the written-back pages are its writes."""
     rng = random.Random(M * 100 + B)
-    for n in range(5 * M + 4):
-        off = rng.randrange(B)
-        device = Device(M=M, B=B)
-        f = device.file_from_tuples_free(
-            [(rng.randrange(9), i) for i in range(off + n)])
-        before = device.stats.snapshot()
-        external_sort(f.segment(off, off + n), lambda t: t[0])
-        cost = device.stats.delta_since(before)
-        assert (cost.reads, cost.writes) == em_sort.sort_io(n, off, M, B), \
-            f"n={n}, off={off}"
+    fan_in = em_sort.merge_fan_in(M, B)
+    for n in range(M * fan_in ** 2 + 2 * M + 4):
+        for pool in (False, True):
+            off = rng.randrange(B)
+            config = PoolConfig(frames=max(1, fan_in - 1)) if pool else None
+            device = Device(M=M, B=B, buffer_pool=config)
+            f = device.file_from_tuples_free(
+                [(rng.randrange(9), i) for i in range(off + n)])
+            before = device.stats.snapshot()
+            external_sort(f.segment(off, off + n), lambda t: t[0])
+            device.flush_pool()
+            cost = device.stats.delta_since(before)
+            reads = cost.cache.logical_reads if pool else cost.reads
+            assert (reads, cost.writes) == \
+                em_sort.sort_io(n, off, M, B), f"n={n}, off={off}, {config}"
