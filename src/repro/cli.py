@@ -66,9 +66,8 @@ constants as the versioned document ``explain`` reads, and
 (exit 1 on drift — the CI gate that keeps predictions honest).
 ``lint`` runs ``emlint``, the AST-based model-discipline checker (see
 ``docs/model.md``): exit 0 means every byte of I/O in the tree is
-accounted through the charged device API, every effect declaration
-matches the inferred call-graph effects (EM007–EM011) and every
-``# em-cost:`` bound matches the derived one (EM017–EM021); exit 1
+accounted through the charged device API and every effect declaration
+matches the inferred call-graph effects (EM007–EM011); exit 1
 reports violations or stale baseline entries.  ``serve`` keeps a
 :class:`~repro.server.QueryService` alive behind a small HTTP surface:
 ``POST /query`` (JSON in/out, optional sticky sessions), ``GET

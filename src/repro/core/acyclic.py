@@ -92,9 +92,6 @@ Chooser = Callable[[JoinQuery, Instance], str]
 # Single-branch execution
 # ---------------------------------------------------------------------------
 
-# em-cost: N^6/(M^5*B) + N/B -- one branch of Algorithm 2: the _run
-# recursion's declared summary, stated up to the L8 depth the line
-# dispatcher handles (Theorems 2-3 give the per-shape tight forms)
 def acyclic_join(query: JoinQuery, instance: Instance, emitter: Emitter,
                  chooser: Chooser | None = None, *,
                  paper_literal_buds: bool = False,
@@ -193,14 +190,15 @@ def _check_alignment(query: JoinQuery, instance: Instance) -> None:
                 f"query attrs + fixed {sorted(expected)}")
 
 
-# em-cost: amortized N^6/(M^5*B) + N/B * log(N/M) -- Algorithm 2's
-# recursion: peel depth and branch fan-out are query-size constants;
-# each level sorts and semijoins its relations (N/B*log(N/M)) and
-# re-runs children once per memory load, multiplying by at most N/M
-# per level, stated up to the L8 depth the line dispatcher handles
 def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
          pick: Chooser, *, literal_buds: bool = False,
          trace=None, depth: int = 0) -> None:
+    """Algorithm 2's recursion on ``query`` over ``inst``.
+
+    Each level sorts and semijoins its relations and re-runs its
+    children once per memory load, so it multiplies their cost by at
+    most ``N/M``.
+    """
     edges = query.edge_names
     if not edges:
         return
@@ -252,8 +250,6 @@ def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
     rebound = dict(inst)
     del rebound[bud]
     if not literal:
-        # em-loop-bound: 1 -- one sharer per query edge, and the edge
-        # count is a query-size constant
         for e2 in sharers:
             rel2 = inst[e2].sort_by(w)
             rebound[e2] = _merge_semijoin(rel2, bud_rel, w)
@@ -361,8 +357,6 @@ def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
     M = device.M
 
     rel_e = inst[leaf].sort_by(v)                       # line 12
-    # em-loop-bound: 1 -- one sort per neighbor, and the neighbor
-    # count is a query-size constant
     neighbors = {e2: inst[e2].sort_by(v)                # line 13
                  for e2 in sorted(info.neighbors)}
 
@@ -373,8 +367,6 @@ def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
     for g in groups:
         group_sizes.observe(g.count)
 
-    # em-loop-bound: 1 -- one boundary scan per neighbor, and the
-    # neighbor count is a query-size constant
     nb_groups = {
         e2: {g.value: g
              for g in group_boundaries(neighbors[e2].data,
@@ -397,12 +389,14 @@ def _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
                      nb_groups, heavy_groups, M, *,
                      literal_buds: bool = False, trace=None,
                      depth: int = 0) -> None:
-    """Lines 14-20: one restricted, disconnected subquery per heavy value."""
+    """Lines 14-20: one restricted, disconnected subquery per heavy value.
+
+    A heavy value owns at least ``M`` tuples of ``R(e)`` (§2.3), so at
+    most ``N/M`` values are heavy.
+    """
     v = info.join_attr
     child_q = (query.drop_edges([leaf])
                .drop_attributes(set(info.unique_attrs) | {v}))
-    # em-loop-bound: N/M -- a heavy value owns at least M tuples of
-    # R(e) (section 2.3), so at most N/M values are heavy
     for g in heavy_groups:
         a = g.value
         restricted: dict[str, Relation] = {}
@@ -460,8 +454,6 @@ def _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
         rebound = dict(inst)
         del rebound[leaf]
         empty = False
-        # em-loop-bound: 1 -- one filter per neighbor, and the
-        # neighbor count is a query-size constant
         for e2, rel2 in neighbors.items():
             matched = take_through(cursors[e2], nb_vidx[e2], vmax, values)
             rebound[e2] = rel2.rewrite(matched, label=f"sj_{leaf}",
@@ -622,9 +614,6 @@ class BestRun:
         return len(self.runs) * self.best.io
 
 
-# em-cost: N^6/(M^5*B) + N/B -- the peel plans (a query-constant
-# number, capped by ``limit``) are priced without I/O, then the
-# cheapest runs once
 def acyclic_join_best(query: JoinQuery, instance: Instance,
                       emitter: Emitter | None = None, *,
                       limit: int | None = None) -> BestRun:
@@ -660,12 +649,7 @@ def acyclic_join_best(query: JoinQuery, instance: Instance,
     # the walk asked about, and the price.
     priced: list[Price] = []
     prices: list[Price] = []
-    # em-loop-bound: 1 -- the peel-plan count depends only on query
-    # structure (and is capped by ``limit``), a query-size constant in
-    # data-complexity terms
     for plan in plans:
-        # em-loop-bound: 1 -- at most one priced branch per peel plan,
-        # and the plan count is a query-size constant
         for done in priced:
             if all(plan.get(k) == leaf for k, leaf in done.asked.items()):
                 prices.append(done)

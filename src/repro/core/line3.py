@@ -31,8 +31,6 @@ from repro.query.hypergraph import JoinQuery
 from repro.query.shapes import detect_line
 
 
-# em-cost: N^2/(M*B) + N/B -- Theorem 1: Õ(N1·N3/(MB)) plus the
-# sorting and scanning passes the Õ absorbs
 def line3_join(query: JoinQuery, instance: Instance,
                emitter: Emitter) -> None:
     """Run Algorithm 1 on a 3-relation line join."""
@@ -68,13 +66,14 @@ def _line3(r1: Relation, r2: Relation, r3: Relation, v2: str, v3: str,
 
 def _heavy_values(r1s, r2s, r3s, v2, v3, heavy_groups, groups2,
                   emitter) -> None:
-    """Lines 4-7: per heavy value, materialize R2|a ⋈ R3 then NLJ with R1|a."""
+    """Lines 4-7: per heavy value, materialize R2|a ⋈ R3 then NLJ with R1|a.
+
+    The groups ``R2|a`` are disjoint and at most ``N1/M`` values are
+    heavy, so the per-value joins together stay within Theorem 1's
+    ``Õ(N1·N3/(MB))``.
+    """
     device = r1s.device
     M = device.M
-    # em-loop-bound: 1 -- Σ over heavy values a: the groups R2|a are
-    # disjoint (Σ|R2|a| ≤ N2) and there are at most N1/M heavy values,
-    # so the per-value merges and nested loops are counted together in
-    # whole-input units (the Σ argument of Theorem 1)
     for g in heavy_groups:
         a = g.value
         g2 = groups2.get(a)
@@ -90,8 +89,6 @@ def _heavy_values(r1s, r2s, r3s, v2, v3, heavy_groups, groups2,
         def write_pair(result, _w=writer):
             _w.append((result[r2s.name], result[r3s.name]))
 
-        # em-charges: N/B -- every tuple of R2|a has a distinct v3, so
-        # no v3 value is heavy and the hybrid join is one merge pass
         sort_merge_join(r2a_by_v3, r3s, CallbackEmitter(write_pair))
         writer.close()
 
@@ -129,6 +126,4 @@ def _light_values(r1s, r2s, r3s, v2, v3, light_groups, emitter) -> None:
             for t1 in _by_value.get(t2[_i2], ()):
                 emitter.emit({r1s.name: t1, r2s.name: t2, r3s.name: t3})
 
-        # em-charges: N/B -- |R2(M1)| ≤ 2M with no heavy v3 value, so
-        # the hybrid join is one merge pass over R2(M1) and R3
         sort_merge_join(r2m_by_v3, r3s, CallbackEmitter(match_back))

@@ -36,8 +36,6 @@ from repro.query.hypergraph import JoinQuery
 from repro.query.shapes import detect_line
 
 
-# em-cost: N^3/(M^2*B) + N^2/(M*B) + N/B -- the unbalanced lower
-# bound of Section 6.3, matched by Algorithm 4 (checked against _line5)
 def line5_unbalanced_join(query: JoinQuery, instance: Instance,
                           emitter: Emitter) -> None:
     """Run Algorithm 4 on a 5-relation line join."""
@@ -79,12 +77,14 @@ def _materialize_line3(r_a: Relation, r_b: Relation, r_c: Relation,
     return Relation(schema=schema, data=out.whole())
 
 
-# em-cost: amortized N^3/(M^2*B) + N^2/(M*B) + N/B -- lines 5-8 are a
-# Σ over R3's (v3,v4) pairs: the span scans are one coordinated pass of
-# S and T, and Σ ceil(|S(t)|/M)·|T(t)|/B ≤ N1·N3·N5/(M²B) + N·N5/(MB)
-# because a fixed (v3,v4) pins the R2/R4 tuple per R1/R5 tuple
 def _line5(rels: list[Relation], joins: list[str],
            emitter: Emitter) -> None:
+    """Algorithm 4's lines 1-8 on the chain's five relations.
+
+    Lines 5-8 make one coordinated pass of ``S`` and ``T`` over
+    ``R3``'s ``(v3, v4)`` pairs, and ``Σ ⌈|S(t)|/M⌉·|T(t)|/B ≤
+    N1·N3·N5/(M²B) + N·N5/(MB)``.
+    """
     r1, r2, r3, r4, r5 = rels
     v2, v3, v4, v5 = joins
     device = r1.device

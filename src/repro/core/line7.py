@@ -41,10 +41,6 @@ from repro.query.shapes import ChainInfo, detect_line
 InnerRunner = Callable[[Emitter], None]
 
 
-# em-cost: amortized N/B -- one pass over the outer relation; the
-# re-run inner join is an opaque callable whose charges are declared
-# on the function that constructs it (the N_outer/M multiplier is part
-# of that caller's declared bound)
 def nlj_outer(outer: Relation, match_attr: str, probe_edge: str,
               probe_attr_index: int, inner: InnerRunner,
               emitter: Emitter) -> None:
@@ -77,13 +73,14 @@ def nlj_outer(outer: Relation, match_attr: str, probe_edge: str,
 # Algorithm 5
 # ---------------------------------------------------------------------------
 
-# em-cost: amortized N^3/(M^2*B) + N^2/(M*B) + N/B -- Algorithm 5:
-# materialize S = R3⋈R4⋈R5 by Algorithm 1 (Õ(N3·N5/(MB)) plus the
-# |S| ≤ N3·N5/M write), then AcyclicJoin on the residual query, whose
-# branch cost Section 6.3 bounds by the same unbalanced term
 def line7_unbalanced_join(query: JoinQuery, instance: Instance,
                           emitter: Emitter, *, plan_limit: int = 8) -> None:
-    """Algorithm 5 on a 7-relation line join."""
+    """Algorithm 5 on a 7-relation line join.
+
+    Materializing ``S`` costs ``Õ(N3·N5/(MB))`` plus its write, and
+    Section 6.3 bounds the residual ``AcyclicJoin`` by the same
+    unbalanced term.
+    """
     chain = detect_line(query)
     if chain is None or len(chain.edges) != 7:
         raise ValueError("line7_unbalanced_join requires a 7-relation "
@@ -140,16 +137,13 @@ def _subchain_query(query: JoinQuery, chain: ChainInfo,
     return query.drop_edges([e for e in query.edges if e not in keep])
 
 
-# em-cost: amortized N^4/(M^3*B) + N/B -- one end relation as
-# nested-loop outer (N/M memory loads) around Algorithm 4 on the
-# other five: (N/M) · N³/(M²B)
 def line6_unbalanced_join(query: JoinQuery, instance: Instance,
                           emitter: Emitter) -> None:
     """``L6`` with no balanced split: end relation NLJ over Algorithm 4.
 
     The paper's case analysis: the optimal cover is ``(1,0,1,0,1,1)``
     (the first five relations unbalanced — outer ``R6``) or its mirror
-    (outer ``R1``).
+    (outer ``R1``).  Cost ``Õ(N_outer/M · cost(Algorithm 4))``.
     """
     chain = detect_line(query)
     if chain is None or len(chain.edges) != 6:
@@ -164,9 +158,6 @@ def line6_unbalanced_join(query: JoinQuery, instance: Instance,
                        line5_unbalanced_join)
 
 
-# em-cost: amortized N^5/(M^4*B) + N/B -- both end relations as
-# nested-loop outers (N/M loads each) around Algorithm 4 on the middle
-# five: (N/M)² · N³/(M²B)
 def line7_cover11_join(query: JoinQuery, instance: Instance,
                        emitter: Emitter) -> None:
     """``L7`` with optimal cover ``(1,1,0,1,0,1,1)`` (or mirrored).
@@ -199,8 +190,6 @@ def line7_cover11_join(query: JoinQuery, instance: Instance,
               emitter)
 
 
-# em-cost: amortized N^6/(M^5*B) + N/B -- one end as nested-loop
-# outer (N/M loads) around the L7 dispatcher's worst case
 def line8_join(query: JoinQuery, instance: Instance,
                emitter: Emitter) -> None:
     """``L8`` reduced to smaller joins: end NLJ over the ``L7`` solver."""
@@ -241,8 +230,6 @@ def _nlj_end_reduction(query: JoinQuery, instance: Instance,
 # The Section 6 dispatcher
 # ---------------------------------------------------------------------------
 
-# em-cost: amortized N^6/(M^5*B) + N/B -- dispatcher: the worst
-# declared bound among its targets (the L8 end reduction)
 def line_join_auto(query: JoinQuery, instance: Instance, emitter: Emitter,
                    *, plan_limit: int = 16) -> str:
     """Dispatch a line join to the paper's per-regime algorithm.

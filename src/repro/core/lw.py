@@ -61,10 +61,6 @@ def detect_lw(query: JoinQuery) -> tuple[list[str], dict[str, str]] | None:
     return attrs, omitted
 
 
-# em-cost: amortized sqrt(N^3/M)/B + N/B -- the [6] bound
-# (N/M)^{n/(n-1)}·M/B is maximized over n ≥ 3 at n = 3 (the triangle
-# shape), since N/M ≥ 1; the grid width p = Θ((nN/M)^{1/(n-1)}) and
-# the p^n cells of ≈M tuples are not expressible for symbolic n
 def lw_join(query: JoinQuery, instance: Instance, emitter: Emitter, *,
             partitions: int | None = None) -> None:
     """Grid-partitioned Loomis–Whitney join.
@@ -113,9 +109,6 @@ def lw_join(query: JoinQuery, instance: Instance, emitter: Emitter, *,
             _solve_cell(query, parts, attrs, M, emitter)
 
 
-# em-cost: amortized N/B -- one scan plus one buffered write per tuple
-# (each tuple lands in exactly one cell); the per-cell writers live in
-# a dict, invisible to static type resolution
 def _partition(rel: Relation, attrs: list[str],
                p: int) -> dict[tuple[int, ...], Relation]:
     """Split a relation by its own attributes' bucket vector."""
@@ -139,9 +132,6 @@ def _partition(rel: Relation, attrs: list[str],
     return out
 
 
-# em-cost: amortized M/B -- a balanced cell holds ≈M tuples across its
-# members and is loaded once; skew-overflowed cells fall back to
-# chunked re-joins whose extra cost is measured, not hidden
 def _solve_cell(query: JoinQuery, parts: list[tuple[str, Relation]],
                 attrs: list[str], M: int, emitter: Emitter) -> None:
     """Join one cell: in memory if it fits, chunked otherwise."""
@@ -168,8 +158,6 @@ def _in_memory(query: JoinQuery, parts: list[tuple[str, Relation]],
     # catalog metadata, and holding first keeps every resident tuple
     # inside the charged region (emlint EM002).
     with device.memory.hold(sum(len(rel) for _, rel in parts)):
-        # em-loop-bound: 1 -- one scan per cell member; the member
-        # count is the query's edge count, a query-size constant
         tables = {e: list(rel.data.scan()) for e, rel in parts}
         schemas = {e: rel.schema for e, rel in parts}
         # Bind attributes one at a time, narrowing candidate tuples —

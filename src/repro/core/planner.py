@@ -75,9 +75,6 @@ def estimate_memory_need(query: JoinQuery, *, M: int, B: int) -> int:
     return M
 
 
-# em-cost: N^6/(M^5*B) + N/B -- the worst dispatch target (the line
-# dispatcher's L8 bound); each shape's own declaration gives its
-# tighter form, and the full reducer adds N/B*log(N/M)
 def execute(query: JoinQuery, instance: Instance, emitter: Emitter, *,
             reduce_first: bool = True, plan_limit: int = 16,
             strategy: str = "best-branch") -> ExecutionReport:

@@ -25,21 +25,15 @@ from repro.query.hypergraph import JoinQuery
 from repro.query.reduce import elimination_order
 
 
-# em-cost: N/B * log(N/M) -- two semijoin sweeps over the elimination
-# order, each sorting and merge-scanning every relation once
 def full_reduce_em(query: JoinQuery, instance: Instance) -> Instance:
     """Return a fully reduced copy of ``instance`` (I/O charged)."""
     rels: dict[str, Relation] = dict(instance)
     steps = elimination_order(query)
-    # em-loop-bound: 1 -- one semijoin per query edge, and the edge
-    # count is query-size (constant in data-complexity terms); the
-    # per-edge Σ N(e) is what the semijoin's own N/B accounts
     for step in steps:  # upward: parents filtered by children
         if step.parent is None:
             continue
         rels[step.parent], rels[step.edge] = _semijoin_em(
             rels[step.parent], rels[step.edge], step.shared_attr)
-    # em-loop-bound: 1 -- the mirrored downward sweep, same accounting
     for step in reversed(steps):  # downward: children by parents
         if step.parent is None:
             continue

@@ -63,8 +63,6 @@ def detect_triangle(query: JoinQuery) -> tuple[str, str, str] | None:
     return (e1, e2, e3)
 
 
-# em-cost: sqrt(N^3/M)/B + N/B -- Table 1's C3 row: p³ grid cells of
-# ≈M tuples each, p = ⌈√(3N/M)⌉, plus the partitioning scans
 def triangle_join(query: JoinQuery, instance: Instance, emitter: Emitter,
                   *, partitions: int | None = None) -> None:
     """Grid-partitioned triangle join in ``O(N^{3/2}/(√M·B))`` I/Os.
@@ -102,14 +100,11 @@ def triangle_join(query: JoinQuery, instance: Instance, emitter: Emitter,
             cells3 = _partition(r3, a, c, p)  # R3[a-bucket][c-bucket]
 
         with device.span("solve_cells", cells=p ** 3):
-            # em-loop-bound: sqrt(N/M) -- the grid width p
             for i in range(p):          # a-bucket
-                # em-loop-bound: sqrt(N/M) -- the grid width p
                 for j in range(p):      # b-bucket
                     cell1 = cells1[i][j]
                     if not len(cell1):
                         continue
-                    # em-loop-bound: sqrt(N/M) -- the grid width p
                     for k in range(p):  # c-bucket
                         cell2 = cells2[j][k]
                         cell3 = cells3[i][k]
@@ -119,9 +114,6 @@ def triangle_join(query: JoinQuery, instance: Instance, emitter: Emitter,
                                     emitter)
 
 
-# em-cost: amortized N/B -- one scan of the input plus one buffered
-# write per tuple (each tuple lands in exactly one cell); the per-cell
-# writers live in nested lists, invisible to static type resolution
 def _partition(rel: Relation, attr_x: str, attr_y: str,
                p: int) -> list[list[Relation]]:
     """Split ``rel`` into a ``p × p`` grid of bucket-restricted cells.
@@ -157,9 +149,6 @@ def _partition(rel: Relation, attr_x: str, attr_y: str,
     return cells
 
 
-# em-cost: amortized M/B -- a balanced cell holds ≈M tuples across its
-# three relations and is loaded once; skew-overflowed cells fall back
-# to chunked re-joins whose extra cost is measured, not hidden
 def _solve_cell(cell1: Relation, cell2: Relation, cell3: Relation,
                 a: str, b: str, c: str, M: int,
                 emitter: Emitter) -> None:

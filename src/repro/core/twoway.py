@@ -33,8 +33,6 @@ def _shared_attribute(r1: Relation, r2: Relation) -> str | None:
     return shared[0] if shared else None
 
 
-# em-cost: N^2/(M*B) + N/B -- one full inner scan per memory load of
-# the outer relation (Table 1, two-relation row)
 def nested_loop_join(r1: Relation, r2: Relation, emitter: Emitter) -> None:
     """Blocked nested-loop join (cross product when nothing is shared).
 
@@ -67,14 +65,14 @@ def nested_loop_join(r1: Relation, r2: Relation, emitter: Emitter) -> None:
                         for t_out in get(t_in[i_idx], ())])
 
 
-# em-cost: N^2/(M*B) + N/B -- sort both sides, then merge; only values
-# heavy on both sides pay a blocked nested loop (instance optimal, §3)
 def sort_merge_join(r1: Relation, r2: Relation, emitter: Emitter) -> None:
     """The instance-optimal two-way join of Section 3.
 
     Both relations are sorted on the shared attribute, their value
     groups merged; heavy×heavy groups fall back to a blocked nested
-    loop, everything else streams with the light side resident.
+    loop, everything else streams with the light side resident.  The
+    group sizes sum to ``N1`` and ``N2``, so all the per-group joins
+    together cost at most one nested-loop pass over the inputs.
     """
     attr = _shared_attribute(r1, r2)
     if attr is None:
@@ -89,9 +87,6 @@ def sort_merge_join(r1: Relation, r2: Relation, emitter: Emitter) -> None:
         groups1 = group_boundaries(s1.data, s1.key(attr))
         groups2 = group_boundaries(s2.data, s2.key(attr))
         by_value2 = {g.value: g for g in groups2}
-        # em-loop-bound: 1 -- Σ over join values: the group sizes sum
-        # to N1 and N2, so all per-group joins together cost one
-        # nested-loop pass; _join_groups is counted in whole-input units
         for g1 in groups1:
             g2 = by_value2.get(g1.value)
             if g2 is None:

@@ -27,14 +27,14 @@ from repro.query.hypergraph import JoinQuery, require_berge_acyclic
 from repro.query.reduce import elimination_order
 
 
-# em-cost: amortized OUT/B + N/B * log(N/M) -- the Õ(|Q(R)|/B)
-# baseline of [11]: with reduced inputs every pairwise intermediate is
-# bounded by the final output, so each of the (query-constant) joins
-# sorts and rewrites at most OUT + N tuples
 def yannakakis_em(query: JoinQuery, instance: Instance, emitter: Emitter,
                   *, reduce_first: bool = True,
                   materialize_output: bool = True) -> None:
     """Pairwise external-memory Yannakakis with materialized intermediates.
+
+    With reduced inputs every pairwise intermediate is bounded by the
+    final output, so each join sorts and rewrites at most
+    ``|Q(R)| + N`` tuples.
 
     Joins follow the reverse ear-elimination order, so each pairwise
     join shares an attribute with the accumulated intermediate (or is a

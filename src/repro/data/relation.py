@@ -112,7 +112,6 @@ class Relation:
         f = self.device.file_from_tuples(tuples, f"{self.name}.{label}")
         return Relation(self.schema, f.whole(), sorted_on, self.fixed)
 
-    # em-cost: N/B -- one write per page of the appended blocks
     def rewrite_blocks(self, blocks: Iterable[Sequence[tuple]], *,
                        label: str = "tmp",
                        sorted_on: str | None = None) -> "Relation":
@@ -123,8 +122,6 @@ class Relation:
         """
         f = self.device.new_file(f"{self.name}.{label}")
         with f.writer() as w:
-            # em-loop-bound: N/B -- the blocks partition the written
-            # tuples; append_block charges one write per page filled
             for block in blocks:
                 w.append_block(block)
         return Relation(self.schema, f.whole(), sorted_on, self.fixed)

@@ -207,12 +207,10 @@ class Device:
             name = f"tmp{next(self._name_counter)}"
         return EMFile(self, name)
 
-    # em-cost: N/B -- one write per page of the materialized tuples
     def file_from_tuples(self, tuples, name: str | None = None) -> "EMFile":
         """Materialize ``tuples`` on disk, charging the write I/Os."""
         f = self.new_file(name)
         with f.writer() as w:
-            # em-loop-bound: N -- one iteration per materialized tuple
             for t in tuples:
                 w.append(t)
         return f

@@ -148,14 +148,10 @@ class EMFile:
         """The file viewed as a single segment."""
         return FileSegment(self, 0, len(self._rows))
 
-    # em-cost: amortized N/B -- one full sequential pass over the file
-    # em-yields: N
     def scan(self) -> Iterator[Tuple]:
         """Iterate all tuples, charging sequential read I/Os."""
         return iter(self.reader())
 
-    # em-cost: amortized N/B -- one full sequential pass over the file
-    # em-yields: N/B
     def scan_blocks(self) -> Iterator[list[Tuple]]:
         """Iterate page-sized blocks, charging the same read I/Os."""
         return self.reader().blocks()
@@ -177,7 +173,6 @@ class Writer:
         self._buffer: list[Tuple] = []
         self._closed = False
 
-    # em-cost: amortized 1/B -- the buffer flushes one page write per B appends
     def append(self, t: Tuple) -> None:
         """Append one tuple, flushing a page write when the buffer fills."""
         if self._closed:
@@ -186,8 +181,6 @@ class Writer:
         if len(self._buffer) >= self._file.device.B:
             self._flush()
 
-    # em-cost: amortized 1 -- one write per page filled; callers' loop
-    # bounds count the appended pages in whole-file units
     def append_block(self, ts: Sequence[Tuple]) -> None:
         """Append a whole block of tuples.
 
@@ -215,8 +208,6 @@ class Writer:
             stop = i + full * B
             rows.extend(ts[i:stop] if (i or stop != n) else ts)
             charge = f.device.charge_write
-            # em-loop-bound: 1 -- pages of one appended block; callers
-            # account for them through their own loop bounds
             for page in range(base, base + full):
                 charge(f, page)
             i = stop
@@ -226,7 +217,6 @@ class Writer:
     #: Alias: a block write is a block append on an append-only file.
     write_block = append_block
 
-    # em-cost: N/B -- one write per page of appended tuples
     def extend(self, ts) -> None:
         """Append each tuple of ``ts``.
 
@@ -237,11 +227,9 @@ class Writer:
         if isinstance(ts, (list, tuple)):
             self.append_block(ts)
             return
-        # em-loop-bound: N -- at most one iteration per input tuple
         for t in ts:
             self.append(t)
 
-    # em-cost: 1 -- writes at most the one buffered page
     def _flush(self) -> None:
         if self._buffer:
             f = self._file
@@ -291,9 +279,11 @@ class SequentialReader:
     def remaining(self) -> int:
         return self._stop - self._pos
 
-    # em-cost: amortized 1/B -- charges only when the cursor enters a
-    # page it has not buffered: one read per B sequential advances
     def _touch(self, index: int) -> None:
+        """Charge a read only when the cursor enters an unbuffered page.
+
+        A sequential cursor therefore pays one read per ``B`` advances.
+        """
         page = index // self._file.device.B
         if page != self._buffered_page:
             self._file.device.charge_read(self._file, page)
@@ -312,8 +302,6 @@ class SequentialReader:
         self._pos += 1
         return t
 
-    # em-cost: amortized M/B -- callers request at most a memory-load,
-    # and each page of the block is charged exactly once
     def read_block(self, n: int) -> list[Tuple]:
         """Read at most ``n`` further tuples as one block.
 
@@ -334,7 +322,6 @@ class SequentialReader:
         page = first
         if self._buffered_page == first:
             page += 1
-        # em-loop-bound: M/B -- pages spanned by one bounded block
         for p in range(page, last + 1):
             device.charge_read(f, p)
         self._buffered_page = last
@@ -342,7 +329,6 @@ class SequentialReader:
         self._pos = stop
         return block
 
-    # em-cost: amortized 1 -- reads at most the one current page
     def peek_page_block(self) -> list[Tuple]:
         """The rest of the current page **without consuming it**.
 
@@ -357,7 +343,6 @@ class SequentialReader:
         page_end = (self._buffered_page + 1) * self._file.device.B
         return self._file._rows[self._pos:min(page_end, self._stop)]
 
-    # em-cost: amortized 1 -- reads at most the one current page
     def read_page_block(self) -> list[Tuple]:
         """Read from the cursor to the end of the current page.
 
@@ -371,10 +356,8 @@ class SequentialReader:
         page_end = (self._pos // B + 1) * B
         return self.read_block(min(page_end, self._stop) - self._pos)
 
-    # em-yields: N/B
     def blocks(self) -> Iterator[list[Tuple]]:
         """Iterate the remaining tuples one page block at a time."""
-        # em-loop-bound: N/B -- one iteration per page of the segment
         while not self.exhausted:
             yield self.read_page_block()
 
@@ -388,9 +371,7 @@ class SequentialReader:
             raise ValueError("sequential reader cannot move backwards")
         self._pos = min(index, self._stop)
 
-    # em-yields: N
     def __iter__(self) -> Iterator[Tuple]:
-        # em-loop-bound: N -- one iteration per tuple of the segment
         while not self.exhausted:
             yield self.next()
 
@@ -424,13 +405,10 @@ class FileSegment:
     def reader(self) -> SequentialReader:
         return SequentialReader(self.file, self.start, self.stop)
 
-    # em-cost: amortized N/B -- one sequential pass over the segment
-    # em-yields: N
     def scan(self) -> Iterator[Tuple]:
+        """Iterate the segment's tuples, charging sequential read I/Os."""
         return iter(self.reader())
 
-    # em-cost: amortized N/B -- one sequential pass over the segment
-    # em-yields: N/B
     def scan_blocks(self) -> Iterator[list[Tuple]]:
         """Page-sized blocks of the segment, same charges as a scan."""
         return self.reader().blocks()

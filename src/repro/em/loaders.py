@@ -62,7 +62,6 @@ class Group:
         return self.count >= M
 
 
-# em-cost: N/B -- one sequential scan of the sorted segment
 def group_boundaries(segment: FileSegment, key: Key) -> list[Group]:
     """Scan a sorted segment once and return its value groups in order.
 
@@ -78,7 +77,6 @@ def group_boundaries(segment: FileSegment, key: Key) -> list[Group]:
     first = True
     pos = segment.start
     append = groups.append
-    # em-loop-bound: N/B -- one page block per iteration
     while not reader.exhausted:
         block = reader.read_page_block()
         keys = list(map(key, block))
@@ -104,16 +102,14 @@ def split_heavy_light(groups: list[Group], M: int) -> tuple[list[Group], list[Gr
     return heavy, light
 
 
-# em-cost: N/B -- each page of the segment is read exactly once
-# em-yields: N/M
 def load_chunks(segment: FileSegment, M: int) -> Iterator[list[Tuple]]:
     """Yield successive memory loads of up to ``M`` tuples.
 
     This is the paper's ``load R(e) into memory as M(e)`` for unsorted
-    files (and for one heavy group when applied to its segment).
+    files (and for one heavy group when applied to its segment).  Each
+    page of the segment is read once.
     """
     reader = segment.reader()
-    # em-loop-bound: N/M -- one memory-load of tuples per iteration
     while not reader.exhausted:
         chunk = reader.read_block(M)
         with segment.device.memory.hold(len(chunk)):
@@ -125,17 +121,11 @@ def chunk_count(n: int, M: int) -> int:
     return -(-n // M)
 
 
-# em-cost: N/B -- one pass over the group's pages (via load_chunks)
-# em-yields: N/M
 def load_group_chunks(segment: FileSegment, group: Group, M: int) -> Iterator[list[Tuple]]:
     """Yield ``M``-tuple loads of one group: ``load R(e)|_{v=a}``."""
     yield from load_chunks(segment.subsegment(group.start, group.stop), M)
 
 
-# em-cost: amortized N/B -- the group spans read are disjoint and in
-# file order, so together they touch each page of the segment at most
-# once; per-group accounting would overcount shared boundary pages
-# em-yields: N/M
 def load_light_chunks(segment: FileSegment, light_groups: list[Group],
                       M: int) -> Iterator[list[Tuple]]:
     """Yield memory loads covering the light groups, in value order.
@@ -149,6 +139,8 @@ def load_light_chunks(segment: FileSegment, light_groups: list[Group],
 
     Heavy groups interleaved between the light ones in the underlying
     file are skipped with a free seek; their pages are not charged.
+    The light groups are disjoint and in file order, so the loads
+    together read each page of the segment at most once.
     """
     reader = segment.reader()
     chunk: list[Tuple] = []
@@ -201,8 +193,6 @@ def light_chunk_reads(groups: Iterable[tuple[int, int]], off: int,
     return reads
 
 
-# em-cost: N/B -- one sequential scan of the segment
-# em-yields: N
 def scan_matching(segment: FileSegment, key: Key,
                   wanted: set) -> Iterator[Tuple]:
     """Stream the tuples of a segment whose key value is in ``wanted``.
@@ -218,9 +208,6 @@ def scan_matching(segment: FileSegment, key: Key,
                 yield t
 
 
-# em-cost: N/B -- one merge pass: both cursors only move forward, so
-# each page of either input is charged once
-# em-yields: N/B
 def semijoin_matches(left: SequentialReader, right: SequentialReader,
                      key_l: Key, key_r: Key) -> Iterator[list[Tuple]]:
     """Stream, in blocks, the tuples of ``left`` whose key occurs in ``right``.
@@ -239,16 +226,12 @@ def semijoin_matches(left: SequentialReader, right: SequentialReader,
     rlast: Any = None      # the current right page's last key
     rkeys: set = set()     # and all of its keys
     fetched = right_done = False
-    # em-loop-bound: N/B -- one left page block per iteration
     while not left.exhausted:
         lblock = left.read_page_block()
         if right_done:
             continue  # nothing left to match; the left scan still pays
         lkeys = list(map(key_l, lblock))
         i, n = 0, len(lblock)
-        # em-loop-bound: 1 -- the right cursor advances monotonically,
-        # so all probe fetches across the whole pass total one scan;
-        # the inner advance is counted in whole-pass units
         while i < n:
             if not fetched or lkeys[i] > rlast:
                 if right.exhausted:
@@ -279,8 +262,6 @@ def semijoin_right_reads(right_keys: Sequence[Any], off: int, left_max: Any,
     return span_pages(off, min(bisect_left(right_keys, left_max) + 1, n), B)
 
 
-# em-cost: amortized N/B -- callers share one cursor across calls with
-# ascending ``vmax``, so all calls together read each page once
 def take_through(reader: SequentialReader, col: int, vmax: Any,
                  wanted: set) -> list[Tuple]:
     """Consume the tuples with ``t[col] <= vmax``; keep those in ``wanted``.
@@ -290,9 +271,10 @@ def take_through(reader: SequentialReader, col: int, vmax: Any,
     ``<= vmax`` prefix for free and stops at the first larger value,
     which stays unconsumed for the next call.  The matches are the
     semijoin ``R ⋉ wanted`` restricted to the values up to ``vmax``.
+    Callers share one cursor across calls with ascending ``vmax``, so
+    all the calls together read each page once.
     """
     matched: list[Tuple] = []
-    # em-loop-bound: N/B -- one page per iteration
     while not reader.exhausted:
         page = reader.peek_page_block()
         taken = 0

@@ -78,8 +78,6 @@ def sort_io(n: int, off: int, M: int, B: int) -> tuple[int, int]:
     return reads, writes
 
 
-# em-cost: N/B * log(N/M) + N/B -- form runs in one pass, then
-# log_{M/B}(N/M) merge levels each re-reading and re-writing the data
 def external_sort(source: EMFile | FileSegment, key: Key,
                   name: str | None = None) -> EMFile:
     """Sort ``source`` by ``key`` into a new file on the same device.
@@ -104,7 +102,6 @@ def external_sort(source: EMFile | FileSegment, key: Key,
     return merged
 
 
-# em-cost: N/B -- each input tuple is read once and written into a run once
 def _form_runs(segment: FileSegment, key: Key,
                name: str | None) -> list[EMFile]:
     """Phase 1: read ``M`` tuples at a time, sort in memory, write runs."""
@@ -114,7 +111,6 @@ def _form_runs(segment: FileSegment, key: Key,
     reader = segment.reader()
     i = 0
     with device.span("form_runs"):
-        # em-loop-bound: N/M -- one memory-load chunk per iteration
         while not reader.exhausted:
             # Charge the gauge *before* reading: the chunk occupies
             # memory as it streams in, so a strict budget must police
@@ -141,21 +137,15 @@ def _form_runs(segment: FileSegment, key: Key,
     return runs
 
 
-# em-cost: N/B * log(N/M) -- one full read-and-write pass per merge level
 def _merge_runs(device: Device, runs: list[EMFile], key: Key,
                 name: str | None) -> EMFile:
     """Phase 2: repeatedly merge with fan-in :func:`merge_fan_in`."""
     fan_in = merge_fan_in(device.M, device.B)
     level = 0
-    # em-loop-bound: log(N/M) -- fan-in M/B shrinks the run count
-    # geometrically, so the level count is log_{M/B}(N/M)
     while len(runs) > 1:
         with device.span("merge_level", level=level, runs=len(runs),
                          fan_in=fan_in):
             next_runs: list[EMFile] = []
-            # em-loop-bound: 1 -- the batches partition this level's
-            # runs, so one level's merges together read and write each
-            # tuple once; _merge_once is counted in whole-level units
             for j in range(0, len(runs), fan_in):
                 batch = runs[j:j + fan_in]
                 out_name = (None if name is None
@@ -292,11 +282,13 @@ def _merge_schedule(runs: list[EMFile], out: EMFile, B: int,
     return schedule
 
 
-# em-cost: N/B -- one pass over the batch: every page of the input
-# runs is read once and every output page is written once
 def _merge_once(device: Device, runs: list[EMFile], key: Key,
                 name: str | None) -> EMFile:
-    """Merge up to fan-in runs into one file, as a tournament would."""
+    """Merge up to fan-in runs into one file, as a tournament would.
+
+    Every page of the runs is read once and every output page is
+    written once.
+    """
     if len(runs) == 1:
         return runs[0]
     out = device.new_file(name)
@@ -307,7 +299,6 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
         out._fill_merged(runs, order)
         charge_read = device.charge_read
         charge_write = device.charge_write
-        # em-loop-bound: N/B -- one page read or written per iteration
         for _, is_write, f, page in _merge_schedule(runs, out, B,
                                                     order.position):
             if is_write:

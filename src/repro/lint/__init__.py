@@ -38,45 +38,28 @@ EM010    no wall-clock/randomness *reachable* from a counted path
 EM011    ``# em-effects:`` declarations must name real effects,
          match the inferred reality, and never be called from
          counted paths when ``HOST_ONLY``
-EM017    algorithm entry points with charge-reachable I/O must
-         carry an ``# em-cost:`` declaration
-EM018    the derived symbolic I/O cost must not exceed the
-         declared bound (catches accidental quadratic rescans)
-EM019    data-dependent loops performing charged I/O need an
-         ``# em-loop-bound:`` annotation
-EM020    cost declarations must parse, match the derived reality,
-         and justify trusted ``amortized`` summaries
-EM021    every Device charge site must be reachable from a
-         cost-declared function
 =======  ============================================================
 
 EM012–EM016 are retired: they checked the lock discipline of a
 threaded service, and the service now runs on one thread with no
-locks.
+locks.  EM017–EM021 are retired too: they certified hand-annotated
+symbolic I/O bounds, a job the pinned I/O counts do on the measured
+cost (the golden event streams, the seed counts, ``BENCH_table1``
+and ``generate_report.py --check-slopes``).
 
 EM007–EM011 run on a second, whole-program pass
 (:mod:`repro.lint.callgraph` + :mod:`repro.lint.effects`) that
 builds a project-wide call graph and infers per-function effect
 signatures by fixpoint over SCCs (``LintResult.signatures``).
-EM017–EM021 are the third pass, *emcost* (:mod:`repro.lint.symbolic`
-+ :mod:`repro.lint.costs`): every charge site is mapped through loop
-nests and call chains to a per-function symbolic I/O bound in the
-paper's own vocabulary (``N``, ``M``, ``B``, ``OUT``, ``log``),
-checked against ``# em-cost:`` declarations on the algorithm entry
-points (the table is ``LintResult.costs``).
 """
 
 from repro.lint.baseline import (Baseline, BaselineEntry, load_baseline,
                                  write_baseline)
 from repro.lint.callgraph import (EFFECT_NAMES, UNKNOWN, FunctionNode,
                                   Program, build_program)
-from repro.lint.costs import (COSTS_SCHEMA_VERSION, CostFinding,
-                              evaluate_costs)
 from repro.lint.effects import (EFFECTS_SCHEMA_VERSION, EffectFinding,
                                 evaluate, signature_table)
 from repro.lint.registry import RULES, Rule
-from repro.lint.symbolic import (Cost, CostSyntaxError, Term,
-                                 evaluate_cost, parse_cost)
 from repro.lint.report import REPORT_SCHEMA_VERSION, to_human, to_json
 from repro.lint.visitor import (LintResult, Violation, check_source,
                                 lint_paths)
@@ -89,6 +72,4 @@ __all__ = [
     "EFFECT_NAMES", "UNKNOWN", "FunctionNode", "Program",
     "build_program", "EffectFinding", "evaluate", "signature_table",
     "EFFECTS_SCHEMA_VERSION",
-    "Cost", "Term", "parse_cost", "evaluate_cost", "CostSyntaxError",
-    "CostFinding", "evaluate_costs", "COSTS_SCHEMA_VERSION",
 ]

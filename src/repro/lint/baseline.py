@@ -27,7 +27,8 @@ DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 #: The justification ``--write-baseline`` stamps on generated
 #: entries.  It is a to-do, not an answer: the committed baseline is
-#: kept empty, and EM020 rejects it on a cost declaration.
+#: kept empty, and ``tests/test_lint_src.py`` keeps it off every
+#: ``# em-effects:`` declaration.
 PLACEHOLDER_JUSTIFICATION = "TODO: justify"
 
 

@@ -6,6 +6,13 @@ the same facts (imports, call sites, the ``with``-statement stack).
 The registry ties each code to its human description and rationale so
 reporters, docs, and ``repro lint --list-rules`` never drift from the
 implementation.
+
+Codes are never reused.  EM012–EM016 are retired: they checked the
+lock discipline of a threaded service, and the service now runs on
+one thread with no locks.  EM017–EM021 are retired too: they
+certified hand-annotated symbolic I/O bounds, and the pinned I/O
+counts (the golden event streams, the seed counts, ``BENCH_table1``
+and the slope gate) check the measured cost instead.
 """
 
 from __future__ import annotations
@@ -191,69 +198,4 @@ _register(Rule(
               "is documentation rot, and a core/ or em/ function "
               "calling into HOST_ONLY reporting would put uncounted "
               "host work under the algorithms the paper measures.",
-))
-
-_register(Rule(
-    code="EM017",
-    name="undeclared-cost-root",
-    summary="algorithm entry point with charge-reachable I/O but no "
-            "`# em-cost:` declaration",
-    layers=("core", "em"),
-    rationale="The per-function symbolic cost table is the static "
-              "half of the Table-1 contract (the fitted slope gate "
-              "is the dynamic half); an entry point without a "
-              "declared bound contributes I/O the table cannot "
-              "certify.",
-))
-
-_register(Rule(
-    code="EM018",
-    name="cost-bound-exceeded",
-    summary="derived symbolic I/O cost asymptotically exceeds the "
-            "declared `# em-cost:` bound",
-    layers=(),
-    rationale="An accidental nested rescan turns O(N/B) into "
-              "O(N²/B) without changing a single test result at "
-              "small sizes; comparing the derived bound against the "
-              "declared one catches the quadratic blow-up at lint "
-              "time instead of after a full benchmark sweep.",
-))
-
-_register(Rule(
-    code="EM019",
-    name="unbounded-costly-loop",
-    summary="data-dependent loop (or recursive cycle) performing "
-            "charged I/O with no `# em-loop-bound:` annotation",
-    layers=("core", "em"),
-    rationale="A loop the analysis cannot bound defaults to N "
-              "iterations, which poisons every enclosing bound; the "
-              "annotation both fixes the trip count and records the "
-              "amortization argument the paper's proofs rely on.",
-))
-
-_register(Rule(
-    code="EM020",
-    name="cost-declaration-drift",
-    summary="emcost annotation errors: unparseable expressions, "
-            "stale over-declared bounds, trusted `amortized` "
-            "summaries without a justification, orphaned "
-            "annotations",
-    layers=(),
-    rationale="Cost declarations are the checked record of each "
-              "algorithm's Table-1 bound; a declaration that no "
-              "longer matches the derived reality is worse than none "
-              "because it certifies a bound nobody checked.",
-))
-
-_register(Rule(
-    code="EM021",
-    name="unattributed-charge-site",
-    summary="Device charge site not reachable from any "
-            "cost-declared function",
-    layers=(),
-    rationale="I/O that no declared root reaches is invisible to "
-              "the symbolic cost table: the block transfers happen "
-              "and are counted dynamically, but no static bound "
-              "accounts for them, so the certified expressions "
-              "silently under-approximate.",
 ))

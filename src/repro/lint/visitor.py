@@ -69,10 +69,6 @@ class LintResult:
     #: :func:`repro.lint.effects.signature_table`); ``None`` only for
     #: results built outside :func:`lint_paths`.
     signatures: dict[str, object] | None = None
-    #: The emcost symbolic cost table (see
-    #: :func:`repro.lint.costs.evaluate_costs`); ``None`` only for
-    #: results built outside :func:`lint_paths`.
-    costs: dict[str, object] | None = None
 
     @property
     def clean(self) -> bool:
@@ -365,7 +361,7 @@ def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
     violations; entries that no longer match anything are reported as
     stale (fix the baseline, it documents reality).
     """
-    from repro.lint import costs, effects
+    from repro.lint import effects
     from repro.lint.callgraph import build_program
 
     rootp = Path(root)
@@ -392,14 +388,6 @@ def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
             code=finding.code, path=finding.path, line=finding.line,
             col=0, message=finding.message, scope=finding.scope))
     result.signatures = effects.signature_table(program)
-    # Third pass: symbolic I/O-cost certification (emcost,
-    # EM017–EM021).
-    cost_findings, costs_doc = costs.evaluate_costs(program, modules)
-    for cf in cost_findings:
-        per_file.setdefault(cf.path, []).append(Violation(
-            code=cf.code, path=cf.path, line=cf.line, col=0,
-            message=cf.message, scope=cf.scope))
-    result.costs = costs_doc
     for rel in sorted(per_file):
         pragmas = pragmas_by_file.get(rel, {})
         for v in sorted(per_file[rel],
