@@ -260,7 +260,7 @@ def fitted_document(fits: Sequence, *, source: str = "repro fit") -> dict:
             "classes": classes}
 
 
-def save_fitted(path, fits: Sequence, *, source: str = "repro fit") -> dict:  # em-effects: HOST_ONLY -- persists the fitted-constants archive on the host after the measured sweeps
+def save_fitted(path, fits: Sequence, *, source: str = "repro fit") -> dict:
     """Write the fitted-constants document to ``path``; return it."""
     doc = fitted_document(fits, source=source)
     # host-side archive of fitted constants, not simulated-device I/O
@@ -270,7 +270,7 @@ def save_fitted(path, fits: Sequence, *, source: str = "repro fit") -> dict:  # 
     return doc
 
 
-def load_fitted(path) -> dict:  # em-effects: HOST_ONLY -- reads the committed archive on the host; predictions themselves never touch the device
+def load_fitted(path) -> dict:
     """Load and version-check a fitted-constants document."""
     # host-side archive of fitted constants, not simulated-device I/O
     with open(path, encoding="utf-8") as fh:  # emlint: disable=EM001

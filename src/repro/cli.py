@@ -65,10 +65,11 @@ constants as the versioned document ``explain`` reads, and
 ``--check-fitted`` diffs a fresh sweep against the committed one
 (exit 1 on drift — the CI gate that keeps predictions honest).
 ``lint`` runs ``emlint``, the AST-based model-discipline checker (see
-``docs/model.md``): exit 0 means every byte of I/O in the tree is
-accounted through the charged device API and every effect declaration
-matches the inferred call-graph effects (EM007–EM011); exit 1
-reports violations or stale baseline entries.  ``serve`` keeps a
+``docs/model.md``): exit 0 means the tree keeps rules EM000–EM006 (no
+raw OS I/O, no layer inversions, no uncharged materialization, no
+wall-clock or randomness in counted paths); exit 1 reports violations
+or stale baseline entries.  Uncharged row access is refused at run
+time instead (:class:`~repro.em.UnchargedAccess`).  ``serve`` keeps a
 :class:`~repro.server.QueryService` alive behind a small HTTP surface:
 ``POST /query`` (JSON in/out, optional sticky sessions), ``GET
 /metrics`` (Prometheus text), ``/stats``, ``/catalog`` and
@@ -335,7 +336,7 @@ def _load_tables(specs: list[str], query: JoinQuery, layouts: dict,
     return device, instance
 
 
-def cmd_run(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI entry point: loads CSVs and writes reports on the host; the measured run happens inside execute()
+def cmd_run(args: argparse.Namespace) -> int:
     query, layouts = parse_query_and_layouts(args.query)
     pool = None
     if args.pool_frames:
@@ -532,7 +533,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_explain(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI entry point: loads CSVs and the fitted archive on the host; the measured run happens inside execute()
+def cmd_explain(args: argparse.Namespace) -> int:
     from repro.analysis.predict import (explain, fitted_document,
                                         load_fitted, match_fit_class)
     from repro.core import CountingEmitter
@@ -623,7 +624,7 @@ def cmd_explain(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CL
     return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI entry point: persists/diffs the fitted archive on the host; the sweeps run on fresh simulated devices
+def cmd_fit(args: argparse.Namespace) -> int:
     from repro.analysis.predict import (compare_fitted, fitted_document,
                                         load_fitted, save_fitted)
 
@@ -719,7 +720,7 @@ def cmd_fit(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- CLI en
     return 1 if regression or drift else 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the checker reads sources and writes reports on the host
+def cmd_lint(args: argparse.Namespace) -> int:
     # Imported here so `repro serve` and friends never load the checker.
     from repro.lint import (RULES, Baseline, lint_paths, load_baseline,
                             to_human, to_json, write_baseline)
@@ -756,7 +757,7 @@ def cmd_lint(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- the c
     return 0 if result.clean and not result.stale_baseline else 1
 
 
-def cmd_serve(args: argparse.Namespace) -> int:  # em-effects: HOST_ONLY -- long-lived host process: sockets, stdout, CSV loading; measured I/O happens inside sessions
+def cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so `repro run` and friends never pay for the
     # service layer (HTTP plumbing, sessions, the shared pool).
     from repro.analysis.predict import load_fitted

@@ -66,7 +66,8 @@ from operator import itemgetter
 from typing import Callable, Mapping
 
 from repro.core.emit import CountingEmitter, Emitter, Factors, emit_product
-from repro.core.price import Plan, PlanKey, Price, price_plan, snapshot
+from repro.core.price import (Plan, PlanKey, Price, device_of, price_plan,
+                              snapshot)
 from repro.data.instance import Instance
 from repro.data.relation import Relation
 from repro.em.device import Device
@@ -642,7 +643,7 @@ def acyclic_join_best(query: JoinQuery, instance: Instance,
     plans are still priced pool off; the winner's real run then hits
     the pool.
     """
-    device = _device_of(instance)
+    device = device_of(instance)
     plans = enumerate_plans(query, limit=limit) or [{}]
     rows = snapshot(instance)
     # One entry per priced branch: the plan's answer for each structure
@@ -693,15 +694,7 @@ class _Tally(CountingEmitter):
             emit_product(self._target, base, factors)
 
 
-def _device_of(instance: Instance) -> Device:
-    devices = {rel.device for rel in instance.values()}
-    if len(devices) != 1:
-        raise ValueError("instance spans multiple devices")
-    (device,) = devices
-    return device
-
-
-def clone_instance(instance: Instance,  # em-effects: FREE_PEEK -- re-creates pre-existing inputs on a fresh device; the copy models "the input is already on disk", so reading it must not bill the candidate run
+def clone_instance(instance: Instance,
                    M: int | None = None, B: int | None = None
                    ) -> tuple[Device, Instance]:
     """Copy an instance onto a fresh device (inputs written free).
@@ -709,20 +702,23 @@ def clone_instance(instance: Instance,  # em-effects: FREE_PEEK -- re-creates pr
     Each relation's rows are copied once, into a list that becomes a
     sealed file on the new device in one uncharged step
     (:meth:`~repro.em.file.EMFile.fill_sealed`: no writer, no
-    per-tuple work).  The copy keeps the relation's physical tuple
-    order, ``sorted_on`` and ``fixed``, so a run on the copy skips
-    exactly the sorts a run on the original skips and is charged what
-    the original would be.
+    per-tuple work).  The copy models inputs that already sit on disk,
+    so both devices are suspended while the rows move: the read must
+    not bill the source, nor the write the copy.  The copy keeps the
+    relation's physical tuple order, ``sorted_on`` and ``fixed``, so a
+    run on the copy skips exactly the sorts a run on the original
+    skips and is charged what the original would be.
     """
-    src = _device_of(instance)
+    src = device_of(instance)
     dev = Device(M=M or src.M, B=B or src.B,
                  mem_slack=src.memory.slack,
                  strict_memory=src.memory.strict,
                  buffer_pool=src.pool_config)
     rels = {}
-    for name, rel in instance.items():
-        f = dev.new_file(rel.name)
-        f.fill_sealed(rel.peek_tuples())  # a fresh slice; the file keeps it
-        rels[name] = Relation(rel.schema, f.whole(), rel.sorted_on,
-                              rel.fixed)
+    with src.stats.suspend(), dev.stats.suspend():
+        for name, rel in instance.items():
+            f = dev.new_file(rel.name)
+            f.fill_sealed(rel.peek_tuples())  # a fresh slice; the file keeps it
+            rels[name] = Relation(rel.schema, f.whole(), rel.sorted_on,
+                                  rel.fixed)
     return dev, Instance(rels)

@@ -47,6 +47,7 @@ from typing import Any, NamedTuple
 
 from repro.data.instance import Instance
 from repro.data.schema import RelationSchema
+from repro.em.device import Device
 from repro.em.file import span_pages
 from repro.em.loaders import (chunk_count, light_chunk_reads,
                               semijoin_right_reads, take_through_reads)
@@ -87,14 +88,29 @@ class Price(NamedTuple):
     asked: dict[PlanKey, str | None]
 
 
-def snapshot(instance: Instance) -> dict[str, Rows]:  # em-effects: FREE_PEEK -- prices pre-existing inputs without a run; reading them must not bill the real device
-    """The instance's relations as :class:`Rows` (read uncharged)."""
+def snapshot(instance: Instance) -> dict[str, Rows]:
+    """The instance's relations as :class:`Rows`.
+
+    The inputs already sit on disk and pricing is not a run, so the
+    rows are read uncharged, inside the device's ``suspend()``.
+    """
+    device = device_of(instance)
     out = {}
-    for name, rel in instance.items():
-        data = rel.data
-        out[name] = Rows(data.peek_tuples(), data.start % data.device.B,
-                         rel.sorted_on, rel.schema)
+    with device.stats.suspend():
+        for name, rel in instance.items():
+            data = rel.data
+            out[name] = Rows(data.peek_tuples(), data.start % device.B,
+                             rel.sorted_on, rel.schema)
     return out
+
+
+def device_of(instance: Instance) -> Device:
+    """The one device every relation of ``instance`` lives on."""
+    devices = {rel.device for rel in instance.values()}
+    if len(devices) != 1:
+        raise ValueError("instance spans multiple devices")
+    (device,) = devices
+    return device
 
 
 def price_plan(query: JoinQuery, rows: dict[str, Rows], plan: Plan,

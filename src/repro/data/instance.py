@@ -96,11 +96,6 @@ class Instance(Mapping[str, Relation]):
         return {name: rel.schema.attributes
                 for name, rel in self._relations.items()}
 
-    def to_memory(self) -> dict[str, list[tuple]]:
-        """All tuples, uncharged.  For oracles and tests only."""
-        return {name: list(rel.peek_tuples())
-                for name, rel in self._relations.items()}
-
     def value_of(self, result: Mapping[str, tuple], attribute: str) -> Any:
         """Resolve ``attribute``'s value from an emitted result.
 

@@ -20,7 +20,7 @@ from repro.data.schema import RelationSchema
 from repro.em.device import Device
 
 
-def read_csv_rows(path: str | Path, *,  # em-effects: HOST_ONLY -- the CSV bridge reads host files once, before the measured run
+def read_csv_rows(path: str | Path, *,
                   attributes: tuple[str, ...] | None = None,
                   delimiter: str = ",",
                   header: bool = True) -> tuple[tuple[str, ...], list[tuple]]:
@@ -53,7 +53,7 @@ def read_csv_rows(path: str | Path, *,  # em-effects: HOST_ONLY -- the CSV bridg
     return tuple(attributes), _infer_columns(rows)
 
 
-def load_csv(device: Device, path: str | Path, name: str, *,  # em-effects: HOST_ONLY -- the CSV bridge reads host files once, before the measured run
+def load_csv(device: Device, path: str | Path, name: str, *,
              attributes: tuple[str, ...] | None = None,
              delimiter: str = ",", header: bool = True) -> Relation:
     """Load one delimited file as a relation named ``name``.
@@ -103,7 +103,7 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def instance_from_csv(device: Device,  # em-effects: HOST_ONLY -- the CSV bridge reads host files once, before the measured run
+def instance_from_csv(device: Device,
                       tables: Mapping[str, str | Path], *,
                       delimiter: str = ",",
                       header: bool = True) -> Instance:
@@ -114,7 +114,7 @@ def instance_from_csv(device: Device,  # em-effects: HOST_ONLY -- the CSV bridge
     return Instance(rels)
 
 
-def dump_results_csv(results: Iterable[Mapping[str, tuple]],  # em-effects: HOST_ONLY -- result export writes host files after the measured run
+def dump_results_csv(results: Iterable[Mapping[str, tuple]],
                      schemas: Mapping[str, tuple[str, ...]],
                      path: str | Path, *, delimiter: str = ",") -> int:
     """Write emit-model results as one flat CSV of attribute values.

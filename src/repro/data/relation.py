@@ -126,10 +126,13 @@ class Relation:
                 w.append_block(block)
         return Relation(self.schema, f.whole(), sorted_on, self.fixed)
 
-    # -- uncharged helpers (oracles and tests only) ----------------------
+    # -- uncharged access ------------------------------------------------
 
     def peek_tuples(self):
-        """All tuples, free of I/O charges.  For tests/oracles only."""
+        """All tuples, free of I/O charges; only inside ``stats.suspend()``.
+
+        See :meth:`repro.em.file.EMFile.peek_tuples`.
+        """
         return self.data.peek_tuples()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

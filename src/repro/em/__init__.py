@@ -8,24 +8,26 @@ loaders of Section 2.3, and external merge sort.
 
 from repro.em.bufferpool import BufferPool, PoolConfig
 from repro.em.device import Device
-from repro.em.file import EMFile, FileSegment, SequentialReader, Writer
+from repro.em.file import (EMFile, FileSegment, SequentialReader,
+                           UnchargedAccess, Writer)
 from repro.em.loaders import (Group, group_boundaries, load_chunks,
                               load_group_chunks, load_light_chunks,
                               scan_matching, split_heavy_light)
 from repro.em.policies import (POLICIES, ClockPolicy, LRUPolicy,
                                MRUPolicy, ReplacementPolicy, make_policy)
-from repro.em.sort import external_sort, is_sorted
+from repro.em.sort import external_sort
 from repro.em.stats import (CacheStats, IOStats, MemoryBudgetExceeded,
                             MemoryGauge, PhaseTracker)
 
 __all__ = [
     "Device", "EMFile", "FileSegment", "SequentialReader", "Writer",
+    "UnchargedAccess",
     "BufferPool", "PoolConfig",
     "POLICIES", "ReplacementPolicy", "LRUPolicy", "ClockPolicy",
     "MRUPolicy", "make_policy",
     "Group", "group_boundaries", "load_chunks", "load_group_chunks",
     "load_light_chunks", "scan_matching", "split_heavy_light",
-    "external_sort", "is_sorted",
+    "external_sort",
     "CacheStats", "IOStats", "MemoryBudgetExceeded", "MemoryGauge",
     "PhaseTracker",
 ]

@@ -43,6 +43,16 @@ Blocks are fresh lists (slices of the row list), so a caller may sort
 or clear a block it was handed, and the writer copies the tuples out of
 a block it is given.  The tuples themselves are shared, immutable
 objects.
+
+Uncharged rows
+--------------
+
+A few methods hand over or take in rows without charging a page:
+:meth:`EMFile.peek_tuples`, :meth:`FileSegment.peek_tuples`,
+:meth:`EMFile.fill_sealed` and the merge's :meth:`EMFile._fill_merged`.
+Each raises :class:`UnchargedAccess` unless the device's counting is
+suspended (``with device.stats.suspend():``), so a free read is
+always a declared free scope, never a silent one.
 """
 
 from __future__ import annotations
@@ -55,6 +65,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Tuple = tuple
 Key = Callable[[Tuple], Any]
+
+
+class UnchargedAccess(RuntimeError):
+    """Rows were read or written uncharged outside ``stats.suspend()``."""
+
+
+def _uncharged(device: "Device", what: str) -> None:
+    """Allow an uncharged row access only inside a suspended scope."""
+    if not device.stats.suspended:
+        raise UnchargedAccess(
+            f"{what} moves rows without charging I/O; wrap it in "
+            "`with device.stats.suspend():` if the access is free by "
+            "the model, or read through a charged cursor")
 
 
 def span_pages(off: int, n: int, B: int) -> int:
@@ -96,8 +119,10 @@ class EMFile:
         The file keeps the list itself, so the caller hands over a
         list nothing else holds.  No writer and no page charges: this
         is how an input that already sits on disk gets there
-        (:meth:`~repro.em.device.Device.file_from_tuples_free`).
+        (:meth:`~repro.em.device.Device.file_from_tuples_free`), so it
+        is allowed only while the device's counting is suspended.
         """
+        _uncharged(self.device, "fill_sealed")
         if self._sealed or self._rows:
             raise RuntimeError(f"file {self.name!r} is not empty")
         self._rows = rows
@@ -111,13 +136,13 @@ class EMFile:
         ``arrange`` is handed the runs' rows concatenated in run order
         and returns the output as indices into that list.  This is the
         data half of a merge and charges nothing, so it hands every row
-        to ``arrange`` for free; it is private to
-        :func:`repro.em.sort._merge_once`, its only caller, which
-        charges every page read of ``runs`` and every page write of
-        this file itself, at the points a merge's cursors would have.
-        Any other caller would be an uncharged read that EM008 does not
-        see.
+        to ``arrange`` for free and runs only inside ``stats.suspend()``.
+        Its one caller, :func:`repro.em.sort._merge_once`, suspends
+        around this call alone and then charges every page read of
+        ``runs`` and every page write of this file itself, at the
+        points a merge's cursors would have.
         """
+        _uncharged(self.device, "_fill_merged")
         rows = list(chain.from_iterable(r._rows for r in runs))
         self.fill_sealed(list(map(rows.__getitem__, arrange(rows))))
 
@@ -157,11 +182,12 @@ class EMFile:
         return self.reader().blocks()
 
     def peek_tuples(self) -> Sequence[Tuple]:
-        """Direct access to the stored tuples **without charging I/O**.
+        """A copy of the stored tuples, **without charging I/O**.
 
-        For test oracles and result verification only; algorithms must
-        never call this.
+        Only inside ``stats.suspend()``: for pricing and copying inputs
+        that already sit on disk, and for test oracles.
         """
+        _uncharged(self.device, "peek_tuples")
         return self._rows[:]
 
 
@@ -420,5 +446,6 @@ class FileSegment:
         return FileSegment(self.file, start, stop)
 
     def peek_tuples(self) -> list[Tuple]:
-        """Uncharged access for test oracles only (a fresh list)."""
+        """:meth:`EMFile.peek_tuples` of this slice (a fresh list)."""
+        _uncharged(self.device, "peek_tuples")
         return self.file._rows[self.start:self.stop]

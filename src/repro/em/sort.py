@@ -26,7 +26,8 @@ It is computed without one, in three steps per batch of runs:
   current page; the final partial page is written last.  They go
   through ``Device.charge_read``/``charge_write`` one page at a time.
 * **Rows.**  ``EMFile._fill_merged``, private to the merge, lays the
-  merged rows into the output file.
+  merged rows into the output file inside ``stats.suspend()``, the
+  one scope in which it may move rows uncharged.
 
 Both phases therefore charge the I/Os a tuple-at-a-time sort would,
 *in the identical order* — the sequence of page accesses, not just
@@ -296,7 +297,8 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
     # Each open run holds one buffered page; the output holds one more.
     with device.memory.hold((len(runs) + 1) * B):
         order = _HeapOrder(key, [len(r) for r in runs])
-        out._fill_merged(runs, order)
+        with device.stats.suspend():
+            out._fill_merged(runs, order)
         charge_read = device.charge_read
         charge_write = device.charge_write
         for _, is_write, f, page in _merge_schedule(runs, out, B,
@@ -306,10 +308,3 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
             else:
                 charge_read(f, page)
     return out
-
-
-def is_sorted(source: EMFile | FileSegment, key: Key) -> bool:  # em-effects: FREE_PEEK -- sortedness oracle for tests; never on a counted path
-    """Check sortedness **without charging I/O** (test helper)."""
-    tuples = source.peek_tuples()
-    return all(key(tuples[i]) <= key(tuples[i + 1])
-               for i in range(len(tuples) - 1))

@@ -27,8 +27,7 @@ DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 #: The justification ``--write-baseline`` stamps on generated
 #: entries.  It is a to-do, not an answer: the committed baseline is
-#: kept empty, and ``tests/test_lint_src.py`` keeps it off every
-#: ``# em-effects:`` declaration.
+#: kept empty (``tests/test_lint_src.py``).
 PLACEHOLDER_JUSTIFICATION = "TODO: justify"
 
 

@@ -7,10 +7,15 @@ The registry ties each code to its human description and rationale so
 reporters, docs, and ``repro lint --list-rules`` never drift from the
 implementation.
 
-Codes are never reused.  EM012–EM016 are retired: they checked the
-lock discipline of a threaded service, and the service now runs on
-one thread with no locks.  EM017–EM021 are retired too: they
-certified hand-annotated symbolic I/O bounds, and the pinned I/O
+Codes are never reused.  EM007–EM011 are retired: they ran a
+whole-program call-graph effect pass over hand-written effect
+annotations.  Its two jobs moved elsewhere: uncharged row access is
+refused at run time by :mod:`repro.em.file` outside
+``stats.suspend()``, and the imports it guarded transitively are
+banned directly by EM003 and EM004.  EM012–EM016 are retired: they
+checked the lock discipline of a threaded service, and the service
+now runs on one thread with no locks.  EM017–EM021 are retired too:
+they certified hand-annotated symbolic I/O bounds, and the pinned I/O
 counts (the golden event streams, the seed counts, ``BENCH_table1``
 and the slope gate) check the measured cost instead.
 """
@@ -83,21 +88,26 @@ _register(Rule(
     code="EM003",
     name="layering",
     summary="em/ must not import core/ or query/; core/ must not "
-            "import internal/; obs/ must not import core/",
+            "import internal/; neither may import the host modules "
+            "(data.io, cli, server, lint, obs.export, obs.baseline); "
+            "obs/ must not import core/",
     layers=("em", "core", "obs"),
     rationale="em/ is the machine (algorithms sit above it); "
               "internal/ holds uncharged in-memory baselines whose "
-              "use inside core/ would bypass the accounting; obs/ is "
-              "passive observation and must never drive the "
-              "algorithms it watches.",
+              "use inside core/ would bypass the accounting; the "
+              "host modules read and write real files, which a "
+              "counted path must never reach; obs/ is passive "
+              "observation and must never drive the algorithms it "
+              "watches.",
 ))
 
 _register(Rule(
     code="EM004",
     name="nondeterminism",
     summary="wall-clock or randomness (time, random, datetime) in "
-            "counted paths (core/, em/)",
-    layers=("core", "em"),
+            "counted paths (core/, em/) and the layers they import "
+            "(query/, data/)",
+    layers=("core", "em", "query", "data"),
     rationale="The pinned baseline gate asserts byte-identical I/O "
               "counters across runs; any time- or randomness-derived "
               "control flow in a counted path makes the counters "
@@ -128,74 +138,4 @@ _register(Rule(
               "in one greppable PHASES constant per module keeps the "
               "set auditable and catches typos that would silently "
               "split a phase's attribution.",
-))
-
-_register(Rule(
-    code="EM007",
-    name="transitive-raw-io",
-    summary="a counted-layer function reaches open/os.* through its "
-            "call chain (interprocedural EM001)",
-    layers=(),
-    rationale="A helper that wraps open() two calls deep launders "
-              "raw OS I/O past the intraprocedural EM001: the bytes "
-              "still move without being charged to the Device.  The "
-              "effect fixpoint makes the ban transitive, so the only "
-              "sanctioned escape is an explicit `# em-effects: "
-              "HOST_ONLY` declaration on the host-side entry point.",
-))
-
-_register(Rule(
-    code="EM008",
-    name="peek-from-core",
-    summary="peek_tuples() reachable from core/ algorithm code",
-    layers=("core",),
-    rationale="peek_tuples() reads tuples without charging a single "
-              "block transfer — it exists for free metadata (run "
-              "formation in em/sort.py, test oracles).  An algorithm "
-              "that reaches it gets input bytes for free and its "
-              "measured I/O no longer bounds the paper's cost.  "
-              "Sanctioned uses carry `# em-effects: FREE_PEEK -- "
-              "why` as a permanent audit record.",
-))
-
-_register(Rule(
-    code="EM009",
-    name="observer-purity",
-    summary="obs/ record paths must be effect-free on device "
-            "counters (no PHYS_IO / MATERIALIZES)",
-    layers=("obs",),
-    rationale="The tracer/profiler promise byte-identical counters "
-              "when enabled (baseline-checked).  An observer that "
-              "transitively opens files or materializes scans would "
-              "perturb the very counts it reports; host-side export "
-              "writers are declared HOST_ONLY, which also bars them "
-              "from counted paths (EM011).",
-))
-
-_register(Rule(
-    code="EM010",
-    name="transitive-nondeterminism",
-    summary="wall-clock or randomness reachable from a counted path "
-            "(interprocedural EM004)",
-    layers=("core", "em"),
-    rationale="EM004 catches `import time` in core/ and em/, but a "
-              "helper in an unpoliced layer can smuggle the same "
-              "nondeterminism in through a call.  The byte-identical "
-              "baseline gate needs the whole call graph under a "
-              "counted path to be deterministic, not just its top "
-              "frame.",
-))
-
-_register(Rule(
-    code="EM011",
-    name="effect-declaration",
-    summary="em-effects declaration errors: unknown effect names, "
-            "drifted declarations, counted paths calling HOST_ONLY "
-            "functions",
-    layers=(),
-    rationale="Declarations are audit records, so they must stay "
-              "true: a declared effect the fixpoint no longer infers "
-              "is documentation rot, and a core/ or em/ function "
-              "calling into HOST_ONLY reporting would put uncounted "
-              "host work under the algorithms the paper measures.",
 ))

@@ -46,24 +46,30 @@ RAW_IO_EXEMPT_FILES = frozenset({"data/io.py"})
 #: are consumed by algorithm or analysis code.
 EM002_LAYERS = frozenset({"core", "query", "analysis"})
 
-#: Layers counted paths live in (EM004).
-EM004_LAYERS = frozenset({"core", "em"})
+#: Layers counted paths live in or import (EM004).
+EM004_LAYERS = frozenset({"core", "em", "query", "data"})
 
 #: Layers the EM006 phase-declaration rule polices.
 EM006_LAYERS = frozenset({"core"})
 
+#: Modules that do raw host I/O or write host-side reports; nothing
+#: in a counted layer (core/, em/) may import them.
+HOST_MODULES = ("repro.data.io", "repro.cli", "repro.server",
+                "repro.lint", "repro.obs.export", "repro.obs.baseline")
+
 #: The EM003 layering matrix: layer -> banned import prefixes.
 LAYERING: dict[str, tuple[str, ...]] = {
-    "em": ("repro.core", "repro.query"),
-    "core": ("repro.internal",),
+    "em": ("repro.core", "repro.query") + HOST_MODULES,
+    "core": ("repro.internal",) + HOST_MODULES,
     "obs": ("repro.core",),
 }
 
 _LAYERING_WHY = {
     "em": "the machine must not depend on the algorithms that run "
-          "on it",
-    "core": "internal/ holds uncharged in-memory baselines that "
-            "would bypass the I/O accounting",
+          "on it, nor on host-side I/O and report writers",
+    "core": "internal/ holds uncharged in-memory baselines, and the "
+            "host modules move bytes uncharged; either would bypass "
+            "the I/O accounting",
     "obs": "observability must stay passive and never drive the "
            "algorithms it watches",
 }

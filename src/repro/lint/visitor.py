@@ -65,10 +65,6 @@ class LintResult:
     suppressed_by_baseline: list[Violation] = field(default_factory=list)
     stale_baseline: list[dict[str, object]] = field(default_factory=list)
     files_checked: int = 0
-    #: The inferred effect-signature table (see
-    #: :func:`repro.lint.effects.signature_table`); ``None`` only for
-    #: results built outside :func:`lint_paths`.
-    signatures: dict[str, object] | None = None
 
     @property
     def clean(self) -> bool:
@@ -313,8 +309,8 @@ def _parse(source: str, path: str) -> ast.Module | Violation:
                          scope="<module>")
 
 
-def _intra_check(tree: ast.Module, path: str) -> list[Violation]:
-    """The single intraprocedural pass over one parsed module."""
+def _check_tree(tree: ast.Module, path: str) -> list[Violation]:
+    """The single pass over one parsed module."""
     pkg = _package_parts(path)
     layer = _layer(pkg)
     pkg_relfile = "/".join(pkg) if pkg else path
@@ -329,16 +325,13 @@ def _intra_check(tree: ast.Module, path: str) -> list[Violation]:
 def check_source(source: str, path: str) -> list[Violation]:
     """Lint one module's source; ``path`` scopes the rules by layer.
 
-    This is the *intraprocedural* pass only (EM000–EM006): the
-    interprocedural effect rules (EM007–EM011) need the whole program
-    and run in :func:`lint_paths`.  Pragma suppression is not applied
-    here — callers that need it use :func:`lint_paths` or apply
-    :func:`_pragmas` themselves.
+    Pragma suppression is not applied here — callers that need it use
+    :func:`lint_paths` or apply :func:`_pragmas` themselves.
     """
     tree = _parse(source, path)
     if isinstance(tree, Violation):
         return [tree]
-    return sorted(_intra_check(tree, path),
+    return sorted(_check_tree(tree, path),
                   key=lambda v: (v.line, v.col, v.code))
 
 
@@ -361,35 +354,21 @@ def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
     violations; entries that no longer match anything are reported as
     stale (fix the baseline, it documents reality).
     """
-    from repro.lint import effects
-    from repro.lint.callgraph import build_program
-
     rootp = Path(root)
     result = LintResult()
     kept: list[Violation] = []
     per_file: dict[str, list[Violation]] = {}
     pragmas_by_file: dict[str, dict[int, frozenset[str]]] = {}
-    modules: list[tuple[str, str, ast.AST, tuple[str, ...] | None]] = []
     for f in _iter_py_files([Path(p) for p in paths]):
         rel = _relpath(f, rootp)
         source = f.read_text(encoding="utf-8")
         result.files_checked += 1
         pragmas_by_file[rel] = _pragmas(source)
         tree = _parse(source, rel)
-        if isinstance(tree, Violation):
-            per_file[rel] = [tree]
-            continue
-        per_file[rel] = _intra_check(tree, rel)
-        modules.append((rel, source, tree, _package_parts(rel)))
-    # Second pass: the whole-program effect rules (EM007–EM011).
-    program = build_program(modules)
-    for finding in effects.evaluate(program):
-        per_file.setdefault(finding.path, []).append(Violation(
-            code=finding.code, path=finding.path, line=finding.line,
-            col=0, message=finding.message, scope=finding.scope))
-    result.signatures = effects.signature_table(program)
+        per_file[rel] = ([tree] if isinstance(tree, Violation)
+                         else _check_tree(tree, rel))
     for rel in sorted(per_file):
-        pragmas = pragmas_by_file.get(rel, {})
+        pragmas = pragmas_by_file[rel]
         for v in sorted(per_file[rel],
                         key=lambda v: (v.line, v.col, v.code)):
             disabled = pragmas.get(v.line, frozenset())

@@ -25,7 +25,7 @@ SCHEMA_VERSION = 1
 FLOAT_TOLERANCE = 1e-9
 
 
-def write_baseline(path, classes: dict, *, meta: dict | None = None) -> dict:  # em-effects: HOST_ONLY -- baseline files live on the host filesystem, outside the simulated device
+def write_baseline(path, classes: dict, *, meta: dict | None = None) -> dict:
     """Write ``classes`` (query class -> measured counters) to ``path``.
 
     Returns the full document, including the schema envelope.
@@ -40,7 +40,7 @@ def write_baseline(path, classes: dict, *, meta: dict | None = None) -> dict:  #
     return doc
 
 
-def load_baseline(path) -> dict:  # em-effects: HOST_ONLY -- baseline files live on the host filesystem, outside the simulated device
+def load_baseline(path) -> dict:
     """Load a baseline document, validating the schema envelope."""
     # host-side baseline file, not simulated-device I/O
     with open(path, "r", encoding="utf-8") as fh:  # emlint: disable=EM001

@@ -69,7 +69,7 @@ def to_chrome_trace(profiler) -> dict:
     }
 
 
-def write_chrome_trace(path, profiler) -> int:  # em-effects: HOST_ONLY -- profile export writes to the host filesystem after the measured run
+def write_chrome_trace(path, profiler) -> int:
     """Write the Perfetto-loadable JSON; return the event count."""
     doc = to_chrome_trace(profiler)
     # host-side trace export, not simulated-device I/O

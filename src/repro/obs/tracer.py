@@ -108,7 +108,7 @@ class Tracer(Observer):
             "memory": {"peak": self._mem_peak},
         }
 
-    def export_jsonl(self, path) -> int:  # em-effects: HOST_ONLY -- trace export writes to the host filesystem after the measured run
+    def export_jsonl(self, path) -> int:
         """Write the buffered events as JSON Lines; return the count."""
         events = self.events()
         # host-side JSONL export, not simulated-device I/O

@@ -85,7 +85,7 @@ class Catalog:
         self.stats["loads"] += 1
         return entry
 
-    def load_csv(self, name: str,  # em-effects: HOST_ONLY -- reads host CSVs once, outside any measured run
+    def load_csv(self, name: str,
                  tables: Mapping[str, str], *,
                  delimiter: str = ",", header: bool = True,
                  replace: bool = False) -> CatalogEntry:

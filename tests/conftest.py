@@ -28,6 +28,18 @@ def make_random_data(query, sizes, domain, seed=0):
     return schemas, data
 
 
+def rows_of(source):
+    """The rows of a file, segment or relation, read as a test oracle.
+
+    ``peek_tuples()`` charges no I/O, so it runs only inside the owning
+    device's ``stats.suspend()``; outside one it raises
+    :class:`~repro.em.UnchargedAccess`.  The result is the fresh list
+    ``peek_tuples()`` returns.
+    """
+    with source.device.stats.suspend():
+        return source.peek_tuples()
+
+
 def run_and_compare(query, schemas, data, runner, *, M=16, B=4,
                     mem_slack=None):
     """Run an EM algorithm and assert exact agreement with the oracle.

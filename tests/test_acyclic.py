@@ -21,7 +21,7 @@ from repro.workloads import (dumbbell_worstcase_instance,
                              skewed_instance, star_worstcase_instance,
                              uniform_instance)
 
-from conftest import make_random_data, run_and_compare
+from conftest import make_random_data, rows_of, run_and_compare
 
 
 QUERY_ZOO = {
@@ -295,14 +295,14 @@ class TestPlans:
         inst = Instance.from_dicts(device, schemas, data)
         dev2, inst2 = clone_instance(inst)
         assert dev2.stats.total == 0
-        assert sorted(inst2["e1"].peek_tuples()) == sorted(data["e1"])
+        assert sorted(rows_of(inst2["e1"])) == sorted(data["e1"])
         # The copy keeps physical order and the sort metadata with it.
         reduced = full_reduce_em(q, inst)
         _, inst3 = clone_instance(reduced)
         for e in q.edges:
             assert inst3[e].sorted_on == reduced[e].sorted_on is not None
             assert inst3[e].fixed == reduced[e].fixed
-            assert inst3[e].peek_tuples() == reduced[e].peek_tuples()
+            assert rows_of(inst3[e]) == rows_of(reduced[e])
 
     @pytest.mark.parametrize("q, gen, M", [
         (line_query(4), uniform_instance, 32),

@@ -9,6 +9,8 @@ from repro.core import CountingEmitter, acyclic_join_best
 from repro.query import line_query
 from repro.workloads import schemas_for
 
+from conftest import rows_of
+
 
 class TestRelationSchema:
     def test_index_and_contains(self):
@@ -69,7 +71,7 @@ class TestRelation:
         assert s.sorted_on == "a"
         assert s.sort_by("a") is s
         assert small_device.stats.total == io_after
-        values = [t[0] for t in s.peek_tuples()]
+        values = [t[0] for t in rows_of(s)]
         assert values == sorted(values)
 
     def test_restrict_requires_sort(self, small_device):

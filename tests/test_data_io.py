@@ -7,6 +7,8 @@ from repro.core import CollectingEmitter, execute
 from repro.data.io import dump_results_csv, instance_from_csv, load_csv
 from repro.query.parse import parse_query
 
+from conftest import rows_of
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -19,18 +21,18 @@ class TestLoadCsv:
         p = write(tmp_path, "r.csv", "a,b\n1,2\n3,4\n")
         rel = load_csv(small_device, p, "e1")
         assert rel.schema.attributes == ("a", "b")
-        assert sorted(rel.peek_tuples()) == [(1, 2), (3, 4)]
+        assert sorted(rows_of(rel)) == [(1, 2), (3, 4)]
 
     def test_float_and_string_columns(self, tmp_path, small_device):
         p = write(tmp_path, "r.csv", "a,b,c\n1.5,xx,7\n2.0,yy,8\n")
         rel = load_csv(small_device, p, "e1")
-        assert rel.peek_tuples()[0] == (1.5, "xx", 7)
+        assert rows_of(rel)[0] == (1.5, "xx", 7)
 
     def test_mixed_int_column_becomes_float_or_str(self, tmp_path,
                                                    small_device):
         p = write(tmp_path, "r.csv", "a\n1\n2.5\n")
         rel = load_csv(small_device, p, "e1")
-        assert rel.peek_tuples()[0] == (1.0,)
+        assert rows_of(rel)[0] == (1.0,)
 
     def test_headerless_requires_attributes(self, tmp_path, small_device):
         p = write(tmp_path, "r.csv", "1,2\n3,4\n")
@@ -58,7 +60,7 @@ class TestLoadCsv:
     def test_tsv(self, tmp_path, small_device):
         p = write(tmp_path, "r.tsv", "a\tb\n1\t2\n")
         rel = load_csv(small_device, p, "e1", delimiter="\t")
-        assert rel.peek_tuples()[0] == (1, 2)
+        assert rows_of(rel)[0] == (1, 2)
 
     def test_loading_is_uncharged(self, tmp_path):
         device = Device(M=8, B=2)

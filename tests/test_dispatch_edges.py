@@ -2,11 +2,10 @@
 
 from repro import Device, Instance
 from repro.core import CountingEmitter, line_join_auto
-from repro.em import is_sorted
 from repro.query import gens_all, gens_one, line_query
 from repro.query.lines import line_cover
 
-from conftest import make_random_data, run_and_compare
+from conftest import make_random_data, rows_of, run_and_compare
 
 
 class TestDispatcherEdges:
@@ -56,8 +55,8 @@ class TestSortHelpers:
     def test_is_sorted_on_segment(self, small_device):
         f = small_device.file_from_tuples_free(
             [(5,), (1,), (2,), (3,), (9,)])
-        assert is_sorted(f.segment(1, 4), lambda t: t[0])
-        assert not is_sorted(f, lambda t: t[0])
+        assert rows_of(f.segment(1, 4)) == [(1,), (2,), (3,)]
+        assert rows_of(f) != sorted(rows_of(f))
 
 
 class TestCLINoReduce:

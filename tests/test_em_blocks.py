@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -28,6 +31,8 @@ from repro.obs.tracer import Tracer
 from repro.query import line_query, star_query
 from repro.workloads import (schemas_for, skewed_instance,
                              star_worstcase_instance)
+
+from conftest import rows_of
 
 
 def fill(device, n, name="f"):
@@ -147,7 +152,7 @@ class TestWriterBlockEdges:
             with f2.writer() as w:
                 w.append_block(ts)
             assert d1.stats.writes == d2.stats.writes, n
-            assert f1.peek_tuples() == f2.peek_tuples()
+            assert rows_of(f1) == rows_of(f2)
 
     def test_extend_list_takes_block_path_same_counters(self):
         d1, d2 = Device(M=16, B=4), Device(M=16, B=4)
@@ -159,7 +164,7 @@ class TestWriterBlockEdges:
         with f2.writer() as w:
             w.extend(ts)  # list: block fast path
         assert d1.stats.writes == d2.stats.writes == 4
-        assert f1.peek_tuples() == f2.peek_tuples()
+        assert rows_of(f1) == rows_of(f2)
 
     def test_append_block_tops_up_partial_buffer(self, small_device):
         f = small_device.new_file("a")
@@ -170,7 +175,7 @@ class TestWriterBlockEdges:
         assert small_device.stats.writes == 2
         w.close()
         assert small_device.stats.writes == 3  # final partial page
-        assert f.peek_tuples() == [(i,) for i in range(9)]
+        assert rows_of(f) == [(i,) for i in range(9)]
 
     def test_mixed_append_and_block_interleave(self, small_device):
         f = small_device.new_file("a")
@@ -179,7 +184,7 @@ class TestWriterBlockEdges:
             w.append_block([(1,), (2,)])
             w.append((3,))  # fills page 0
             w.append_block([(4,), (5,), (6,), (7,), (8,)])
-        assert f.peek_tuples() == [(i,) for i in range(9)]
+        assert rows_of(f) == [(i,) for i in range(9)]
         assert small_device.stats.writes == 3
 
 
@@ -195,14 +200,14 @@ class TestColumnarStorage:
         f = small_device.new_file("ints")
         with f.writer() as w:
             w.append_block([(1, 2), (3, 4)])
-        assert f.peek_tuples() == [(1, 2), (3, 4)]
+        assert rows_of(f) == [(1, 2), (3, 4)]
         assert list(f.scan()) == [(1, 2), (3, 4)]
 
     def test_object_columns_stay_lists(self, small_device):
         f = small_device.new_file("objs")
         with f.writer() as w:
             w.append_block([(1, "a"), (2, "b")])
-        assert f.peek_tuples() == [(1, "a"), (2, "b")]
+        assert rows_of(f) == [(1, "a"), (2, "b")]
         assert [type(v) for t in f.scan() for v in t] == [int, str] * 2
 
     def test_mixed_arity_falls_back_ragged(self, small_device):
@@ -212,21 +217,21 @@ class TestColumnarStorage:
             w.append((1, 2, 3))
             w.append_block([(4,), (5, 6), ()])
         expected = [(1, 2), (1, 2, 3), (4,), (5, 6), ()]
-        assert f.peek_tuples() == expected
+        assert rows_of(f) == expected
         assert f.reader().read_block(5) == expected
 
     def test_huge_ints_do_not_pack(self, small_device):
         f = small_device.new_file("big")
         with f.writer() as w:
             w.append_block([(2 ** 80,), (1,), (-2 ** 80,)])
-        assert f.peek_tuples() == [(2 ** 80,), (1,), (-2 ** 80,)]
+        assert rows_of(f) == [(2 ** 80,), (1,), (-2 ** 80,)]
         assert f.reader().next() == (2 ** 80,)
 
     def test_bools_do_not_pack_as_ints(self, small_device):
         f = small_device.new_file("bools")
         with f.writer() as w:
             w.append_block([(True,), (False,)])
-        assert f.peek_tuples() == [(True,), (False,)]
+        assert rows_of(f) == [(True,), (False,)]
         first, second = f.reader().read_block(2)
         assert first[0] is True and second[0] is False
 
@@ -237,10 +242,10 @@ class TestColumnarStorage:
         chunk = f.reader().read_block(10)
         chunk.sort()
         assert chunk[0] == (0,)
-        assert f.peek_tuples() == [(i,) for i in range(9, -1, -1)]
+        assert rows_of(f) == [(i,) for i in range(9, -1, -1)]
         page = f.reader().peek_page_block()
         page.sort()
-        assert f.peek_tuples()[:4] == [(9,), (8,), (7,), (6,)]
+        assert rows_of(f)[:4] == [(9,), (8,), (7,), (6,)]
 
     def test_clearing_an_appended_block_leaves_file_unchanged(
             self, small_device):
@@ -251,15 +256,15 @@ class TestColumnarStorage:
                           [(i,) for i in range(10, 16)]):  # top-up
                 w.append_block(block)
                 block.clear()
-        assert f.peek_tuples() == [(i,) for i in range(16)]
+        assert rows_of(f) == [(i,) for i in range(16)]
 
     def test_mutating_peek_tuples_leaves_file_unchanged(self, small_device):
         f = fill(small_device, 6)
-        seen = f.peek_tuples()
+        seen = rows_of(f)
         seen.clear()
-        segment = f.segment(1, 4).peek_tuples()
+        segment = rows_of(f.segment(1, 4))
         segment[0] = ("x",)
-        assert f.peek_tuples() == [(i,) for i in range(6)]
+        assert rows_of(f) == [(i,) for i in range(6)]
         assert list(f.scan()) == [(i,) for i in range(6)]
 
 
@@ -467,3 +472,36 @@ class TestBlockScalarEquivalence:
         # Regression: the run counter used to read 0 here even though
         # one (empty) run was synthesized and returned.
         assert dev.metrics.counter("sort.runs").value == 1
+
+
+#: The cases replayed under two hash seeds: the query engine end to
+#: end, the external sort alone, and a best-branch star run.
+SEED_CASES = ("execute_L3", "external_sort", "star2_best")
+
+_SEED_SCRIPT = """\
+import json
+from test_em_blocks import SEED_CASES, record
+print(json.dumps({f"{name}/{pool}": record(name, pool == "pool_on")
+                  for name in SEED_CASES
+                  for pool in ("pool_off", "pool_on")}))
+"""
+
+
+def test_event_streams_do_not_depend_on_the_hash_seed():
+    """Run-twice determinism: the same cases in two fresh interpreters
+    with different ``PYTHONHASHSEED`` values charge the same pages in
+    the same order.  Iterating a set or dict of strings on a counted
+    path would break this; so would wall-clock or randomness there."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests),
+            os.environ.get("PYTHONPATH", "")]
+    streams = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run([sys.executable, "-c", _SEED_SCRIPT],
+                             cwd=tests, env=env, capture_output=True,
+                             text=True, check=True)
+        streams.append(json.loads(out.stdout))
+    golden = json.loads(GOLDEN.read_text())
+    assert streams[0] == streams[1] == {k: golden[k] for k in streams[0]}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.em import Device
+from repro.em import Device, UnchargedAccess
+from repro.obs.tracer import Tracer
 
 
 def fill(device, n, name="f"):
@@ -143,6 +144,52 @@ class TestFileSegment:
         device = Device(M=16, B=4)
         device.file_from_tuples([(i,) for i in range(100)])
         assert device.stats.writes == 25
+
+
+#: Every uncharged row access of the em/ layer, as ``call(device, f)``
+#: on a device holding the sealed 6-row file ``f``.
+UNCHARGED = {
+    "EMFile.peek_tuples": lambda d, f: f.peek_tuples(),
+    "FileSegment.peek_tuples": lambda d, f: f.segment(1, 4).peek_tuples(),
+    "EMFile.fill_sealed": lambda d, f: d.new_file("g").fill_sealed([(0,)]),
+    "EMFile._fill_merged": lambda d, f: d.new_file("g")._fill_merged(
+        [f], lambda rows: range(len(rows))),
+}
+
+
+class TestUnchargedAccess:
+    """Rows move uncharged only inside the owning device's suspend()."""
+
+    @pytest.mark.parametrize("name", sorted(UNCHARGED))
+    def test_raises_outside_suspend_and_charges_nothing(self, name):
+        tracer = Tracer()
+        device = Device(M=16, B=4, observers=[tracer])
+        f = fill(device, 6)
+        before = device.stats.snapshot()
+        events, peak = tracer.seen, device.memory.peak
+        with pytest.raises(UnchargedAccess, match="suspend"):
+            UNCHARGED[name](device, f)
+        assert device.stats == before
+        assert (tracer.seen, device.memory.peak) == (events, peak)
+
+    @pytest.mark.parametrize("name", sorted(UNCHARGED))
+    def test_allowed_inside_suspend_nested_included(self, name):
+        device = Device(M=16, B=4)
+        f = fill(device, 6)
+        with device.stats.suspend():
+            UNCHARGED[name](device, f)
+            with device.stats.suspend():
+                UNCHARGED[name](device, f)
+            UNCHARGED[name](device, f)  # still inside the outer scope
+        with pytest.raises(UnchargedAccess):
+            UNCHARGED[name](device, f)
+
+    @pytest.mark.parametrize("name", sorted(UNCHARGED))
+    def test_another_devices_scope_does_not_count(self, name):
+        device, other = Device(M=16, B=4), Device(M=16, B=4)
+        f = fill(device, 6)
+        with other.stats.suspend(), pytest.raises(UnchargedAccess):
+            UNCHARGED[name](device, f)
 
 
 class TestDeviceValidation:

@@ -14,6 +14,8 @@ from repro.em.loaders import (light_chunk_reads, semijoin_matches,
                               take_through_reads)
 from repro.obs.tracer import Tracer
 
+from conftest import rows_of
+
 
 def sorted_file(device, rows, name="r"):
     f = device.new_file(name)
@@ -189,7 +191,7 @@ def _traced_semijoin(left_rows, right_rows, B, pool, reference):
                 w.append_block(block)
     device.flush_pool()
     return ([(e.kind, e.file, e.page) for e in tracer.events()],
-            list(out.peek_tuples()))
+            rows_of(out))
 
 
 class TestSemijoinMatches:

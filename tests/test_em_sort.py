@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.em import Device, PoolConfig, external_sort, is_sorted
+from repro.em import Device, PoolConfig, external_sort
 from repro.em import sort as em_sort
 from repro.obs.tracer import Tracer
+
+from conftest import rows_of
+
+
+def in_key_order(rows):
+    """Are ``rows`` non-decreasing on their first field?"""
+    return rows == sorted(rows, key=lambda t: t[0])
 
 
 def make_file(device, rows):
@@ -27,7 +34,7 @@ class TestExternalSort:
         rows = [(i,) for i in (5, 3, 9, 1, 1, 7)]
         f = make_file(small_device, rows)
         out = external_sort(f, lambda t: t[0])
-        assert list(out.peek_tuples()) == sorted(rows)
+        assert rows_of(out) == sorted(rows)
 
     def test_sorts_multi_run_input(self):
         device = Device(M=8, B=2)
@@ -35,8 +42,9 @@ class TestExternalSort:
         rows = [(rng.randrange(1000), i) for i in range(200)]
         f = make_file(device, rows)
         out = external_sort(f, lambda t: t[0])
-        assert is_sorted(out, lambda t: t[0])
-        assert sorted(out.peek_tuples()) == sorted(rows)
+        result = rows_of(out)
+        assert in_key_order(result)
+        assert sorted(result) == sorted(rows)
 
     def test_empty_input(self, small_device):
         f = make_file(small_device, [])
@@ -69,14 +77,13 @@ class TestExternalSort:
     def test_sorts_segment_only(self, small_device):
         f = make_file(small_device, [(9 - i,) for i in range(10)])
         out = external_sort(f.segment(2, 7), lambda t: t[0])
-        assert list(out.peek_tuples()) == sorted(
-            f.peek_tuples()[2:7])
+        assert rows_of(out) == sorted(rows_of(f)[2:7])
 
     def test_is_sorted_on_segment(self, small_device):
         f = make_file(small_device, [(3,), (1,), (2,), (4,), (0,)])
-        assert is_sorted(f.segment(2, 4), lambda t: t[0])
-        assert not is_sorted(f.segment(0, 3), lambda t: t[0])
-        assert is_sorted(f.segment(1, 1), lambda t: t[0])
+        assert in_key_order(rows_of(f.segment(2, 4)))
+        assert not in_key_order(rows_of(f.segment(0, 3)))
+        assert rows_of(f.segment(1, 1)) == []
 
     def test_strict_memory_polices_run_formation(self):
         """Regression: `_form_runs` used to read the whole chunk before
@@ -98,7 +105,7 @@ class TestExternalSort:
         device = Device(M=8, B=2, strict_memory=True, mem_slack=2.0)
         f = device.file_from_tuples_free([(31 - i,) for i in range(32)])
         out = external_sort(f, lambda t: t[0])
-        assert is_sorted(out, lambda t: t[0])
+        assert in_key_order(rows_of(out))
         # Peak is the M-tuple run chunk (merge holds (fan_in+1)*B = 8
         # tuples too); under the pre-fix ordering the chunk was read
         # outside the gauge, but the charge amount itself was the same.
@@ -112,9 +119,9 @@ class TestExternalSort:
         rows = [(v, i) for i, v in enumerate(values)]
         f = device.file_from_tuples_free(rows)
         out = external_sort(f, lambda t: t[0])
-        result = list(out.peek_tuples())
+        result = rows_of(out)
         assert sorted(result) == sorted(rows)
-        assert is_sorted(out, lambda t: t[0])
+        assert in_key_order(result)
 
 
 # -- tie order ----------------------------------------------------------------
@@ -127,7 +134,7 @@ def test_ties_break_by_heap_push_order():
     f = device.file_from_tuples_free([(5, "a"), (5, "b"), (5, "c"),
                                       (9, "z")])
     out = external_sort(f, lambda t: t[0])
-    assert [t[1] for t in out.peek_tuples()] == ["a", "c", "b", "z"]
+    assert [t[1] for t in rows_of(out)] == ["a", "c", "b", "z"]
 
 
 def _reference_merge_once(device, runs, key, name):
@@ -196,7 +203,7 @@ def _traced_sort(rows, M, B, pool):
     events = tracer.events()
     assert len(events) == tracer.seen
     return ([(e.kind, e.file, e.page) for e in events],
-            list(out.peek_tuples()), device.memory.peak)
+            rows_of(out), device.memory.peak)
 
 
 @pytest.mark.parametrize("pool", [False, True], ids=["pool_off", "pool_on"])

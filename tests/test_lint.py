@@ -17,8 +17,7 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 FIXTURE_SRC = FIXTURES / "src"
 
 #: code → the fixture file(s) that trigger it exactly once when
-#: linted together.  The interprocedural rules (EM007/EM010/EM011)
-#: need two files: the laundering helper plus the flagged caller.
+#: linted together.
 BAD_FIXTURES = {
     "EM000": (FIXTURE_SRC / "repro/core/bad_em000.py",),
     "EM001": (FIXTURE_SRC / "repro/query/bad_em001.py",),
@@ -27,14 +26,6 @@ BAD_FIXTURES = {
     "EM004": (FIXTURE_SRC / "repro/core/bad_em004.py",),
     "EM005": (FIXTURE_SRC / "repro/obs/bad_em005.py",),
     "EM006": (FIXTURE_SRC / "repro/core/bad_em006.py",),
-    "EM007": (FIXTURE_SRC / "repro/core/bad_em007.py",
-              FIXTURE_SRC / "repro/em/io_helpers.py"),
-    "EM008": (FIXTURE_SRC / "repro/core/bad_em008.py",),
-    "EM009": (FIXTURE_SRC / "repro/obs/bad_em009.py",),
-    "EM010": (FIXTURE_SRC / "repro/core/bad_em010.py",
-              FIXTURE_SRC / "repro/obs/clock_helper.py"),
-    "EM011": (FIXTURE_SRC / "repro/core/bad_em011.py",
-              FIXTURE_SRC / "repro/obs/host_dump.py"),
 }
 
 
@@ -98,6 +89,10 @@ class TestRuleSemantics:
         src = "from ..core import execute\n"
         (v,) = check_source(src, "src/repro/em/bad.py")
         assert v.code == "EM003"
+        # Counted layers never reach the host-side I/O modules.
+        src = "from ..data.io import load_csv\n"
+        (v,) = check_source(src, "src/repro/core/bad.py")
+        assert v.code == "EM003"
 
     def test_em003_analysis_may_import_core(self):
         src = "from repro.core import execute\n"
@@ -108,6 +103,11 @@ class TestRuleSemantics:
         assert check_source(src, "src/repro/obs/x.py") == []
         assert [v.code for v in check_source(src, "src/repro/em/x.py")] \
             == ["EM004"]
+        # Counted paths import query/ and data/, so they are policed too.
+        for layer in ("query", "data"):
+            assert [v.code for v in check_source(
+                "from random import Random\n",
+                f"src/repro/{layer}/x.py")] == ["EM004"]
 
     def test_em005_with_statement_is_compliant(self):
         src = ("def f(stats):\n"
@@ -142,6 +142,19 @@ class TestRuleSemantics:
         src = "PHASES = make_phases()\n"
         (v,) = check_source(src, "src/repro/core/x.py")
         assert v.code == "EM006"
+
+
+class TestWidenedEm002:
+    @pytest.mark.parametrize("layer", ["core", "query", "analysis"])
+    def test_policed_layers_flagged(self, layer):
+        src = "def f(rel):\n    return list(rel.data.scan())\n"
+        (v,) = check_source(src, f"src/repro/{layer}/x.py")
+        assert v.code == "EM002"
+
+    @pytest.mark.parametrize("layer", ["workloads", "obs", "internal"])
+    def test_unpoliced_layers_not_flagged(self, layer):
+        src = "def f(rel):\n    return list(rel.data.scan())\n"
+        assert check_source(src, f"src/repro/{layer}/x.py") == []
 
 
 # -------------------------------------------------------------- pragmas
@@ -286,8 +299,8 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        # EM012–EM021 are retired and never reused.
-        assert sorted(RULES) == [f"EM{i:03d}" for i in range(12)]
+        # EM007–EM021 are retired and never reused.
+        assert sorted(RULES) == [f"EM{i:03d}" for i in range(7)]
         for code in RULES:
             assert code in out
 

@@ -6,13 +6,13 @@ zero *new* violations — and any regression (a raw ``open()``, a layer
 inversion, an uncharged materialization) fails CI by name.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.lint import lint_paths, load_baseline
-from repro.lint.baseline import PLACEHOLDER_JUSTIFICATION
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -60,56 +60,50 @@ def test_pragma_suppressions_are_few_and_only_em001(src_result):
     assert len(src_result.suppressed_by_pragma) <= 7
 
 
-# ------------------------------------------- effect signatures (emflow)
+# ---------------------------------------------------- free scopes
+
+#: Every ``stats.suspend()`` call in the tree, by enclosing function.
+#: Inside one, the em/ layer lets rows move uncharged; outside one it
+#: raises ``UnchargedAccess``.  A new free scope is a claim that some
+#: access costs nothing in the model, so it has to be added here.
+FREE_SCOPES = {
+    "repro/core/price.py": {"snapshot": 1},
+    # Reads the source device and fills the copy's: one each.
+    "repro/core/acyclic.py": {"clone_instance": 2},
+    "repro/em/sort.py": {"_merge_once": 1},
+    "repro/em/device.py": {"Device.file_from_tuples_free": 1},
+    "repro/cli.py": {"cmd_run": 1},
+}
 
 
-def test_core_layer_never_reaches_raw_io(src_result):
-    """The strongest statement emflow can make about the real tree:
-    no function in core/ or em/ has PHYS_IO in its *whole-call-graph*
-    signature — every byte the algorithms move is simulated."""
-    funcs = src_result.signatures["functions"]
-    offenders = [q for q, e in funcs.items()
-                 if e["layer"] in ("core", "em")
-                 and "PHYS_IO" in e["effects"]]
-    assert offenders == []
+def _suspend_calls(tree):
+    """``{qualname: count}`` of ``….stats.suspend()`` calls in a module."""
+    found = {}
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "suspend"
+                    and isinstance(child.func.value, ast.Attribute)
+                    and child.func.value.attr == "stats"):
+                qual = ".".join(scope)
+                found[qual] = found.get(qual, 0) + 1
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
 
 
-def test_sanctioned_peek_sites_are_declared(src_result):
-    """The audited peek_tuples() uses carry FREE_PEEK declarations
-    with justifications (the core/acyclic.py clone audit and the plan
-    pricer's snapshot in core/price.py)."""
-    funcs = src_result.signatures["functions"]
-    clone = funcs["repro.core.acyclic.clone_instance"]
-    assert clone["declared"] == ["FREE_PEEK"]
-    assert "pre-existing inputs" in clone["justification"]
-    snapshot = funcs["repro.core.price.snapshot"]
-    assert snapshot["declared"] == ["FREE_PEEK"]
-    assert "pre-existing inputs" in snapshot["justification"]
-    sorted_probe = funcs["repro.em.sort.is_sorted"]
-    assert sorted_probe["declared"] == ["FREE_PEEK"]
-
-
-def test_host_only_declarations_cover_every_export_writer(src_result):
-    """Each pragma'd EM001 writer is also declared HOST_ONLY, so the
-    effect pass proves nothing counted can reach it (EM011)."""
-    funcs = src_result.signatures["functions"]
-    for qual in ("repro.obs.tracer.Tracer.export_jsonl",
-                 "repro.obs.export.write_chrome_trace",
-                 "repro.obs.baseline.write_baseline",
-                 "repro.obs.baseline.load_baseline",
-                 "repro.data.io.load_csv",
-                 "repro.data.io.instance_from_csv",
-                 "repro.data.io.dump_results_csv",
-                 "repro.cli.cmd_run",
-                 "repro.cli.cmd_lint"):
-        assert funcs[qual]["declared"] == ["HOST_ONLY"], qual
-
-
-def test_no_declaration_carries_a_placeholder_justification(src_result):
-    """Every ``# em-effects:`` justification in the tree is real: the
-    ``--write-baseline`` placeholder never ships."""
-    funcs = src_result.signatures["functions"]
-    offenders = [qn for qn, e in funcs.items()
-                 if str(e.get("justification", "")).startswith(
-                     PLACEHOLDER_JUSTIFICATION)]
-    assert offenders == []
+def test_free_scopes_are_exactly_the_declared_ones():
+    package = SRC / "repro"
+    seen = {}
+    for path in sorted(package.rglob("*.py")):
+        calls = _suspend_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if calls:
+            seen[path.relative_to(SRC).as_posix()] = calls
+    assert seen == FREE_SCOPES

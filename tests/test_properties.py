@@ -28,6 +28,7 @@ from repro.query import full_reduce, gens_all, is_berge_acyclic, JoinQuery
 from repro.query.classify import has_island_bud_or_leaf
 from repro.workloads import skewed_instance, uniform_instance
 
+from conftest import rows_of
 from test_classify import random_acyclic_query
 
 
@@ -166,7 +167,7 @@ def test_reducer_matches_oracle_and_keeps_its_sort_orders(case, mb):
                                                  data))
     for e in query.edges:
         rel = reduced[e]
-        tuples = rel.peek_tuples()
+        tuples = rows_of(rel)
         assert sorted(tuples) == sorted(expected[e])
         if rel.sorted_on is not None:
             keys = list(map(rel.key(rel.sorted_on), tuples))

@@ -13,7 +13,7 @@ from repro.query import (elimination_order, full_reduce, is_fully_reduced,
                          line_query, lollipop_query, semijoin, star_query)
 from repro.workloads import schemas_for, uniform_instance
 
-from conftest import make_random_data
+from conftest import make_random_data, rows_of
 
 
 class TestEliminationOrder:
@@ -110,7 +110,7 @@ class TestFullReduceEM:
         reduced_em = full_reduce_em(q, inst)
         expected = full_reduce(q, data, schemas)
         for e in q.edges:
-            assert sorted(reduced_em[e].peek_tuples()) == sorted(expected[e])
+            assert sorted(rows_of(reduced_em[e])) == sorted(expected[e])
 
     def test_charges_io(self):
         q = line_query(3)
