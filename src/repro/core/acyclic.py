@@ -73,8 +73,8 @@ from repro.data.relation import Relation
 from repro.em.device import Device
 from repro.em.loaders import (group_boundaries, load_chunks,
                               load_group_chunks, load_light_chunks,
-                              semijoin_matches, split_heavy_light,
-                              take_through)
+                              split_heavy_light, take_through,
+                              write_semijoin)
 from repro.query.classify import (find_buds, find_islands, find_leaves,
                                   leaf_info)
 from repro.query.hypergraph import JoinQuery, require_berge_acyclic
@@ -317,11 +317,11 @@ def _merge_semijoin(rel: Relation, filter_rel: Relation,
     One merge pass over both inputs; the (smaller) output is written
     back to disk, preserving sort order on ``attr``.
     """
-    matches = semijoin_matches(rel.data.reader(), filter_rel.data.reader(),
-                               rel.key(attr), filter_rel.key(attr))
     with rel.device.phases.phase("semijoin"):
-        return rel.rewrite_blocks(matches, label=f"sj_{filter_rel.name}",
-                                  sorted_on=attr)
+        out = write_semijoin(rel.data, filter_rel.data, rel.key(attr),
+                             filter_rel.key(attr),
+                             f"{rel.name}.sj_{filter_rel.name}")
+    return Relation(rel.schema, out.whole(), attr, rel.fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ count comes from a function beside the operator that charges it.
   :func:`~repro.em.loaders.light_chunk_reads`;
 * each neighbor's shared :func:`~repro.em.loaders.take_through` cursor:
   :func:`~repro.em.loaders.take_through_reads`;
-* the bud's :func:`~repro.em.loaders.semijoin_matches`: the left input
+* the bud's :func:`~repro.em.loaders.write_semijoin`: the left input
   is read whole, the right one
   :func:`~repro.em.loaders.semijoin_right_reads`;
-* ``Relation.rewrite``/``rewrite_blocks`` write a new file:
-  ``span_pages(0, n, B)``.
+* ``Relation.rewrite`` and :func:`~repro.em.loaders.write_semijoin`
+  write a new file: ``span_pages(0, n, B)``.
 
 A chunk loop whose iterations see identical inputs (an island's
 chunks, one heavy value's chunks) is walked once and its cost

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.data.instance import Instance
 from repro.data.relation import Relation
-from repro.em.loaders import semijoin_matches
+from repro.em.loaders import write_semijoin
 from repro.query.hypergraph import JoinQuery
 from repro.query.reduce import elimination_order
 
@@ -51,7 +51,6 @@ def _semijoin_em(rel: Relation, filt: Relation,
     """
     rel_s = rel.sort_by(attr)
     filt_s = filt.sort_by(attr)
-    matches = semijoin_matches(rel_s.data.reader(), filt_s.data.reader(),
-                               rel_s.key(attr), filt_s.key(attr))
-    return (rel_s.rewrite_blocks(matches, label=f"red_{filt.name}",
-                                 sorted_on=attr), filt_s)
+    out = write_semijoin(rel_s.data, filt_s.data, rel_s.key(attr),
+                         filt_s.key(attr), f"{rel.name}.red_{filt.name}")
+    return Relation(rel.schema, out.whole(), attr, rel.fixed), filt_s

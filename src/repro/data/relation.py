@@ -15,7 +15,7 @@ is either its one remaining query attribute or a fixed column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Iterable, Mapping, TYPE_CHECKING
 
 from repro.data.schema import RelationSchema
 from repro.em.file import EMFile, FileSegment
@@ -38,13 +38,12 @@ class Relation:
 
     @classmethod
     def from_tuples(cls, device: "Device", schema: RelationSchema,
-                    tuples: Iterable[tuple], *,
-                    charge_io: bool = False) -> "Relation":
-        """Materialize ``tuples`` on ``device`` under ``schema``.
+                    tuples: Iterable[tuple]) -> "Relation":
+        """Materialize the input ``tuples`` on ``device`` under ``schema``.
 
-        By default the write I/Os are *not* charged: inputs pre-exist on
-        disk in the paper's model.  Pass ``charge_io=True`` for
-        intermediate results an algorithm pays to write.
+        The write I/Os are *not* charged: inputs pre-exist on disk in the
+        paper's model.  Intermediates an algorithm writes go through
+        :meth:`rewrite`, which charges them.
         """
         ts = [tuple(t) for t in tuples]
         width = len(schema.attributes)
@@ -53,9 +52,7 @@ class Relation:
                 raise ValueError(
                     f"tuple {t} has arity {len(t)}, schema {schema.name} "
                     f"expects {width}")
-        maker = (device.file_from_tuples if charge_io
-                 else device.file_from_tuples_free)
-        f = maker(ts, schema.name)
+        f = device.file_from_tuples_free(ts, schema.name)
         return cls(schema=schema, data=f.whole())
 
     # -- basic accessors ------------------------------------------------
@@ -110,20 +107,6 @@ class Relation:
                 sorted_on: str | None = None) -> "Relation":
         """Write ``tuples`` to a new file (charged) with the same schema."""
         f = self.device.file_from_tuples(tuples, f"{self.name}.{label}")
-        return Relation(self.schema, f.whole(), sorted_on, self.fixed)
-
-    def rewrite_blocks(self, blocks: Iterable[Sequence[tuple]], *,
-                       label: str = "tmp",
-                       sorted_on: str | None = None) -> "Relation":
-        """:meth:`rewrite` for tuples arriving in blocks.
-
-        Each block is appended whole, charging the same page writes at
-        the same points as appending its tuples one by one.
-        """
-        f = self.device.new_file(f"{self.name}.{label}")
-        with f.writer() as w:
-            for block in blocks:
-                w.append_block(block)
         return Relation(self.schema, f.whole(), sorted_on, self.fixed)
 
     # -- uncharged access ------------------------------------------------

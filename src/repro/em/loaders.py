@@ -19,11 +19,12 @@ reproduced here with exact I/O accounting:
 :func:`group_boundaries` performs the single partitioning scan that
 identifies groups (and hence heavy values) after a sort.
 
-Two cursor kernels serve the semijoins of the reducer and the join
-algorithms: :func:`semijoin_matches` (one merge pass of two sorted
-cursors, yielding the matches in blocks) and :func:`take_through` (the
-value-bounded prefix of a shared sorted cursor that the light-value
-loops of Algorithms 1 and 2 filter).
+Two operators serve the semijoins of the reducer and the join
+algorithms: :func:`write_semijoin` writes ``left ⋉ right`` of two
+sorted segments to a new file, charged as one merge pass of two
+cursors, and :func:`take_through` consumes the value-bounded prefix of
+a shared sorted cursor that the light-value loops of Algorithms 1 and
+2 filter.
 
 Beside each operator whose charge depends on more than the pages its
 segment spans (:func:`~repro.em.file.span_pages`), a pure function
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.em.file import FileSegment, SequentialReader, Tuple, span_pages
+from repro.em.file import (EMFile, FileSegment, SequentialReader, Tuple,
+                           span_pages)
 
 Key = Callable[[Tuple], Any]
 
@@ -208,50 +210,79 @@ def scan_matching(segment: FileSegment, key: Key,
                 yield t
 
 
-def semijoin_matches(left: SequentialReader, right: SequentialReader,
-                     key_l: Key, key_r: Key) -> Iterator[list[Tuple]]:
-    """Stream, in blocks, the tuples of ``left`` whose key occurs in ``right``.
+def write_semijoin(left: FileSegment, right: FileSegment, key_l: Key,
+                   key_r: Key, name: str) -> EMFile:
+    """Write ``left ⋉ right`` to a new file ``name`` and return it.
 
-    Both cursors must be sorted on their keys.  They advance through
-    materialized page blocks, each page charged once when entered —
-    the same pages, in the same order, as a tuple-at-a-time merge that
-    peeks at the right cursor.  A left page is resolved against the
-    current right page in one pass: its keys up to the right page's
-    last key can only occur in that page, so :func:`bisect_right`
-    bounds them and set membership picks the matches.  That block is
-    yielded *before* the next right page is fetched, so a consumer
-    appending each block writes its pages at exactly the points a
-    tuple-at-a-time merge would.
+    Both segments sit on one device and are sorted on their keys; the
+    output keeps the left order.  The I/O is that of one merge pass of
+    two sorted cursors, appending each match to a page-buffered
+    writer: the left cursor reads every page; the right cursor fetches
+    its first page at the first left key and each next page at the
+    first left key past its current page's last key, until it runs
+    out; an output page is written once the match that fills it has
+    been taken, before the next fetch, and the last partial page at
+    the end.
+
+    The rows move in bulk passes inside one ``stats.suspend()``: read
+    both inputs, test every left key against the set of right keys (a
+    key up to the current right page's last key can only occur in that
+    page, so the whole set answers as the page would) and fill the
+    output.  The charges are then replayed through the device in the
+    cursor pass's order, so pool events and traces are unchanged: the
+    left keys are cut into segments at left page ends and right page
+    fetches, one :func:`bisect_right` each, and the matches counted
+    per segment tell which output pages are full by its end.
     """
-    rlast: Any = None      # the current right page's last key
-    rkeys: set = set()     # and all of its keys
-    fetched = right_done = False
-    while not left.exhausted:
-        lblock = left.read_page_block()
-        if right_done:
-            continue  # nothing left to match; the left scan still pays
-        lkeys = list(map(key_l, lblock))
-        i, n = 0, len(lblock)
-        while i < n:
-            if not fetched or lkeys[i] > rlast:
-                if right.exhausted:
-                    right_done = True
+    device = left.device
+    out = device.new_file(name)
+    with device.stats.suspend():
+        rows = left.peek_tuples()
+        rrows = right.peek_tuples()
+        lkeys = list(map(key_l, rows))
+        hits = bytes(map(set(map(key_r, rrows)).__contains__, lkeys))
+        out.fill_sealed(list(compress(rows, hits)))
+    n, nr = len(lkeys), len(rrows)
+    if not n:
+        return out
+    B = device.B
+    read, write = device.charge_read, device.charge_write
+    lfile, rfile = left.file, right.file
+    lpage = left.start // B
+    end = min(n, (lpage + 1) * B - left.start)  # the left page's end
+    rnext = 0          # right index the next fetch starts at
+    rlast: Any = None  # the last key of the right page fetched last
+    i = w = taken = 0  # next left index, output page, matches so far
+    while True:
+        read(lfile, lpage)
+        while i < end:
+            if not rnext or lkeys[i] > rlast:
+                if rnext == nr:
+                    i = n  # right is used up: nothing more matches
                     break
-                page_keys = list(map(key_r, right.read_page_block()))
-                rlast, rkeys = page_keys[-1], set(page_keys)
-                fetched = True
+                rpage = (right.start + rnext) // B
+                read(rfile, rpage)
+                rnext = min(nr, (rpage + 1) * B - right.start)
+                rlast = key_r(rrows[rnext - 1])
                 continue
-            j = bisect_right(lkeys, rlast, i)
-            matched = list(compress(lblock[i:j],
-                                    map(rkeys.__contains__, lkeys[i:j])))
-            if matched:
-                yield matched
+            j = bisect_right(lkeys, rlast, i, end)
+            taken += hits.count(1, i, j)
+            while w < taken // B:
+                write(out, w)
+                w += 1
             i = j
+        if end == n:
+            break
+        lpage += 1
+        end = min(n, end + B)
+    if taken % B:
+        write(out, w)
+    return out
 
 
 def semijoin_right_reads(right_keys: Sequence[Any], off: int, left_max: Any,
                          B: int) -> int:
-    """Reads :func:`semijoin_matches` charges the right cursor.
+    """Reads :func:`write_semijoin` charges the right input.
 
     ``right_keys`` are the right input's sorted keys, its first tuple at
     ``off`` in its page; ``left_max`` is the non-empty left input's

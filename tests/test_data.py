@@ -50,12 +50,6 @@ class TestRelation:
         assert len(r) == 2
         assert small_device.stats.total == 0
 
-    def test_from_tuples_charged(self, small_device):
-        schema = RelationSchema("e1", ("a",))
-        Relation.from_tuples(small_device, schema,
-                             [(i,) for i in range(8)], charge_io=True)
-        assert small_device.stats.writes == 2
-
     def test_arity_mismatch_rejected(self, small_device):
         schema = RelationSchema("e1", ("a", "b"))
         with pytest.raises(ValueError):

@@ -4,14 +4,16 @@ import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.em import (Device, PoolConfig, group_boundaries, load_chunks,
                       load_group_chunks, load_light_chunks, scan_matching,
                       split_heavy_light)
 from repro.em.file import span_pages
-from repro.em.loaders import (light_chunk_reads, semijoin_matches,
-                              semijoin_right_reads, take_through,
-                              take_through_reads)
+from repro.em.loaders import (light_chunk_reads, semijoin_right_reads,
+                              take_through, take_through_reads,
+                              write_semijoin)
 from repro.obs.tracer import Tracer
 
 from conftest import rows_of
@@ -173,25 +175,39 @@ def _reference_semijoin(left, right, key_l, key_r):
                 yield t
 
 
-def _traced_semijoin(left_rows, right_rows, B, pool, reference):
+def _traced_semijoin(lkeys, rkeys, *, M, B, loff=0, roff=0, pool=None,
+                     reference):
+    """Run one semijoin on a fresh traced device and return what it did.
+
+    The inputs are segments holding ``(key, i)`` rows that start
+    ``loff``/``roff`` tuples into a page and end before a filler page
+    tail.  ``reference`` selects the tuple-at-a-time merge appending
+    one match at a time; otherwise :func:`write_semijoin` runs.
+    Returns the full event stream, the output rows, the memory peak
+    and the counters.
+    """
     tracer = Tracer(capacity=1_000_000)
-    config = PoolConfig(frames=3, policy="lru") if pool else None
-    device = Device(M=4 * B, B=B, observers=[tracer], buffer_pool=config)
-    left = device.file_from_tuples_free(sorted(left_rows), "left")
-    right = device.file_from_tuples_free(sorted(right_rows), "right")
-    out = device.new_file("out")
-    with out.writer() as w:
-        if reference:
+    device = Device(M=M, B=B, observers=[tracer], buffer_pool=pool)
+
+    def segment(keys, off, name):
+        rows = ([(-1, -1)] * off + [(k, i) for i, k in enumerate(keys)]
+                + [(-2, -2)] * (B - 1))
+        f = device.file_from_tuples_free(rows, name)
+        return f.segment(off, off + len(keys))
+
+    left, right = segment(lkeys, loff, "left"), segment(rkeys, roff, "right")
+    if reference:
+        out = device.new_file("out")
+        with out.writer() as w:
             for t in _reference_semijoin(left.reader(), right.reader(),
                                          key0, key0):
                 w.append(t)
-        else:
-            for block in semijoin_matches(left.reader(), right.reader(),
-                                          key0, key0):
-                w.append_block(block)
+    else:
+        out = write_semijoin(left, right, key0, key0, "out")
     device.flush_pool()
-    return ([(e.kind, e.file, e.page) for e in tracer.events()],
-            rows_of(out))
+    return ([(e.kind, e.file, e.page, e.phase, e.value)
+             for e in tracer.events()],
+            rows_of(out), device.memory.peak, device.stats.snapshot())
 
 
 class TestSemijoinMatches:
@@ -199,30 +215,66 @@ class TestSemijoinMatches:
                              ids=["pool_off", "pool_on"])
     @pytest.mark.parametrize("B", [1, 2, 3, 4, 8])
     def test_blocks_match_tuple_merge_event_for_event(self, B, pool):
-        """Block matches, appended whole, write the same pages at the
-        same points of the read sequence as a tuple-at-a-time merge
-        appending one match at a time."""
+        """The operator writes the same pages at the same points of the
+        read sequence as a tuple-at-a-time merge appending one match at
+        a time."""
         rng = random.Random(B * 2 + pool)
+        config = PoolConfig(frames=3, policy="lru") if pool else None
         for _ in range(25):
             domain = rng.randrange(1, 30)
-            left = [(rng.randrange(domain), i)
-                    for i in range(rng.randrange(0, 60))]
-            right = [(rng.randrange(domain), i)
-                     for i in range(rng.randrange(0, 60))]
-            assert (_traced_semijoin(left, right, B, pool, reference=False)
-                    == _traced_semijoin(left, right, B, pool,
-                                        reference=True))
+            left = sorted(rng.randrange(domain)
+                          for _ in range(rng.randrange(0, 60)))
+            right = sorted(rng.randrange(domain)
+                           for _ in range(rng.randrange(0, 60)))
+            runs = [_traced_semijoin(left, right, M=4 * B, B=B, pool=config,
+                                     reference=ref) for ref in (False, True)]
+            assert runs[0] == runs[1]
 
-    def test_yields_nonempty_blocks_of_matches_in_order(self, small_device):
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_tuple_merge_anywhere_in_a_page(self, data):
+        """Differential test against the tuple-at-a-time merge: the same
+        events (pool ones included), rows, memory peak and counters, for
+        segments starting anywhere in a page, with either side empty,
+        all or no left keys matching, B = 1, odd B and B = M, and no
+        pool or a pool of up to 3 frames."""
+        B = data.draw(st.sampled_from([1, 2, 3, 5, 8]), label="B")
+        M = data.draw(st.sampled_from([B, 4 * B]), label="M")
+        domain = data.draw(st.integers(1, 20), label="domain")
+        keys = st.lists(st.integers(0, domain), max_size=40).map(sorted)
+        lkeys, rkeys = data.draw(keys, label="left"), data.draw(keys,
+                                                                label="right")
+        match = data.draw(st.sampled_from(["some", "all", "none"]),
+                          label="match")
+        if match == "all":
+            rkeys = sorted(rkeys + lkeys)
+        elif match == "none":  # even keys on the left, odd on the right
+            lkeys = [2 * k for k in lkeys]
+            rkeys = [2 * k + 1 for k in rkeys]
+        policy = data.draw(st.sampled_from([None, "lru", "clock", "mru"]),
+                           label="policy")
+        pool = (None if policy is None else PoolConfig(
+            frames=data.draw(st.integers(1, 3), label="frames"),
+            policy=policy))
+        kw = dict(M=M, B=B, pool=pool,
+                  loff=data.draw(st.integers(0, B - 1), label="loff"),
+                  roff=data.draw(st.integers(0, B - 1), label="roff"))
+        got = _traced_semijoin(lkeys, rkeys, reference=False, **kw)
+        assert got == _traced_semijoin(lkeys, rkeys, reference=True, **kw)
+        if match == "all":
+            assert len(got[1]) == len(lkeys)
+        elif match == "none":
+            assert got[1] == []
+
+    def test_writes_matches_in_left_order(self, small_device):
         left = sorted_file(small_device, [(k, i) for i, k in
                                           enumerate([1, 2, 2, 3, 5, 8, 9])],
                            name="l")
         right = sorted_file(small_device, [(2, 0), (5, 0), (9, 0)],
                             name="r")
-        blocks = list(semijoin_matches(left.reader(), right.reader(),
-                                       key0, key0))
-        assert all(blocks)
-        assert [t[0] for b in blocks for t in b] == [2, 2, 5, 9]
+        out = write_semijoin(left.whole(), right.whole(), key0, key0, "out")
+        assert out.name == "out"
+        assert rows_of(out) == [(2, 1), (2, 2), (5, 4), (9, 6)]
 
 
 def _segment_at(device, keys, rng):
@@ -266,9 +318,7 @@ class TestChargeCounts:
             left, loff = _segment_at(device, lkeys, rng)
             right, roff = _segment_at(device, rkeys, rng)
             before = device.stats.snapshot()
-            for _block in semijoin_matches(left.reader(), right.reader(),
-                                           key0, key0):
-                pass
+            write_semijoin(left, right, key0, key0, "out")
             want = span_pages(loff, len(lkeys), B)
             if lkeys:
                 want += semijoin_right_reads(rkeys, roff, lkeys[-1], B)
