@@ -271,8 +271,7 @@ def planner_runner(query, instance, emitter):
 
 
 def measure_point(cls: FitClass, n: int, M: int, B: int, *,
-                  profiler=None, metrics=None,
-                  planner: bool = False) -> FitPoint:
+                  profiler=None, planner: bool = False) -> FitPoint:
     """Run one sweep point on a fresh device and pair it with its bound.
 
     With a profiler the whole point runs inside a
@@ -289,8 +288,7 @@ def measure_point(cls: FitClass, n: int, M: int, B: int, *,
     query, schemas, data, runner = cls.build(n)
     if planner:
         runner = planner_runner
-    device = Device(M=M, B=B, observers=[profiler] if profiler else [],
-                    metrics=metrics)
+    device = Device(M=M, B=B, observers=[profiler] if profiler else [])
     instance = Instance.from_dicts(device, schemas, data)
     emitter = CountingEmitter()
     sink = ProfiledEmitter(emitter, profiler) if profiler else emitter
@@ -308,8 +306,7 @@ def measure_point(cls: FitClass, n: int, M: int, B: int, *,
 
 def fit_class(name: str, *, M: int | None = None, B: int | None = None,
               points: Sequence[int] | None = None, eps: float = 0.25,
-              profiler=None, metrics=None,
-              planner: bool = False) -> FitResult:
+              profiler=None, planner: bool = False) -> FitResult:
     """Sweep one registered class and fit its constant and slope.
 
     ``eps`` is the regression tolerance: the result's ``regression``
@@ -330,7 +327,7 @@ def fit_class(name: str, *, M: int | None = None, B: int | None = None,
     if len(sizes) < 2:
         raise ValueError(f"need >= 2 sweep points, got {list(sizes)}")
     measured = tuple(measure_point(cls, n, M, B, profiler=profiler,
-                                   metrics=metrics, planner=planner)
+                                   planner=planner)
                      for n in sizes)
     slope, intercept, r2 = fit_loglog([p.bound for p in measured],
                                       [p.io for p in measured])

@@ -7,7 +7,7 @@ Six subcommands::
         [--out results.csv] [--no-reduce] [--json] \\
         [--pool-frames 16 --pool-policy lru] \\
         [--trace out.jsonl] [--trace-summary] \\
-        [--profile out.json] [--metrics [--metrics-out out.prom]]
+        [--profile out.json]
 
     python -m repro analyze --query "e1(v1,v2)[100], e2(v2,v3)[50]" \\
         -M 1024 -B 64
@@ -23,8 +23,7 @@ Six subcommands::
         [--check-fitted PATH]
 
     python -m repro lint [paths ...] [--format human|json] \\
-        [--baseline lint-baseline.json] [--write-baseline] \\
-        [--no-baseline] [--list-rules]
+        [--list-rules]
 
     python -m repro serve --table R=follows.csv --table S=lives.csv \\
         [-M 4096 -B 64] [--host 127.0.0.1 --port 8707] \\
@@ -44,9 +43,9 @@ Lines (``--trace-buffer`` bounds the stored events);
 totals and works on its own (no ``--trace`` needed — summary without
 the event file); ``--profile`` observes with a
 :class:`~repro.obs.SpanProfiler` and writes a Chrome-trace/Perfetto
-JSON profile; ``--metrics`` passes a
-:class:`~repro.obs.MetricsRegistry` (``--metrics-out`` also writes the
-Prometheus text exposition); ``--json`` emits the whole report as one
+JSON profile, whose spans carry what each operator saw (a sort's
+``runs``, a leaf peel's ``heavy``/``light`` split, a best-branch run's
+``branches``); ``--json`` emits the whole report as one
 JSON document so benchmarks and CI can scrape results without parsing
 prose.  ``analyze`` is purely structural: shape, acyclicity, edge
 cover / AGM bound, balance regime for lines, and the GenS branch
@@ -68,7 +67,8 @@ constants as the versioned document ``explain`` reads, and
 ``docs/model.md``): exit 0 means the tree keeps rules EM000–EM006 (no
 raw OS I/O, no layer inversions, no uncharged materialization, no
 wall-clock or randomness in counted paths); exit 1 reports violations
-or stale baseline entries.  Uncharged row access is refused at run
+(a ``# emlint: disable=EM0xx`` pragma on the line is the one way to
+accept a finding).  Uncharged row access is refused at run
 time instead (:class:`~repro.em.UnchargedAccess`).  ``serve`` keeps a
 :class:`~repro.server.QueryService` alive behind a small HTTP surface:
 ``POST /query`` (JSON in/out, optional sticky sessions), ``GET
@@ -98,8 +98,8 @@ from repro.data.io import dump_results_csv, instance_from_csv
 from repro.em.bufferpool import PoolConfig
 from repro.em.device import Device
 from repro.em.policies import POLICIES
-from repro.obs import (MetricsRegistry, ProfiledEmitter, SpanProfiler,
-                       Tracer, to_prometheus, write_chrome_trace)
+from repro.obs import (ProfiledEmitter, SpanProfiler, Tracer,
+                       write_chrome_trace)
 from repro.query import (JoinQuery, fractional_edge_cover, gens_all,
                          is_berge_acyclic)
 from repro.query.parse import parse_query, parse_query_and_layouts
@@ -157,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="profile the run with hierarchical spans and "
                           "write a Chrome-trace/Perfetto JSON file to "
                           "PATH (adds a profile section under --json)")
-    run.add_argument("--metrics", action="store_true",
-                     help="collect counters/gauges/histograms from the "
-                          "instrumented code paths (adds a metrics "
-                          "section under --json)")
-    run.add_argument("--metrics-out", metavar="PATH",
-                     help="also write the metrics in the Prometheus "
-                          "text exposition format (implies --metrics)")
 
     analyze = sub.add_parser("analyze",
                              help="structural analysis of a query")
@@ -236,16 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("human", "json"),
                       default="human",
                       help="report format (default human)")
-    lint.add_argument("--baseline", metavar="PATH",
-                      default="lint-baseline.json",
-                      help="suppression baseline file (default "
-                           "lint-baseline.json; missing file = empty)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline file entirely")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="accept every current finding into the "
-                           "baseline file and exit 0 (fill in the "
-                           "TODO justifications before committing)")
     lint.add_argument("--root", default=".",
                       help="anchor for repo-relative report paths "
                            "(default .)")
@@ -354,12 +337,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
         tracer = Tracer(capacity=args.trace_buffer)
     profiler = SpanProfiler() if args.profile else None
-    metrics = (MetricsRegistry() if args.metrics or args.metrics_out
-               else None)
     try:
         device, instance = _load_tables(
             args.table, query, layouts, args.M, args.B, buffer_pool=pool,
-            observers=filter(None, (tracer, profiler)), metrics=metrics)
+            observers=filter(None, (tracer, profiler)))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -400,11 +381,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     profile_events = None
     if profiler is not None:
         profile_events = write_chrome_trace(args.profile, profiler)
-    if args.metrics_out:
-        # host-side metrics dump, not simulated-device I/O
-        with open(args.metrics_out, "w",  # emlint: disable=EM001
-                  encoding="utf-8") as fh:
-            fh.write(to_prometheus(metrics))
 
     if args.json:
         payload = {
@@ -439,10 +415,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             payload["profile"] = {"path": args.profile,
                                   "events": profile_events,
                                   **profiler.summary()}
-        if metrics is not None:
-            payload["metrics"] = metrics.as_dict()
-            if args.metrics_out:
-                payload["metrics_path"] = args.metrics_out
         if cert is not None:
             payload["certificate"] = {
                 "lower": cert.lower, "gens_upper": cert.gens_upper,
@@ -489,12 +461,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"profile     : {s['span_count']} spans "
               f"({s['dropped']} dropped) to {args.profile}; "
               f"attributed {s['attributed_io']}/{s['total_io']} I/Os")
-    if metrics is not None:
-        d = metrics.as_dict()
-        print(f"metrics     : {len(d['counters'])} counters, "
-              f"{len(d['gauges'])} gauges, "
-              f"{len(d['histograms'])} histograms"
-              + (f" to {args.metrics_out}" if args.metrics_out else ""))
     if cert is not None:
         print(f"certificate : lower={cert.lower:.1f} "
               f"gens={cert.gens_upper:.1f} "
@@ -722,8 +688,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     # Imported here so `repro serve` and friends never load the checker.
-    from repro.lint import (RULES, Baseline, lint_paths, load_baseline,
-                            to_human, to_json, write_baseline)
+    from repro.lint import RULES, lint_paths, to_human, to_json
 
     if args.list_rules:
         for code, rule in sorted(RULES.items()):
@@ -731,30 +696,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"    {rule.rationale}")
         return 0
 
-    try:
-        baseline = (Baseline() if args.no_baseline
-                    else load_baseline(args.baseline))
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"lint: bad baseline {args.baseline}: {exc}",
-              file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        found = lint_paths(args.paths, root=args.root)
-        new = Baseline.from_violations(found.violations)
-        write_baseline(new, args.baseline)
-        print(f"lint: wrote {len(new.entries)} entr(y|ies) covering "
-              f"{len(found.violations)} finding(s) to {args.baseline}")
-        return 0
-
-    result = lint_paths(args.paths, root=args.root, baseline=baseline)
-    if args.format == "json":
-        print(to_json(result, baseline_path=args.baseline))
-    else:
-        print(to_human(result, baseline_path=args.baseline))
-    # Stale baseline entries fail the run too: the baseline documents
-    # reality, and reality moved.
-    return 0 if result.clean and not result.stale_baseline else 1
+    result = lint_paths(args.paths, root=args.root)
+    print(to_json(result) if args.format == "json" else to_human(result))
+    return 0 if result.clean else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

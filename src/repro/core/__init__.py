@@ -33,7 +33,6 @@ from repro.core.lw import detect_lw, lw_join, lw_query
 from repro.core.planner import (ExecutionReport, estimate_memory_need,
                                 execute)
 from repro.core.reducer_em import full_reduce_em
-from repro.core.trace import RecursionTrace, TraceEvent
 from repro.core.triangle import detect_triangle, triangle_join
 from repro.core.twoway import nested_loop_join, sort_merge_join
 from repro.core.yannakakis_em import yannakakis_em
@@ -51,6 +50,5 @@ __all__ = [
     "full_reduce_em", "execute", "ExecutionReport", "estimate_memory_need",
     "triangle_join", "detect_triangle",
     "priority_chooser", "lollipop_paper_chooser", "dumbbell_paper_chooser",
-    "RecursionTrace", "TraceEvent",
     "lw_join", "lw_query", "detect_lw",
 ]

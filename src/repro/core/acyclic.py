@@ -95,8 +95,7 @@ Chooser = Callable[[JoinQuery, Instance], str]
 
 def acyclic_join(query: JoinQuery, instance: Instance, emitter: Emitter,
                  chooser: Chooser | None = None, *,
-                 paper_literal_buds: bool = False,
-                 trace: "RecursionTrace | None" = None) -> None:
+                 paper_literal_buds: bool = False) -> None:
     """Run Algorithm 2 with one leaf-choice strategy.
 
     ``chooser`` picks which leaf to peel given the current (sub)query
@@ -109,6 +108,12 @@ def acyclic_join(query: JoinQuery, instance: Instance, emitter: Emitter,
     reduced; on others it **over-emits** (see DESIGN.md inconsistency
     #3 and ``tests/test_ablations.py``).  Leave it off for correct
     results; it exists to make the discrepancy measurable.
+
+    Every recursion step opens a span on the device (``scan``,
+    ``peel_bud``, ``peel_island`` or ``peel_leaf``, the last with its
+    join attribute and heavy/light value counts), so a
+    :class:`~repro.obs.SpanProfiler` observing it records the
+    recursion as a tree whose nesting is the recursion depth.
     """
     require_berge_acyclic(query)
     _check_alignment(query, instance)
@@ -119,7 +124,7 @@ def acyclic_join(query: JoinQuery, instance: Instance, emitter: Emitter,
     device = instance[edges[0]].device
     with device.span("acyclic_join", kind="algorithm", edges=len(edges)):
         _run(query, instance, partial(emit_product, emitter), pick,
-             literal_buds=paper_literal_buds, trace=trace)
+             literal_buds=paper_literal_buds)
 
 
 def first_leaf_chooser(query: JoinQuery, instance: Instance) -> str:
@@ -192,48 +197,46 @@ def _check_alignment(query: JoinQuery, instance: Instance) -> None:
 
 
 def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
-         pick: Chooser, *, literal_buds: bool = False,
-         trace=None, depth: int = 0) -> None:
+         pick: Chooser, *, literal_buds: bool = False) -> None:
     """Algorithm 2's recursion on ``query`` over ``inst``.
 
     Each level sorts and semijoins its relations and re-runs its
     children once per memory load, so it multiplies their cost by at
-    most ``N/M``.
+    most ``N/M``.  Each step runs inside one span of the device.
     """
     edges = query.edge_names
     if not edges:
         return
+    device = inst[edges[0]].device
     if len(edges) == 1:
         e = edges[0]
-        if trace is not None:
-            trace.record(depth, "scan", e, f"{len(inst[e])} tuples")
-        for block in inst[e].data.scan_blocks():
-            emit({}, ((e, block),))
+        with device.span("scan", edge=e, n=len(inst[e])):
+            for block in inst[e].data.scan_blocks():
+                emit({}, ((e, block),))
         return
 
     buds = find_buds(query)
     if buds:
-        if trace is not None:
-            trace.record(depth, "bud", buds[0])
-        _peel_bud(query, inst, emit, pick, buds[0],
-                  literal=literal_buds, trace=trace, depth=depth)
+        with device.span("peel_bud", edge=buds[0]):
+            _peel_bud(query, inst, emit, pick, buds[0],
+                      literal=literal_buds)
         return
 
     islands = find_islands(query)
     if islands:
-        if trace is not None:
-            trace.record(depth, "island", islands[0],
-                         f"{len(inst[islands[0]])} tuples")
-        _peel_island(query, inst, emit, pick, islands[0],
-                     literal_buds=literal_buds, trace=trace, depth=depth)
+        island = islands[0]
+        with device.span("peel_island", edge=island, n=len(inst[island])):
+            _peel_island(query, inst, emit, pick, island,
+                         literal_buds=literal_buds)
         return
 
     leaf = pick(query, inst)
     if leaf not in find_leaves(query):
         raise ValueError(f"chooser returned {leaf!r}, not a leaf of "
                          f"{dict(query.edges)}")
-    _peel_leaf(query, inst, emit, pick, leaf, literal_buds=literal_buds,
-               trace=trace, depth=depth)
+    with device.span("peel_leaf", edge=leaf) as span:
+        _peel_leaf(query, inst, emit, pick, leaf, span,
+                   literal_buds=literal_buds)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +244,7 @@ def _run(query: JoinQuery, inst: Instance, emit: EmitFn,
 # ---------------------------------------------------------------------------
 
 def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
-              pick: Chooser, bud: str, *, literal: bool = False,
-              trace=None, depth: int = 0) -> None:
+              pick: Chooser, bud: str, *, literal: bool = False) -> None:
     (w,) = query.edges[bud]
     bud_rel = inst[bud].sort_by(w)
     sharers = [e for e in query.edge_names
@@ -273,7 +275,7 @@ def _peel_bud(query: JoinQuery, inst: Instance, emit: EmitFn,
         _per_probe_value(emit_with_bud, base, factors, probe, probe_idx)
 
     _run(query.drop_edges([bud]), Instance(rebound), child_emit, pick,
-         literal_buds=literal, trace=trace, depth=depth + 1)
+         literal_buds=literal)
 
 
 def _per_probe_value(emit_at: Callable[[Mapping[str, tuple], Factors,
@@ -330,8 +332,7 @@ def _merge_semijoin(rel: Relation, filter_rel: Relation,
 
 def _peel_island(query: JoinQuery, inst: Instance, emit: EmitFn,
                  pick: Chooser, island: str, *,
-                 literal_buds: bool = False, trace=None,
-                 depth: int = 0) -> None:
+                 literal_buds: bool = False) -> None:
     child_q = query.drop_edges([island])
     child_inst = inst.drop(island)
     for chunk in load_chunks(inst[island].data, inst[island].device.M):
@@ -341,7 +342,7 @@ def _peel_island(query: JoinQuery, inst: Instance, emit: EmitFn,
             emit(base, (*factors, (island, _chunk)))
 
         _run(child_q, child_inst, child_emit, pick,
-             literal_buds=literal_buds, trace=trace, depth=depth + 1)
+             literal_buds=literal_buds)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +350,12 @@ def _peel_island(query: JoinQuery, inst: Instance, emit: EmitFn,
 # ---------------------------------------------------------------------------
 
 def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
-               pick: Chooser, leaf: str, *,
-               literal_buds: bool = False, trace=None,
-               depth: int = 0) -> None:
+               pick: Chooser, leaf: str, span, *,
+               literal_buds: bool = False) -> None:
+    """Lines 10-27; the step's ``span`` gets the heavy/light split."""
     info = leaf_info(query, leaf)
     v = info.join_attr
-    device = inst[leaf].device
-    M = device.M
+    M = inst[leaf].device.M
 
     rel_e = inst[leaf].sort_by(v)                       # line 12
     neighbors = {e2: inst[e2].sort_by(v)                # line 13
@@ -364,9 +364,9 @@ def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
     key_e = rel_e.key(v)
     groups = group_boundaries(rel_e.data, key_e)
     heavy, light = split_heavy_light(groups, M)
-    group_sizes = device.metrics.histogram("acyclic.group_tuples")
-    for g in groups:
-        group_sizes.observe(g.count)
+    span.set("v", v)
+    span.set("heavy", len(heavy))
+    span.set("light", len(light))
 
     nb_groups = {
         e2: {g.value: g
@@ -374,22 +374,15 @@ def _peel_leaf(query: JoinQuery, inst: Instance, emit: EmitFn,
                                        neighbors[e2].key(v))}
         for e2 in neighbors}
 
-    if trace is not None:
-        trace.record(depth, "leaf", leaf,
-                     f"v={info.join_attr} heavy={len(heavy)} "
-                     f"light={len(light)}")
     _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     nb_groups, heavy, M, literal_buds=literal_buds,
-                     trace=trace, depth=depth)
+                     nb_groups, heavy, M, literal_buds=literal_buds)
     _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     light, M, literal_buds=literal_buds, trace=trace,
-                     depth=depth)
+                     light, M, literal_buds=literal_buds)
 
 
 def _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
                      nb_groups, heavy_groups, M, *,
-                     literal_buds: bool = False, trace=None,
-                     depth: int = 0) -> None:
+                     literal_buds: bool = False) -> None:
     """Lines 14-20: one restricted, disconnected subquery per heavy value.
 
     A heavy value owns at least ``M`` tuples of ``R(e)`` (§2.3), so at
@@ -422,12 +415,12 @@ def _peel_leaf_heavy(query, inst, emit, pick, leaf, info, rel_e, neighbors,
                 emit(base, (*factors, (leaf, _chunk)))
 
             _run(child_q, child_inst, child_emit, pick,
-                 literal_buds=literal_buds, trace=trace, depth=depth + 1)
+                 literal_buds=literal_buds)
 
 
 def _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
-                     light_groups, M, *, literal_buds: bool = False,
-                     trace=None, depth: int = 0) -> None:
+                     light_groups, M, *,
+                     literal_buds: bool = False) -> None:
     """Lines 21-27: chunked light values with semijoin-filtered neighbors.
 
     Each neighbor keeps one persistent cursor: the chunks arrive in
@@ -474,7 +467,7 @@ def _peel_leaf_light(query, inst, emit, pick, leaf, info, rel_e, neighbors,
             _per_probe_value(_emit_at, base, factors, probe, probe_idx)
 
         _run(child_q, child_inst, child_emit, pick,
-             literal_buds=literal_buds, trace=trace, depth=depth + 1)
+             literal_buds=literal_buds)
 
 
 # ---------------------------------------------------------------------------
@@ -641,35 +634,37 @@ def acyclic_join_best(query: JoinQuery, instance: Instance,
     every run's: all plans emit the same result set
     (``tests/test_properties.py`` checks this).  With a buffer pool,
     plans are still priced pool off; the winner's real run then hits
-    the pool.
+    the pool.  The call runs in an ``acyclic_join_best`` span carrying
+    ``branches`` (plans) and ``branches_priced`` (distinct walks).
     """
     device = device_of(instance)
-    plans = enumerate_plans(query, limit=limit) or [{}]
-    rows = snapshot(instance)
-    # One entry per priced branch: the plan's answer for each structure
-    # the walk asked about, and the price.
-    priced: list[Price] = []
-    prices: list[Price] = []
-    for plan in plans:
-        for done in priced:
-            if all(plan.get(k) == leaf for k, leaf in done.asked.items()):
-                prices.append(done)
-                break
-        else:
-            price = price_plan(query, rows, plan, device.M, device.B)
-            priced.append(price)
-            prices.append(price)
-    ios = [p.reads + p.writes for p in prices]
-    best_index = ios.index(min(ios))
-    branch_io = device.metrics.histogram("acyclic.branch_io")
-    for io in ios:
-        branch_io.observe(io)
-    device.metrics.counter("acyclic.branches").inc(len(prices))
-    device.metrics.counter("acyclic.branches_priced").inc(len(priced))
+    with device.span("acyclic_join_best", kind="algorithm") as span:
+        plans = enumerate_plans(query, limit=limit) or [{}]
+        rows = snapshot(instance)
+        # One entry per priced branch: the plan's answer for each
+        # structure the walk asked about, and the price.
+        priced: list[Price] = []
+        prices: list[Price] = []
+        for plan in plans:
+            for done in priced:
+                if all(plan.get(k) == leaf
+                       for k, leaf in done.asked.items()):
+                    prices.append(done)
+                    break
+            else:
+                price = price_plan(query, rows, plan, device.M, device.B)
+                priced.append(price)
+                prices.append(price)
+        ios = [p.reads + p.writes for p in prices]
+        best_index = ios.index(min(ios))
+        span.set("branches", len(prices))
+        span.set("branches_priced", len(priced))
 
-    tally = _Tally(emitter)
-    run_on = instance if emitter is not None else clone_instance(instance)[1]
-    acyclic_join(query, run_on, tally, chooser=plan_chooser(plans[best_index]))
+        tally = _Tally(emitter)
+        run_on = (instance if emitter is not None
+                  else clone_instance(instance)[1])
+        acyclic_join(query, run_on, tally,
+                     chooser=plan_chooser(plans[best_index]))
     runs = tuple(PlanRun(plan, p.reads, p.writes, tally.count,
                          tally.checksum)
                  for plan, p in zip(plans, prices))

@@ -27,13 +27,7 @@ def priority_chooser(priority: list[str]) -> Chooser:
 
     def choose(query: JoinQuery, instance: Instance) -> str:
         leaves = find_leaves(query)
-        metrics = next(iter(instance.values())).device.metrics
-        for e in priority:
-            if e in leaves:
-                metrics.counter("guided.priority_hits").inc()
-                return e
-        metrics.counter("guided.priority_fallbacks").inc()
-        return leaves[0]
+        return next((e for e in priority if e in leaves), leaves[0])
 
     return choose
 

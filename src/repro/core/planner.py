@@ -76,19 +76,15 @@ def estimate_memory_need(query: JoinQuery, *, M: int, B: int) -> int:
 
 
 def execute(query: JoinQuery, instance: Instance, emitter: Emitter, *,
-            reduce_first: bool = True, plan_limit: int = 16,
-            strategy: str = "best-branch") -> ExecutionReport:
+            reduce_first: bool = True,
+            plan_limit: int = 16) -> ExecutionReport:
     """Plan and run ``query`` over ``instance``, emitting every result.
 
     ``reduce_first`` runs the external-memory full reducer before
     joining (skip it only for instances known to be reduced).
-    ``plan_limit`` caps the peel plans Algorithm 2 prices.
-    ``strategy`` selects how Algorithm 2's nondeterminism is resolved
-    where it applies: ``"best-branch"`` prices every peel plan and runs
-    the cheapest (the round-robin guarantee); ``"guided"`` runs once
-    using the paper's explicit peel rules (Section 7.2's ``N0`` vs
-    ``Nn`` comparison on lollipops, the star-at-``e_m``-first order on
-    dumbbells, and the greedy smallest-leaf heuristic elsewhere).
+    ``plan_limit`` caps the peel plans Algorithm 2 prices.  The run
+    is one ``execute`` span whose ``shape`` and ``algorithm``
+    attributes record the dispatch.
     """
     require_berge_acyclic(query)
     devices = {rel.device for rel in instance.values()}
@@ -105,14 +101,10 @@ def execute(query: JoinQuery, instance: Instance, emitter: Emitter, *,
         after_reduce = device.stats.snapshot()
         reduce_cost = after_reduce.delta_since(before)
 
-        if strategy not in ("best-branch", "guided"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         shape = classify_shape(query)
         span.set("shape", shape)
-        algorithm = _dispatch(shape, query, instance, emitter, plan_limit,
-                              strategy)
+        algorithm = _dispatch(shape, query, instance, emitter, plan_limit)
         span.set("algorithm", algorithm)
-        device.metrics.counter(f"planner.dispatch.{shape}").inc()
 
         join_cost = device.stats.delta_since(after_reduce)
     return ExecutionReport(shape=shape, algorithm=algorithm,
@@ -122,7 +114,7 @@ def execute(query: JoinQuery, instance: Instance, emitter: Emitter, *,
 
 
 def _dispatch(shape: str, query: JoinQuery, instance: Instance,
-              emitter: Emitter, plan_limit: int, strategy: str) -> str:
+              emitter: Emitter, plan_limit: int) -> str:
     if shape == "empty":
         return "noop"
     if shape == "single":
@@ -138,23 +130,7 @@ def _dispatch(shape: str, query: JoinQuery, instance: Instance,
         return line_join_auto(query, instance, emitter,
                               plan_limit=plan_limit)
     if shape in ("star", "lollipop", "dumbbell", "general-acyclic"):
-        if strategy == "guided":
-            chooser = _guided_chooser(shape, query, instance)
-            from repro.core.acyclic import acyclic_join
-            acyclic_join(query, instance, emitter, chooser=chooser)
-            return f"algorithm-2-guided[{shape}]"
         acyclic_join_best(query, instance, emitter, limit=plan_limit)
         return f"algorithm-2-best-branch[{shape}]"
     raise ValueError(f"cannot execute shape {shape!r}")
 
-
-def _guided_chooser(shape: str, query: JoinQuery, instance: Instance):
-    from repro.core.acyclic import smallest_leaf_chooser
-    from repro.core.guided import (dumbbell_paper_chooser,
-                                   lollipop_paper_chooser)
-
-    if shape == "lollipop":
-        return lollipop_paper_chooser(query, instance)
-    if shape == "dumbbell":
-        return dumbbell_paper_chooser(query, instance)
-    return smallest_leaf_chooser

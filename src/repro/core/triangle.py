@@ -159,7 +159,6 @@ def _solve_cell(cell1: Relation, cell2: Relation, cell3: Relation,
     largest relation.
     """
     total = len(cell1) + len(cell2) + len(cell3)
-    cell1.device.metrics.histogram("triangle.cell_tuples").observe(total)
     if total <= 2 * M:
         _in_memory(cell1, cell2, cell3, a, b, c, emitter)
         return

@@ -43,15 +43,16 @@ class Relation:
 
         The write I/Os are *not* charged: inputs pre-exist on disk in the
         paper's model.  Intermediates an algorithm writes go through
-        :meth:`rewrite`, which charges them.
+        :meth:`rewrite`, which charges them.  ``tuples`` is copied once,
+        into the list the file keeps.
         """
-        ts = [tuple(t) for t in tuples]
+        ts = list(map(tuple, tuples))
         width = len(schema.attributes)
-        for t in ts:
-            if len(t) != width:
-                raise ValueError(
-                    f"tuple {t} has arity {len(t)}, schema {schema.name} "
-                    f"expects {width}")
+        if set(map(len, ts)) - {width}:
+            t = next(t for t in ts if len(t) != width)
+            raise ValueError(
+                f"tuple {t} has arity {len(t)}, schema {schema.name} "
+                f"expects {width}")
         f = device.file_from_tuples_free(ts, schema.name)
         return cls(schema=schema, data=f.whole())
 

@@ -109,6 +109,9 @@ class BufferPool:
         self.n_frames = config.n_frames(device.M, device.B)
         self.policy: ReplacementPolicy = make_policy(config.policy)
         self._frames: dict[tuple[Hashable, int], _Frame] = {}
+        #: The most frames ever resident at once (cleared by
+        #: :meth:`clear`, like ``MemoryGauge.peak`` by a reset).
+        self.peak_resident_pages = 0
 
     # -- introspection -------------------------------------------------
 
@@ -164,8 +167,8 @@ class BufferPool:
             stats.reads += 1
         if len(frames) < self.n_frames:
             frames[key] = _Frame()
-            self.device.metrics.gauge("pool.resident_pages").set(
-                len(frames))
+            if len(frames) > self.peak_resident_pages:
+                self.peak_resident_pages = len(frames)
         else:
             # The victim's frame (clean after write-back) is reused for
             # the new page.
@@ -189,8 +192,8 @@ class BufferPool:
         if frame is None:
             if len(frames) < self.n_frames:
                 frame = frames[key] = _Frame()
-                self.device.metrics.gauge("pool.resident_pages").set(
-                    len(frames))
+                if len(frames) > self.peak_resident_pages:
+                    self.peak_resident_pages = len(frames)
             else:
                 victim = self.policy.victim()
                 frame = frames.pop(victim)
@@ -237,6 +240,7 @@ class BufferPool:
         """
         self._frames.clear()
         self.policy.clear()
+        self.peak_resident_pages = 0
 
     def drop_matching(self, pred: Callable[[tuple[Hashable, int]], bool],
                       *, include_dirty: bool = False) -> int:
@@ -255,9 +259,6 @@ class BufferPool:
             del self._frames[key]
             self.policy.remove(key)
             dropped += 1
-        if dropped:
-            self.device.metrics.gauge("pool.resident_pages").set(
-                len(self._frames))
         return dropped
 
     # -- internals -----------------------------------------------------

@@ -25,7 +25,6 @@ from typing import Iterable
 from repro.em.bufferpool import BufferPool, PoolConfig
 from repro.em.file import EMFile
 from repro.em.stats import IOStats, MemoryGauge, PhaseTracker
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.observer import Observer
 from repro.obs.spans import NULL_SPAN, ObservedSpan
 
@@ -61,11 +60,6 @@ class Device:
         :meth:`observe` and :meth:`unobserve` change the list later.
         Purely passive: with or without observers, every counter is
         byte-identical.
-    metrics:
-        An optional :class:`~repro.obs.metrics.MetricsRegistry`.
-        Without one the device carries the shared
-        :data:`~repro.obs.metrics.NULL_METRICS` sink, so instrumented
-        code updates metrics unconditionally at near-zero cost.
 
     The hot operators run block-at-a-time over the block cursor APIs
     of :mod:`repro.em.file`, charging the page I/Os a tuple-at-a-time
@@ -76,8 +70,7 @@ class Device:
     def __init__(self, M: int, B: int, *, mem_slack: float = 8.0,
                  strict_memory: bool = False,
                  buffer_pool: PoolConfig | None = None,
-                 observers: Iterable[Observer] = (),
-                 metrics=None) -> None:
+                 observers: Iterable[Observer] = ()) -> None:
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
         if B < 1:
@@ -98,7 +91,6 @@ class Device:
         self.pool = (None if buffer_pool is None
                      else BufferPool(self, buffer_pool))
         self._name_counter = itertools.count()
-        self.metrics = NULL_METRICS if metrics is None else metrics
 
     # -- observability -----------------------------------------------
 
@@ -220,6 +212,9 @@ class Device:
 
         Used to set up benchmark inputs: the paper's model charges for
         the algorithm's work, not for the pre-existing input relations.
+        A list becomes the file's rows as is (the file keeps it, so the
+        caller hands over a list nothing else changes); any other
+        iterable is drained into one while counting is suspended.
         Counting is *suspended* for the duration (not rewound after the
         fact): rewinding would erase I/O an open
         :class:`~repro.em.stats.PhaseTracker` phase already attributed,
@@ -227,7 +222,8 @@ class Device:
         """
         f = self.new_file(name)
         with self.stats.suspend():
-            f.fill_sealed(list(tuples))
+            f.fill_sealed(tuples if isinstance(tuples, list)
+                          else list(tuples))
         return f
 
     def pages(self, n_tuples: int) -> int:
@@ -251,7 +247,6 @@ class Device:
             self.pool.clear()
         for o in self.observers:
             o.reset()
-        self.metrics.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Device(M={self.M}, B={self.B}, io={self.stats.total})"

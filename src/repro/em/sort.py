@@ -107,11 +107,10 @@ def _form_runs(segment: FileSegment, key: Key,
                name: str | None) -> list[EMFile]:
     """Phase 1: read ``M`` tuples at a time, sort in memory, write runs."""
     device = segment.device
-    run_lengths = device.metrics.histogram("sort.run_tuples")
     runs: list[EMFile] = []
     reader = segment.reader()
     i = 0
-    with device.span("form_runs"):
+    with device.span("form_runs") as span:
         while not reader.exhausted:
             # Charge the gauge *before* reading: the chunk occupies
             # memory as it streams in, so a strict budget must police
@@ -124,17 +123,14 @@ def _form_runs(segment: FileSegment, key: Key,
                     None if name is None else f"{name}.run{i}")
                 with run.writer() as w:
                     w.append_block(chunk)
-            run_lengths.observe(n)
             runs.append(run)
             i += 1
-    if not runs:
-        empty = device.new_file(name)
-        empty.writer().close()
-        runs.append(empty)
-    # Count the runs actually returned: an empty source still yields
-    # one (synthesized, empty) run, so ``sort.runs`` never reads 0 for
-    # a sort that happened.
-    device.metrics.counter("sort.runs").inc(len(runs))
+        if not runs:
+            # An empty source still yields one (empty, uncharged) run.
+            empty = device.new_file(name)
+            empty.writer().close()
+            runs.append(empty)
+        span.set("runs", len(runs))
     return runs
 
 
@@ -152,7 +148,6 @@ def _merge_runs(device: Device, runs: list[EMFile], key: Key,
                 out_name = (None if name is None
                             else f"{name}.merge{level}.{j // fan_in}")
                 next_runs.append(_merge_once(device, batch, key, out_name))
-        device.metrics.counter("sort.merge_levels").inc()
         runs = next_runs
         level += 1
     result = runs[0]

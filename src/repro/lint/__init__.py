@@ -8,7 +8,7 @@ in-memory state is policed by the
 :class:`~repro.em.stats.MemoryGauge`.  This package enforces that
 contract mechanically: a self-contained AST pass (stdlib only) with a
 rule registry, per-rule codes, ``# emlint: disable=EM0xx`` pragma
-support, a committed suppression baseline, JSON and human reporters,
+support (the one way to accept a finding), JSON and human reporters,
 and a ``repro lint`` CLI subcommand that exits non-zero on
 violations.
 
@@ -44,8 +44,6 @@ seed counts, ``BENCH_table1`` and ``generate_report.py
 --check-slopes``).
 """
 
-from repro.lint.baseline import (Baseline, BaselineEntry, load_baseline,
-                                 write_baseline)
 from repro.lint.registry import RULES, Rule
 from repro.lint.report import REPORT_SCHEMA_VERSION, to_human, to_json
 from repro.lint.visitor import (LintResult, Violation, check_source,
@@ -54,6 +52,5 @@ from repro.lint.visitor import (LintResult, Violation, check_source,
 __all__ = [
     "RULES", "Rule",
     "Violation", "LintResult", "check_source", "lint_paths",
-    "Baseline", "BaselineEntry", "load_baseline", "write_baseline",
     "to_human", "to_json", "REPORT_SCHEMA_VERSION",
 ]

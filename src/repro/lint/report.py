@@ -12,49 +12,32 @@ import json
 from repro.lint.registry import RULES
 from repro.lint.visitor import LintResult
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
-def to_json(result: LintResult, *, baseline_path: str | None = None
-            ) -> str:
+def to_json(result: LintResult) -> str:
     """Serialize a lint run as one stable JSON document."""
     payload: dict[str, object] = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "files_checked": result.files_checked,
         "clean": result.clean,
         "violations": [v.as_dict() for v in result.violations],
-        "suppressed": {
-            "pragma": len(result.suppressed_by_pragma),
-            "baseline": len(result.suppressed_by_baseline),
-        },
-        "stale_baseline": result.stale_baseline,
-        "baseline_path": baseline_path,
+        "suppressed": {"pragma": len(result.suppressed_by_pragma)},
         "rules": {code: {"name": r.name, "summary": r.summary}
                   for code, r in sorted(RULES.items())},
     }
     return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def to_human(result: LintResult, *, baseline_path: str | None = None
-             ) -> str:
+def to_human(result: LintResult) -> str:
     """Render a lint run the way a compiler would: one line per finding."""
     lines: list[str] = []
     for v in result.violations:
         lines.append(v.render())
-    if result.stale_baseline:
-        lines.append("")
-        lines.append("stale baseline entries (prune them from "
-                     f"{baseline_path or 'the baseline'}):")
-        for e in result.stale_baseline:
-            lines.append(f"  {e['path']}: {e['code']} in {e['scope']} "
-                         f"({e['unused']} unused)")
     lines.append("")
     n = len(result.violations)
-    suppressed = (len(result.suppressed_by_pragma)
-                  + len(result.suppressed_by_baseline))
     verdict = "clean" if result.clean else f"{n} violation(s)"
     lines.append(f"emlint: {result.files_checked} file(s) checked, "
-                 f"{verdict}, {suppressed} suppressed "
-                 f"({len(result.suppressed_by_pragma)} pragma, "
-                 f"{len(result.suppressed_by_baseline)} baseline)")
+                 f"{verdict}, {len(result.suppressed_by_pragma)} "
+                 f"suppressed by pragma")
     return "\n".join(lines)

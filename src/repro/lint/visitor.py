@@ -7,8 +7,7 @@ module-level ``PHASES`` declaration — and hands them to the
 predicates in :mod:`repro.lint.rules`, emitting :class:`Violation`
 records.  Pragma comments (``# emlint: disable=EM001`` or
 ``disable=all`` on the offending line) suppress individual findings;
-a committed :class:`~repro.lint.baseline.Baseline` suppresses
-accepted pre-existing ones.
+they are the one suppression mechanism.
 
 The checker is deliberately stdlib-only and side-effect free: it
 never imports the code it inspects.
@@ -23,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.lint import rules
-from repro.lint.baseline import Baseline
 from repro.lint.registry import RULES
 
 _PRAGMA_RE = re.compile(r"#\s*emlint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -39,11 +37,6 @@ class Violation:
     col: int
     message: str
     scope: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """The baseline-matching key (line numbers are too brittle)."""
-        return (self.path, self.code, self.scope)
 
     def as_dict(self) -> dict[str, object]:
         return {"code": self.code, "path": self.path, "line": self.line,
@@ -62,8 +55,6 @@ class LintResult:
 
     violations: list[Violation] = field(default_factory=list)
     suppressed_by_pragma: list[Violation] = field(default_factory=list)
-    suppressed_by_baseline: list[Violation] = field(default_factory=list)
-    stale_baseline: list[dict[str, object]] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -345,18 +336,14 @@ def _iter_py_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield p
 
 
-def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
-               baseline: Baseline | None = None) -> LintResult:
+def lint_paths(paths: Iterable[str | Path], *,
+               root: str | Path = ".") -> LintResult:
     """Lint every ``.py`` file under ``paths`` and aggregate results.
 
-    ``root`` anchors the repo-relative paths used in reports and
-    baseline keys.  ``baseline`` suppresses accepted pre-existing
-    violations; entries that no longer match anything are reported as
-    stale (fix the baseline, it documents reality).
+    ``root`` anchors the repo-relative paths used in reports.
     """
     rootp = Path(root)
     result = LintResult()
-    kept: list[Violation] = []
     per_file: dict[str, list[Violation]] = {}
     pragmas_by_file: dict[str, dict[int, frozenset[str]]] = {}
     for f in _iter_py_files([Path(p) for p in paths]):
@@ -375,10 +362,5 @@ def lint_paths(paths: Iterable[str | Path], *, root: str | Path = ".",
             if v.code in disabled or "ALL" in disabled:
                 result.suppressed_by_pragma.append(v)
             else:
-                kept.append(v)
-    if baseline is not None:
-        kept, suppressed, stale = baseline.apply(kept)
-        result.suppressed_by_baseline = suppressed
-        result.stale_baseline = stale
-    result.violations = kept
+                result.violations.append(v)
     return result

@@ -14,19 +14,20 @@ where those transfers come from.  This subpackage provides:
   export;
 * :class:`SpanProfiler` — an observer recording hierarchical spans
   (algorithm → phase → operator) that snapshot the device counters at
-  entry/exit, with Chrome-trace/Perfetto and Prometheus exporters
+  entry/exit and carry what the operator saw as attributes (a sort's
+  run count, a leaf peel's heavy/light split, how many plans a
+  best-branch run priced), with a Chrome-trace/Perfetto exporter
   (:mod:`~repro.obs.export`);
-* :class:`MetricsRegistry` — named counters/gauges/histograms the
-  instrumented code populates for free when metrics are off
-  (:data:`NULL_METRICS`);
+* :class:`MetricsRegistry` — named counters/gauges/histograms, the
+  service's ``/metrics`` store, rendered by :func:`to_prometheus`
+  (the engine itself writes none);
 * :mod:`~repro.obs.baseline` — pinned benchmark baselines
   (``BENCH_table1.json``) and the drift comparator CI runs.
 
 Observe a device with ``Device(M, B, observers=[Tracer()])`` or
-``device.observe(o)``, stop with ``device.unobserve(o)``; pass a
-registry as ``Device(M, B, metrics=...)``.  With nothing observing
-(the default) every counter stays byte-identical to the bare
-accounting — observers watch charges, they never make them.
+``device.observe(o)``, stop with ``device.unobserve(o)``.  With
+nothing observing (the default) every counter stays byte-identical to
+the bare accounting — observers watch charges, they never make them.
 """
 
 from repro.obs.baseline import (compare_baselines, load_baseline,
@@ -35,9 +36,8 @@ from repro.obs.events import (CACHE_KINDS, EVENT_KINDS, IO_KINDS,
                               TraceEvent)
 from repro.obs.export import (metrics_payload, to_chrome_trace,
                               to_prometheus, write_chrome_trace)
-from repro.obs.metrics import (DEFAULT_BUCKETS, NULL_METRICS, Counter,
-                               Gauge, Histogram, MetricsRegistry,
-                               NullMetrics)
+from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
+                               MetricsRegistry)
 from repro.obs.observer import Observer
 from repro.obs.spans import (NULL_SPAN, SPAN_KINDS, ProfiledEmitter,
                              Span, SpanProfiler)
@@ -48,8 +48,7 @@ __all__ = [
     "Tracer", "UNATTRIBUTED",
     "write_baseline", "load_baseline", "compare_baselines",
     "Span", "SpanProfiler", "ProfiledEmitter", "NULL_SPAN", "SPAN_KINDS",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetrics",
-    "NULL_METRICS", "DEFAULT_BUCKETS",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
     "to_chrome_trace", "write_chrome_trace", "to_prometheus",
     "metrics_payload",
 ]

@@ -1,19 +1,12 @@
-"""Counters, gauges, and histograms the algorithms populate for free.
+"""Counters, gauges, and histograms: the service's ``/metrics`` store.
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments
-(``sort.run_tuples``, ``pool.resident_pages``, ``gens.branch_size``,
-…).  Call sites never check whether metrics are enabled: a device
-without a registry carries the shared :data:`NULL_METRICS` sink, whose
-instruments swallow every update in a couple of attribute lookups, so
-instrumented code paths cost nearly nothing when observability is off
-(the tier-1 seed-count tests pin that the I/O counters are byte
-identical either way — metrics, like the tracer and spans, never
-charge).
-
-Histogram buckets are fixed at construction, so two histograms of the
-same name merge associatively (a hypothesis property test in
-``tests/test_spans.py`` pins this) — the property that makes per-shard
-metric aggregation sound.
+(``service.queries``, ``service.query_wall_ms``,
+``pool.resident_pages``, …) that
+:class:`~repro.server.service.QueryService` folds finished queries
+into and :func:`~repro.obs.export.to_prometheus` renders.  The engine
+itself writes no metrics: what a run did is recorded as attributes on
+the spans its operators open (see :mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
@@ -76,8 +69,7 @@ class Histogram:
 
     ``buckets`` are increasing upper bounds; an observation lands in
     the first bucket whose bound is ``>= value`` (one implicit overflow
-    bucket catches the rest).  Because the boundaries are fixed,
-    :meth:`merge` is associative and commutative.
+    bucket catches the rest).
     """
 
     __slots__ = ("name", "buckets", "counts", "count", "sum")
@@ -102,18 +94,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms with identical boundaries."""
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.name} vs {other.name}")
-        out = Histogram(self.name, self.buckets)
-        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        out.count = self.count + other.count
-        out.sum = self.sum + other.sum
-        return out
 
     def as_dict(self) -> dict[str, object]:
         # Only non-empty buckets, keyed by upper bound (stringified so
@@ -171,52 +151,3 @@ class MetricsRegistry:
             "histograms": {k: v.as_dict() for k, v in
                            sorted(self._histograms.items())},
         }
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
-
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-    name = ""
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """The disabled registry: every lookup returns the shared no-op."""
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS
-                  ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def as_dict(self) -> dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def reset(self) -> None:
-        pass
-
-
-#: The default sink every device carries when metrics are off.
-NULL_METRICS = NullMetrics()

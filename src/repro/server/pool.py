@@ -42,13 +42,12 @@ def shared_label(instance: str, generation: int, B: int, rel: str) -> str:
 class SharedPool:
     """The service-wide pool every device view charges through."""
 
-    def __init__(self, *, frames: int, policy: str = "lru", B: int,
-                 metrics=None) -> None:
+    def __init__(self, *, frames: int, policy: str = "lru",
+                 B: int) -> None:
         config = PoolConfig(frames=frames, policy=policy)
-        # The anchor device exists to carry B and the residency gauge;
-        # no query I/O is ever charged to it (views charge via= their
-        # own devices).
-        self.device = Device(M=max(B, frames * B), B=B, metrics=metrics)
+        # The anchor device exists to carry B; no query I/O is ever
+        # charged to it (views charge via= their own devices).
+        self.device = Device(M=max(B, frames * B), B=B)
         self.B = B
         self.pool = BufferPool(self.device, config)
 

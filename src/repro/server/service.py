@@ -96,7 +96,7 @@ class QueryService:
         #: :meth:`explain` predicts against.
         self.fitted = dict(fitted) if fitted is not None else None
         self.pool = (SharedPool(frames=pool_frames, policy=pool_policy,
-                                B=B, metrics=self.metrics)
+                                B=B)
                      if pool_frames else None)
         self._sessions: dict[str, Session] = {}
         self._session_ids = itertools.count(1)
@@ -296,8 +296,8 @@ class QueryService:
         # Per-query isolation on a long-lived device: zero the phase and
         # memory trackers (query-scoped by definition) and diff the
         # monotone I/O counters against a snapshot.  reset_stats() is
-        # deliberately NOT used: it would wipe the service-shared
-        # metrics registry and any pooled residency mid-flight.
+        # deliberately NOT used: it would drop pooled residency
+        # mid-flight.
         device.phases.reset()
         device.memory.reset()
         before = device.stats.snapshot()
@@ -432,8 +432,12 @@ class QueryService:
         m.gauge("catalog.entries").set(len(self.catalog.names()))
         m.gauge("service.sessions").set(len(self._sessions))
         if self.pool is not None:
-            m.gauge("pool.resident_pages").set(
-                self.pool.pool.resident_pages)
+            # The gauge's max is the pool's own peak, which a scrape
+            # between two fills would miss.
+            pool = self.pool.pool
+            g = m.gauge("pool.resident_pages")
+            g.set(pool.resident_pages)
+            g.max = max(g.max, pool.peak_resident_pages)
         if self.flight is not None:
             fs = self.flight.stats()
             m.gauge("flight.records_seen").set(fs["seen"])

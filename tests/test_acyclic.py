@@ -12,7 +12,7 @@ from repro.core import (AssignmentEmitter, CountingEmitter, acyclic_join,
                         smallest_leaf_chooser)
 from repro.em import PoolConfig
 from repro.internal import join_query
-from repro.obs import MetricsRegistry
+from repro.obs import SpanProfiler
 from repro.query import (JoinQuery, dumbbell_query, line_query,
                          lollipop_query, parse_query, star_query,
                          triangle_query)
@@ -277,13 +277,17 @@ class TestPlans:
 
     def test_theorem4_star_runs_four_distinct_branches(self):
         schemas, data = star_worstcase_instance([16, 16, 16])
-        device = Device(M=64, B=8, metrics=MetricsRegistry())
+        profiler = SpanProfiler()
+        device = Device(M=64, B=8, observers=[profiler])
         inst = Instance.from_dicts(device, schemas, data)
         em = CountingEmitter()
         best = acyclic_join_best(star_query(3), inst, em, limit=16)
         assert len(best.runs) == 16
-        assert device.metrics.counter("acyclic.branches").value == 16
-        assert device.metrics.counter("acyclic.branches_priced").value == 4
+        (root,) = profiler.roots
+        assert root.name == "acyclic_join_best"
+        assert root.attrs == {"branches": 16, "branches_priced": 4}
+        # The winner's run nests under the pricing span.
+        assert [c.name for c in root.children] == ["acyclic_join"]
         assert (best.best_index, best.io, best.round_robin_io) == (1, 40, 640)
         assert device.stats.total == best.io
         assert em.count == 16 ** 3

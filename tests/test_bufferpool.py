@@ -189,6 +189,18 @@ class TestDirtyPages:
         assert dev.stats.writes == 2
         assert dev.pool.resident_pages == 0
 
+    def test_peak_resident_pages_outlives_drops_until_reset(self):
+        dev = pool_device(frames=4, M=8, B=2)
+        f = dev.file_from_tuples([(i,) for i in range(6)])  # 3 pages
+        assert dev.pool.peak_resident_pages == 3
+        dev.flush_pool()
+        assert dev.pool.drop_matching(lambda key: key[0] is f) == 3
+        list(f.segment(0, 2).scan())
+        assert (dev.pool.resident_pages,
+                dev.pool.peak_resident_pages) == (1, 3)
+        dev.reset_stats()
+        assert dev.pool.peak_resident_pages == 0
+
 
 class TestPoolDisabledDefault:
     def test_device_has_no_pool_by_default(self):

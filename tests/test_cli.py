@@ -211,50 +211,48 @@ class TestRunProfile:
                           str(csv_tables / "prof.json"))
         assert p["profile"]["tuples_produced"] == p["results"] == 4
 
-    def test_metrics_in_json_payload(self, csv_tables, capsys):
-        p = self._payload(csv_tables, capsys, "--metrics")
-        assert p["metrics"]["histograms"]["sort.run_tuples"]["count"] > 0
-        assert "planner.dispatch.two-relation" in p["metrics"]["counters"]
-
-    def test_metrics_out_writes_prometheus_text(self, csv_tables,
-                                                capsys):
-        met_path = csv_tables / "metrics.prom"
-        p = self._payload(csv_tables, capsys, "--metrics-out",
-                          str(met_path))
-        assert p["metrics_path"] == str(met_path)
-        text = met_path.read_text()
-        assert "# TYPE repro_sort_run_tuples histogram" in text
-        assert "repro_sort_run_tuples_count" in text
-
-    def test_resident_pages_gauge(self, csv_tables, capsys):
-        """``pool.resident_pages`` reports the frames resident at the
-        end of the run and the most ever resident."""
-        met_path = csv_tables / "metrics.prom"
-        rc = main(["run",
-                   "--query", "follows(src, dst), lives(dst, city)",
-                   "--table", f"follows={csv_tables}/follows.csv",
-                   "--table", f"lives={csv_tables}/lives.csv",
-                   "-M", "8", "-B", "2", "--pool-frames", "2", "--json",
-                   "--metrics-out", str(met_path)])
+    def test_profile_records_leaf_peels(self, tmp_path, capsys):
+        """A star query's profile holds Algorithm 2's recursion: leaf
+        peels with their heavy/light split under the best-branch span."""
+        (tmp_path / "e0.csv").write_text(
+            "a,b,c\n" + "".join(f"{i},{i},{i}\n" for i in range(6)))
+        for e, v, u in (("e1", "a", "x"), ("e2", "b", "y"),
+                        ("e3", "c", "z")):
+            (tmp_path / f"{e}.csv").write_text(
+                f"{v},{u}\n" + "".join(f"{i % 6},{i}\n"
+                                        for i in range(12)))
+        prof = tmp_path / "prof.json"
+        rc = main(["run", "--query",
+                   "e0(a,b,c), e1(a,x), e2(b,y), e3(c,z)",
+                   *(f"--table={e}={tmp_path}/{e}.csv"
+                     for e in ("e0", "e1", "e2", "e3")),
+                   "-M", "8", "-B", "2", "--json", "--profile", str(prof)])
         assert rc == 0
         p = json.loads(capsys.readouterr().out)
-        gauge = p["metrics"]["gauges"]["pool.resident_pages"]
-        assert (gauge["value"], gauge["max"]) == (2, 2)
-        lines = met_path.read_text().splitlines()
-        assert "repro_pool_resident_pages 2" in lines
-        assert "repro_pool_resident_pages_max 2" in lines
+        assert p["shape"] == "star"
+
+        def walk(spans):
+            for sp in spans:
+                yield sp
+                yield from walk(sp.get("children", ()))
+
+        spans = list(walk(p["profile"]["spans"]))
+        best = [sp for sp in spans if sp["name"] == "acyclic_join_best"]
+        assert best and best[0]["attrs"]["branches"] >= 1
+        leafs = [sp["attrs"] for sp in spans if sp["name"] == "peel_leaf"]
+        assert leafs
+        assert all({"edge", "v", "heavy", "light"} <= set(a)
+                   for a in leafs)
 
     def test_profile_prose_line(self, csv_tables, capsys):
         rc = main(["run",
                    "--query", "follows(src, dst), lives(dst, city)",
                    "--table", f"follows={csv_tables}/follows.csv",
                    "--table", f"lives={csv_tables}/lives.csv",
-                   "--profile", str(csv_tables / "p.json"),
-                   "--metrics"])
+                   "--profile", str(csv_tables / "p.json")])
         out = capsys.readouterr().out
         assert rc == 0
         assert "profile     :" in out and "attributed" in out
-        assert "metrics     :" in out
 
 
 class TestFitCommand:

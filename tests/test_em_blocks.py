@@ -463,15 +463,19 @@ class TestBlockScalarEquivalence:
         self.assert_matches_golden(name, pool, run=run)
 
     def test_sort_empty_source_synthesizes_counted_run(self):
-        from repro.obs import MetricsRegistry
-        dev = Device(M=4, B=2, metrics=MetricsRegistry())
+        from repro.obs import SpanProfiler
+        profiler = SpanProfiler()
+        dev = Device(M=4, B=2, observers=[profiler])
         f = dev.new_file("empty")
         f.writer().close()
         out = external_sort(f, lambda t: t[0], name="sorted")
         assert len(out) == 0
-        # Regression: the run counter used to read 0 here even though
+        # Regression: the run count used to read 0 here even though
         # one (empty) run was synthesized and returned.
-        assert dev.metrics.counter("sort.runs").value == 1
+        (form,) = [s for s in profiler.iter_spans()
+                   if s.name == "form_runs"]
+        assert form.attrs == {"runs": 1}
+        assert dev.stats.total == 0
 
 
 #: The cases replayed under two hash seeds: the query engine end to

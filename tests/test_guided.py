@@ -4,10 +4,11 @@ import pytest
 
 from repro import Device, Instance
 from repro.core import (AssignmentEmitter, CountingEmitter, acyclic_join,
-                        acyclic_join_best, execute)
+                        acyclic_join_best, smallest_leaf_chooser)
 from repro.core.guided import (dumbbell_paper_chooser,
                                lollipop_paper_chooser, priority_chooser)
 from repro.internal import join_query
+from repro.obs import SpanProfiler
 from repro.query import dumbbell_query, line_query, lollipop_query
 from repro.workloads import cross_product_instance, lollipop_worstcase_instance
 
@@ -89,12 +90,17 @@ class TestPlannerStrategy:
         q = lollipop_query(3)
         schemas, data = make_random_data(q, 12, 4, seed=6)
         oracle = join_query(q, data, schemas)
-        device = Device(M=8, B=2)
+        profiler = SpanProfiler()
+        device = Device(M=8, B=2, observers=[profiler])
         inst = Instance.from_dicts(device, schemas, data)
         em = AssignmentEmitter(schemas)
-        report = execute(q, inst, em, strategy="guided")
-        assert report.algorithm == "algorithm-2-guided[lollipop]"
+        chooser = lollipop_paper_chooser(q, inst)
+        acyclic_join(q, inst, em, chooser=chooser)
         assert em.assignment_set() == oracle
+        # The first peel is the Section 7.2 rule's first choice.
+        first = next(s for s in profiler.iter_spans()
+                     if s.name == "peel_leaf")
+        assert first.attrs["edge"] == chooser(q, inst)
 
     def test_guided_general_acyclic_uses_greedy(self):
         from repro.query import JoinQuery
@@ -111,17 +117,8 @@ class TestPlannerStrategy:
         device = Device(M=4, B=2)
         inst = Instance.from_dicts(device, schemas, data)
         em = AssignmentEmitter(schemas)
-        report = execute(q, inst, em, strategy="guided")
-        assert "guided" in report.algorithm
+        acyclic_join(q, inst, em, chooser=smallest_leaf_chooser)
         assert em.assignment_set() == oracle
-
-    def test_unknown_strategy_rejected(self):
-        q = line_query(2)
-        schemas, data = make_random_data(q, 5, 3, seed=0)
-        device = Device(M=4, B=2)
-        inst = Instance.from_dicts(device, schemas, data)
-        with pytest.raises(ValueError):
-            execute(q, inst, CountingEmitter(), strategy="zzz")
 
     def test_priority_chooser_fallback(self):
         q = line_query(3)

@@ -1,4 +1,4 @@
-"""Tests for emlint: rules, pragmas, baseline, reporters, CLI."""
+"""Tests for emlint: rules, pragmas, reporters, CLI."""
 
 import json
 from pathlib import Path
@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.lint import (Baseline, BaselineEntry, RULES, check_source,
-                        lint_paths, load_baseline, to_json,
-                        write_baseline)
+from repro.lint import RULES, check_source, lint_paths, to_json
 from repro.lint.report import REPORT_SCHEMA_VERSION
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -183,64 +181,17 @@ class TestPragmas:
         assert len(result.suppressed_by_pragma) == 1
 
 
-# ------------------------------------------------------------- baseline
-
-
-class TestBaseline:
-    def test_round_trip_write_then_clean(self, tmp_path):
-        found = lint_paths([*BAD_FIXTURES["EM002"],
-                            *BAD_FIXTURES["EM004"]], root=FIXTURES)
-        assert len(found.violations) == 2
-        b = Baseline.from_violations(found.violations)
-        path = tmp_path / "baseline.json"
-        write_baseline(b, path)
-        again = lint_paths([*BAD_FIXTURES["EM002"],
-                            *BAD_FIXTURES["EM004"]], root=FIXTURES,
-                           baseline=load_baseline(path))
-        assert again.clean
-        assert len(again.suppressed_by_baseline) == 2
-        assert again.stale_baseline == []
-
-    def test_extra_finding_in_baselined_scope_resurfaces(self):
-        found = lint_paths(BAD_FIXTURES["EM002"], root=FIXTURES)
-        (v,) = found.violations
-        b = Baseline(entries=[BaselineEntry(
-            path=v.path, code=v.code, scope=v.scope, count=1,
-            justification="test")])
-        kept, suppressed, stale = b.apply([v, v])
-        assert len(kept) == 1 and len(suppressed) == 1 and not stale
-
-    def test_stale_entry_reported(self):
-        b = Baseline(entries=[BaselineEntry(
-            path="src/repro/core/gone.py", code="EM002",
-            scope="f", count=1, justification="obsolete")])
-        kept, suppressed, stale = b.apply([])
-        assert kept == [] and suppressed == []
-        assert stale[0]["path"] == "src/repro/core/gone.py"
-        assert stale[0]["unused"] == 1
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json").entries == []
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "b.json"
-        p.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError):
-            load_baseline(p)
-
-
 # ------------------------------------------------------------ reporters
 
 
 class TestReporters:
     def test_json_schema_key_set_is_stable(self):
         result = lint_paths(BAD_FIXTURES["EM002"], root=FIXTURES)
-        doc = json.loads(to_json(result, baseline_path="b.json"))
+        doc = json.loads(to_json(result))
         assert set(doc) == {"schema_version", "files_checked", "clean",
-                            "violations", "suppressed", "stale_baseline",
-                            "baseline_path", "rules"}
-        assert doc["schema_version"] == REPORT_SCHEMA_VERSION
-        assert set(doc["suppressed"]) == {"pragma", "baseline"}
+                            "violations", "suppressed", "rules"}
+        assert doc["schema_version"] == REPORT_SCHEMA_VERSION == 2
+        assert set(doc["suppressed"]) == {"pragma"}
         (v,) = doc["violations"]
         assert set(v) == {"code", "path", "line", "col", "scope",
                           "message", "rule"}
@@ -258,40 +209,14 @@ class TestReporters:
 
 class TestCli:
     def test_exit_1_on_known_bad_fixtures(self, capsys):
-        rc = main(["lint", str(FIXTURE_SRC), "--root", str(FIXTURES),
-                   "--no-baseline"])
+        rc = main(["lint", str(FIXTURE_SRC), "--root", str(FIXTURES)])
         assert rc == 1
         out = capsys.readouterr().out
         assert "EM003" in out and "violation" in out
 
-    def test_write_baseline_then_clean_run(self, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        rc = main(["lint", str(FIXTURE_SRC), "--root", str(FIXTURES),
-                   "--baseline", str(baseline), "--write-baseline"])
-        assert rc == 0
-        rc = main(["lint", str(FIXTURE_SRC), "--root", str(FIXTURES),
-                   "--baseline", str(baseline)])
-        assert rc == 0
-        doc = json.loads(baseline.read_text())
-        assert doc["version"] == 1 and len(doc["entries"]) >= 7
-
-    def test_stale_baseline_fails_run(self, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        b = Baseline(entries=[BaselineEntry(
-            path="src/repro/core/gone.py", code="EM002",
-            scope="f", count=1, justification="obsolete")])
-        write_baseline(b, baseline)
-        rc = main(["lint",
-                   str(FIXTURE_SRC / "repro/core/clean_ok.py"),
-                   "--root", str(FIXTURES),
-                   "--baseline", str(baseline)])
-        assert rc == 1
-        assert "stale" in capsys.readouterr().out
-
     def test_json_format(self, capsys):
         rc = main(["lint", str(FIXTURE_SRC / "repro/core/bad_em002.py"),
-                   "--root", str(FIXTURES), "--no-baseline",
-                   "--format", "json"])
+                   "--root", str(FIXTURES), "--format", "json"])
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["clean"] is False

@@ -3,24 +3,22 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import Device, Instance, Tracer, line_query
 from repro.analysis import FIT_CLASSES, fit_class, fit_loglog
 from repro.analysis.fitting import BoundTerm, FitPoint, FitResult
 from repro.core import CountingEmitter, line3_join
 from repro.em import PoolConfig
-from repro.obs import (DEFAULT_BUCKETS, Histogram, MetricsRegistry,
-                       NULL_METRICS, NULL_SPAN, ProfiledEmitter,
-                       SpanProfiler, to_chrome_trace, to_prometheus)
+from repro.obs import (Histogram, MetricsRegistry, NULL_SPAN,
+                       ProfiledEmitter, SpanProfiler, to_chrome_trace,
+                       to_prometheus)
 from repro.workloads import fig3_line3_instance
 
 
-def profiled_line3(M=4, B=2, metrics=None):
+def profiled_line3(M=4, B=2):
     """The fixed L3 instance under a profiler; (device, profiler, emitter)."""
     profiler = SpanProfiler()
-    device = Device(M=M, B=B, observers=[profiler], metrics=metrics)
+    device = Device(M=M, B=B, observers=[profiler])
     schemas, data = fig3_line3_instance(32, 32)
     instance = Instance.from_dicts(device, schemas, data)
     emitter = ProfiledEmitter(CountingEmitter(), profiler)
@@ -33,7 +31,7 @@ class TestProfilerTransparency:
     def test_profiling_never_charges(self):
         """Profiled and unprofiled runs have byte-identical counters —
         the same 325/146/1024 the tracer tests pin."""
-        device, _, emitter = profiled_line3(metrics=MetricsRegistry())
+        device, _, emitter = profiled_line3()
         assert device.stats.reads == 325
         assert device.stats.writes == 146
         assert emitter.count == 1024
@@ -135,23 +133,23 @@ class TestSpanTree:
         device, its pool or any other observer has been touched."""
         tracer, profiler = Tracer(), SpanProfiler()
         device = Device(M=16, B=4, buffer_pool=PoolConfig(frames=2),
-                        observers=[tracer, profiler],
-                        metrics=MetricsRegistry())
+                        observers=[tracer, profiler])
         f = device.file_from_tuples([(i,) for i in range(20)])
         with device.phases.phase("p"), device.span("still-open"):
             list(f.reader())
-            device.metrics.counter("c").inc()
             with device.memory.hold(3):
                 before = (device.stats.snapshot(), device.memory.peak,
                           dict(device.phases.totals),
-                          device.pool.resident_pages, tracer.summary(),
-                          device.metrics.as_dict())
+                          device.pool.resident_pages,
+                          device.pool.peak_resident_pages,
+                          tracer.summary())
                 with pytest.raises(RuntimeError, match="open"):
                     device.reset_stats()
                 after = (device.stats.snapshot(), device.memory.peak,
                          dict(device.phases.totals),
-                         device.pool.resident_pages, tracer.summary(),
-                         device.metrics.as_dict())
+                         device.pool.resident_pages,
+                         device.pool.peak_resident_pages,
+                         tracer.summary())
                 assert device.memory.current == 3
         assert after == before
         assert before[0].total > 0
@@ -164,25 +162,24 @@ class TestSpanTree:
         with pytest.raises(ValueError):
             SpanProfiler(capacity=0)
 
+    def test_sort_spans_carry_their_run_counts(self):
+        """Each external sort's ``form_runs`` span records the runs it
+        wrote, and its merge levels record their fan-in."""
+        _, profiler, _ = profiled_line3()
+        sorts = [s for s in profiler.iter_spans()
+                 if s.name == "external_sort"]
+        assert sorts
+        for sort in sorts:
+            form = sort.children[0]
+            assert form.name == "form_runs"
+            runs = form.attrs["runs"]
+            assert runs == max(1, -(-sort.attrs["n"] // 4))  # ⌈n/M⌉
+            levels = [c for c in sort.children if c.name == "merge_level"]
+            assert [lv.attrs["runs"] for lv in levels[:1]] == \
+                ([runs] if runs > 1 else [])
+
 
 class TestMetrics:
-    def test_devices_default_to_null_metrics(self):
-        device = Device(M=16, B=4)
-        assert device.metrics is NULL_METRICS
-        device.metrics.counter("x").inc()
-        device.metrics.gauge("y").set(3)
-        device.metrics.histogram("z").observe(5)
-        assert device.metrics.as_dict() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_sort_populates_run_histogram(self):
-        metrics = MetricsRegistry()
-        _, _, _ = profiled_line3(metrics=metrics)
-        d = metrics.as_dict()
-        runs = d["histograms"]["sort.run_tuples"]
-        assert runs["count"] == d["counters"]["sort.runs"]["value"] > 0
-        assert runs["sum"] > 0
-
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             MetricsRegistry().counter("c").inc(-1)
@@ -207,29 +204,6 @@ class TestMetrics:
             Histogram("h", buckets=())
         with pytest.raises(ValueError):
             Histogram("h", buckets=(2, 1))
-
-    def test_histogram_merge_rejects_mismatched_buckets(self):
-        with pytest.raises(ValueError, match="different buckets"):
-            Histogram("a", (1, 2)).merge(Histogram("b", (1, 3)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.lists(st.integers(min_value=0, max_value=2 ** 22),
-                             max_size=20),
-                    min_size=3, max_size=3))
-    def test_histogram_merge_is_associative(self, shards):
-        """(a+b)+c == a+(b+c) for fixed-boundary histograms."""
-        hists = []
-        for shard in shards:
-            h = Histogram("h", DEFAULT_BUCKETS)
-            for v in shard:
-                h.observe(v)
-            hists.append(h)
-        a, b, c = hists
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.counts == right.counts
-        assert left.count == right.count
-        assert left.sum == right.sum
 
 
 class TestExporters:

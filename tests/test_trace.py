@@ -1,12 +1,23 @@
-"""Tests for the Algorithm 2 recursion tracer."""
+"""Tests for Algorithm 2's recursion spans (the "explain" transcript)."""
 
 from repro import Device, Instance
 from repro.core import CountingEmitter, acyclic_join
-from repro.core.trace import RecursionTrace
+from repro.obs import NULL_SPAN, SpanProfiler
 from repro.query import line_query, star_query
 from repro.workloads import schemas_for
 
 from conftest import make_random_data
+
+STEPS = ("scan", "peel_bud", "peel_island", "peel_leaf")
+
+
+def traced_run(q, schemas, data, profiler):
+    """Run ``acyclic_join`` under ``profiler``; return the recursion
+    spans, depth-first, with the device."""
+    device = Device(M=4, B=2, observers=[profiler])
+    inst = Instance.from_dicts(device, schemas, data)
+    acyclic_join(q, inst, CountingEmitter())
+    return [s for s in profiler.iter_spans() if s.name in STEPS], device
 
 
 class TestRecursionTrace:
@@ -18,42 +29,46 @@ class TestRecursionTrace:
                                                      for i in range(6)],
                 "e2": [(j % 4, j) for j in range(8)],
                 "e3": [(j, j % 3) for j in range(8)]}
-        device = Device(M=4, B=2)
-        inst = Instance.from_dicts(device, schemas, data)
-        trace = RecursionTrace()
-        acyclic_join(q, inst, CountingEmitter(), trace=trace)
-        leafs = [e for e in trace.events if e.action == "leaf"]
+        steps, _ = traced_run(q, schemas, data, SpanProfiler())
+        leafs = [s for s in steps if s.name == "peel_leaf"]
         assert leafs
-        assert "heavy=1" in leafs[0].detail
-        assert trace.max_depth() >= 1
-        assert trace.counts()["leaf"] >= 1
+        assert leafs[0].attrs == {"edge": "e1", "v": "v2", "heavy": 1,
+                                  "light": 3}
+        # The root is the acyclic_join span; its steps nest below it.
+        assert max(s.depth for s in steps) >= 2
+        assert all(c.depth == s.depth + 1
+                   for s in steps for c in s.children)
 
     def test_star_trace_shows_bud_or_islands_downstream(self):
         q = star_query(2)
         schemas, data = make_random_data(q, 12, 3, seed=1)
-        device = Device(M=4, B=2)
-        inst = Instance.from_dicts(device, schemas, data)
-        trace = RecursionTrace()
-        acyclic_join(q, inst, CountingEmitter(), trace=trace)
-        actions = set(trace.counts())
-        assert "leaf" in actions
-        assert "scan" in actions  # base case reached
+        steps, _ = traced_run(q, schemas, data, SpanProfiler())
+        names = {s.name for s in steps}
+        assert "peel_leaf" in names
+        assert "scan" in names  # base case reached
+        scans = [s for s in steps if s.name == "scan"]
+        assert all(s.attrs["n"] >= 0 and not s.children for s in scans)
 
     def test_render_is_indented_and_limited(self):
+        """The transcript is the span tree: nested by depth, and a
+        profiler's capacity bounds it with the overflow counted."""
         q = line_query(2)
         schemas, data = make_random_data(q, 8, 3, seed=0)
-        device = Device(M=4, B=2)
-        inst = Instance.from_dicts(device, schemas, data)
-        trace = RecursionTrace()
-        acyclic_join(q, inst, CountingEmitter(), trace=trace)
-        text = trace.render(limit=3)
-        assert text.splitlines()
-        if len(trace.events) > 3:
-            assert "more events" in text
+        full, _ = traced_run(q, schemas, data, SpanProfiler())
+        capped = SpanProfiler(capacity=3)
+        traced_run(q, schemas, data, capped)
+        assert capped.span_count == 3
+        assert capped.dropped > 0
+        kept = list(capped.iter_spans())
+        assert [s.depth for s in kept] == list(range(3))
+        assert len(full) > 0
 
     def test_no_trace_is_default(self):
         q = line_query(2)
         schemas, data = make_random_data(q, 5, 3, seed=0)
         device = Device(M=4, B=2)
+        assert device.span("peel_leaf") is NULL_SPAN
         inst = Instance.from_dicts(device, schemas, data)
-        acyclic_join(q, inst, CountingEmitter())  # simply must not fail
+        acyclic_join(q, inst, CountingEmitter())
+        _, observed = traced_run(q, schemas, data, SpanProfiler())
+        assert device.stats.snapshot() == observed.stats.snapshot()
