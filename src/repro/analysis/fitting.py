@@ -19,9 +19,10 @@ at the swept sizes — small sweeps often sit in the linear-term regime,
 and a constant fitted there says nothing about the leading term.
 
 This lives in ``analysis/`` (not ``obs/``) because the builders drive
-``repro.core`` algorithms: obs/ must stay passive (emlint EM003), while
-analysis/ sits above core/ and may orchestrate it.  Builder imports
-stay lazy so importing :mod:`repro.analysis` stays cheap.
+``repro.core`` algorithms: obs/ must stay passive (rule EM003 of
+``tests/test_lint_src.py``), while analysis/ sits above core/ and may
+orchestrate it.  Builder imports stay lazy so importing
+:mod:`repro.analysis` stays cheap.
 """
 
 from __future__ import annotations

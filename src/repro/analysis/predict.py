@@ -264,7 +264,7 @@ def save_fitted(path, fits: Sequence, *, source: str = "repro fit") -> dict:
     """Write the fitted-constants document to ``path``; return it."""
     doc = fitted_document(fits, source=source)
     # host-side archive of fitted constants, not simulated-device I/O
-    with open(path, "w", encoding="utf-8") as fh:  # emlint: disable=EM001
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return doc
@@ -273,7 +273,7 @@ def save_fitted(path, fits: Sequence, *, source: str = "repro fit") -> dict:
 def load_fitted(path) -> dict:
     """Load and version-check a fitted-constants document."""
     # host-side archive of fitted constants, not simulated-device I/O
-    with open(path, encoding="utf-8") as fh:  # emlint: disable=EM001
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("version")
     if version != FITTED_VERSION:

@@ -1,6 +1,6 @@
 """Command-line interface: run and analyze joins from the shell.
 
-Six subcommands::
+Five subcommands::
 
     python -m repro run --query "R(a,b), S(b,c)" \\
         --table R=follows.csv --table S=lives.csv -M 1024 -B 64 \\
@@ -21,9 +21,6 @@ Six subcommands::
         [--points 64 128 256] [-M 16 -B 4] [--eps 0.25] [--json] \\
         [--profile out.json] [--write-fitted PATH] \\
         [--check-fitted PATH]
-
-    python -m repro lint [paths ...] [--format human|json] \\
-        [--list-rules]
 
     python -m repro serve --table R=follows.csv --table S=lives.csv \\
         [-M 4096 -B 64] [--host 127.0.0.1 --port 8707] \\
@@ -63,18 +60,11 @@ pinned-counter baseline check; ``--write-fitted`` persists the
 constants as the versioned document ``explain`` reads, and
 ``--check-fitted`` diffs a fresh sweep against the committed one
 (exit 1 on drift — the CI gate that keeps predictions honest).
-``lint`` runs ``emlint``, the AST-based model-discipline checker (see
-``docs/model.md``): exit 0 means the tree keeps rules EM000–EM006 (no
-raw OS I/O, no layer inversions, no uncharged materialization, no
-wall-clock or randomness in counted paths); exit 1 reports violations
-(a ``# emlint: disable=EM0xx`` pragma on the line is the one way to
-accept a finding).  Uncharged row access is refused at run
-time instead (:class:`~repro.em.UnchargedAccess`).  ``serve`` keeps a
-:class:`~repro.server.QueryService` alive behind a small HTTP surface:
-``POST /query`` (JSON in/out, optional sticky sessions), ``GET
-/metrics`` (Prometheus text), ``/stats``, ``/catalog`` and
-``/healthz``.  One thread serves every request and runs each query to
-completion before reading the next.  ``-M`` is the *global* admission
+``serve`` keeps a :class:`~repro.server.QueryService` alive behind a
+small HTTP surface: ``POST /query`` (JSON in/out, optional sticky
+sessions), ``GET /metrics`` (Prometheus text), ``/stats``,
+``/catalog`` and ``/healthz``.  One thread serves every request and
+runs each query to completion before reading the next.  ``-M`` is the *global* admission
 budget (per-query machines come from the request): a query whose need
 exceeds it, or its tenant's share of it, gets 422.  ``--pool-frames``
 turns on the shared cross-query buffer pool.
@@ -221,20 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--check-fitted", metavar="PATH",
                      help="diff this sweep against the committed "
                           "fitted document at PATH; exit 1 on drift")
-
-    lint = sub.add_parser(
-        "lint", help="check the tree against the EM model discipline")
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--format", choices=("human", "json"),
-                      default="human",
-                      help="report format (default human)")
-    lint.add_argument("--root", default=".",
-                      help="anchor for repo-relative report paths "
-                           "(default .)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print every rule code with its summary "
-                           "and rationale, then exit")
 
     serve = sub.add_parser(
         "serve", help="run the long-lived query service over HTTP")
@@ -686,21 +662,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 1 if regression or drift else 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    # Imported here so `repro serve` and friends never load the checker.
-    from repro.lint import RULES, lint_paths, to_human, to_json
-
-    if args.list_rules:
-        for code, rule in sorted(RULES.items()):
-            print(f"{code} [{rule.name}] — {rule.summary}")
-            print(f"    {rule.rationale}")
-        return 0
-
-    result = lint_paths(args.paths, root=args.root)
-    print(to_json(result) if args.format == "json" else to_human(result))
-    return 0 if result.clean else 1
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so `repro run` and friends never pay for the
     # service layer (HTTP plumbing, sessions, the shared pool).
@@ -792,8 +753,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_explain(args)
     if args.command == "fit":
         return cmd_fit(args)
-    if args.command == "lint":
-        return cmd_lint(args)
     if args.command == "serve":
         return cmd_serve(args)
     return 2  # pragma: no cover - argparse enforces the choices

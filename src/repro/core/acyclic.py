@@ -79,9 +79,6 @@ from repro.query.classify import (find_buds, find_islands, find_leaves,
                                   leaf_info)
 from repro.query.hypergraph import JoinQuery, require_berge_acyclic
 
-#: Phase names this module attributes I/O to (emlint EM006).
-PHASES = ("semijoin",)
-
 #: Algorithm 2's internal emit: a factorized block ``(base, factors)``
 #: — the cross product of ``base`` with every factor's tuple list, last
 #: factor varying fastest (see :func:`repro.core.emit.emit_product`).

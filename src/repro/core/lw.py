@@ -33,9 +33,6 @@ from repro.data.relation import Relation
 from repro.em.loaders import load_chunks
 from repro.query.hypergraph import JoinQuery
 
-#: Phase names this module attributes I/O to (emlint EM006).
-PHASES = ("partition",)
-
 
 def detect_lw(query: JoinQuery) -> tuple[list[str], dict[str, str]] | None:
     """Recognize ``LW_n``: each edge omits exactly one attribute.
@@ -156,7 +153,7 @@ def _in_memory(query: JoinQuery, parts: list[tuple[str, Relation]],
     device = parts[0][1].device
     # Charge the gauge *before* materializing: tuple counts are free
     # catalog metadata, and holding first keeps every resident tuple
-    # inside the charged region (emlint EM002).
+    # inside the charged region (EM002 in tests/test_lint_src.py).
     with device.memory.hold(sum(len(rel) for _, rel in parts)):
         tables = {e: list(rel.data.scan()) for e, rel in parts}
         schemas = {e: rel.schema for e, rel in parts}

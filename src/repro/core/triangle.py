@@ -33,9 +33,6 @@ from repro.data.relation import Relation
 from repro.em.loaders import load_chunks
 from repro.query.hypergraph import JoinQuery
 
-#: Phase names this module attributes I/O to (emlint EM006).
-PHASES = ("partition",)
-
 
 def detect_triangle(query: JoinQuery) -> tuple[str, str, str] | None:
     """Recognize ``C3``: three binary edges pairwise sharing one attr.
@@ -183,7 +180,7 @@ def _in_memory(cell1: Relation, cell2: Relation, cell3: Relation,
     device = cell1.device
     # Charge the gauge *before* materializing: tuple counts are free
     # catalog metadata, and holding first keeps every resident tuple
-    # inside the charged region (emlint EM002).
+    # inside the charged region (EM002 in tests/test_lint_src.py).
     with device.memory.hold(len(cell1) + len(cell2) + len(cell3)):
         t1 = list(cell1.data.scan())
         t2 = list(cell2.data.scan())

@@ -63,6 +63,7 @@ class Instance(Mapping[str, Relation]):
             raise ValueError(f"no data supplied for relations {sorted(missing)}")
         rels = {}
         for name, attrs in schemas.items():
+            # The one copy: the relation's file keeps this list.
             rows = list(map(tuple, data[name]))
             if len(set(rows)) != len(rows):
                 dup = next(t for t, n in Counter(rows).items() if n > 1)
@@ -70,7 +71,7 @@ class Instance(Mapping[str, Relation]):
                     f"relation {name!r} has duplicate row {dup!r}; "
                     "relations are sets")
             schema = RelationSchema(name, tuple(attrs))
-            rels[name] = Relation.from_tuples(device, schema, rows)
+            rels[name] = Relation._from_fresh(device, schema, rows)
         return cls(rels)
 
     def replace(self, **rebinds: Relation) -> "Instance":

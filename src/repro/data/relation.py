@@ -46,14 +46,20 @@ class Relation:
         :meth:`rewrite`, which charges them.  ``tuples`` is copied once,
         into the list the file keeps.
         """
-        ts = list(map(tuple, tuples))
+        return cls._from_fresh(device, schema, list(map(tuple, tuples)))
+
+    @classmethod
+    def _from_fresh(cls, device: "Device", schema: RelationSchema,
+                    rows: list[tuple]) -> "Relation":
+        """:meth:`from_tuples` of a list of tuples nothing else holds:
+        the file keeps ``rows`` itself, after the arity check."""
         width = len(schema.attributes)
-        if set(map(len, ts)) - {width}:
-            t = next(t for t in ts if len(t) != width)
+        if set(map(len, rows)) - {width}:
+            t = next(t for t in rows if len(t) != width)
             raise ValueError(
                 f"tuple {t} has arity {len(t)}, schema {schema.name} "
                 f"expects {width}")
-        f = device.file_from_tuples_free(ts, schema.name)
+        f = device.file_from_tuples_free(rows, schema.name)
         return cls(schema=schema, data=f.whole())
 
     # -- basic accessors ------------------------------------------------

@@ -34,7 +34,7 @@ def write_baseline(path, classes: dict, *, meta: dict | None = None) -> dict:
            "meta": dict(meta or {}),
            "classes": classes}
     # host-side baseline file, not simulated-device I/O
-    with open(path, "w", encoding="utf-8") as fh:  # emlint: disable=EM001
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
@@ -43,7 +43,7 @@ def write_baseline(path, classes: dict, *, meta: dict | None = None) -> dict:
 def load_baseline(path) -> dict:
     """Load a baseline document, validating the schema envelope."""
     # host-side baseline file, not simulated-device I/O
-    with open(path, "r", encoding="utf-8") as fh:  # emlint: disable=EM001
+    with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:

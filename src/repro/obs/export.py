@@ -73,7 +73,7 @@ def write_chrome_trace(path, profiler) -> int:
     """Write the Perfetto-loadable JSON; return the event count."""
     doc = to_chrome_trace(profiler)
     # host-side trace export, not simulated-device I/O
-    with open(path, "w", encoding="utf-8") as fh:  # emlint: disable=EM001
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return len(doc["traceEvents"])

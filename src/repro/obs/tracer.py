@@ -112,7 +112,7 @@ class Tracer(Observer):
         """Write the buffered events as JSON Lines; return the count."""
         events = self.events()
         # host-side JSONL export, not simulated-device I/O
-        with open(path, "w", encoding="utf-8") as fh:  # emlint: disable=EM001
+        with open(path, "w", encoding="utf-8") as fh:
             for e in events:
                 fh.write(json.dumps(e.as_dict(), sort_keys=False))
                 fh.write("\n")

@@ -1,4 +1,4 @@
-"""Known-bad fixture: phase literal with no PHASES declaration (EM006)."""
+"""Known-bad fixture: a phase literal not in the pinned table (EM006)."""
 
 
 def run(device):

@@ -1,8 +1,5 @@
 """Fixture: fully compliant core module (no findings expected)."""
 
-#: Phase names this module attributes I/O to (emlint EM006).
-PHASES = ("load",)
-
 
 def load(rel):
     device = rel.device

@@ -54,6 +54,9 @@ class TestRelation:
         schema = RelationSchema("e1", ("a", "b"))
         with pytest.raises(ValueError):
             Relation.from_tuples(small_device, schema, [(1,)])
+        with pytest.raises(ValueError, match="arity"):
+            Instance.from_dicts(small_device, {"e1": ("a", "b")},
+                                {"e1": [(1, 2), (3,)]})
 
     def test_sort_by_charges_and_is_idempotent(self, small_device):
         schema = RelationSchema("e1", ("a", "b"))

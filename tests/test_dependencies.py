@@ -17,15 +17,3 @@ def test_entry_points_import_no_third_party_numerics():
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
-
-def test_runtime_never_loads_the_linter():
-    """The engine, the service and the CLI run without ``repro.lint``
-    (``repro lint`` imports it lazily), so lint-only changes cannot
-    move a measured number."""
-    code = ("import repro.cli, repro.server.service, repro.core, sys; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'repro.lint' or m.startswith('repro.lint.')))")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
