@@ -66,7 +66,7 @@ def load_csv(device: Device, path: str | Path, name: str, *,
     attributes, typed = read_csv_rows(path, attributes=attributes,
                                       delimiter=delimiter, header=header)
     schema = RelationSchema(name, tuple(attributes))
-    return Relation.from_tuples(device, schema, sorted(set(typed)))
+    return Relation._from_fresh(device, schema, sorted(set(typed)))
 
 
 def _infer_columns(rows: list[tuple[str, ...]]) -> list[tuple]:

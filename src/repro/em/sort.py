@@ -19,6 +19,16 @@ It is computed without one, in three steps per batch of runs:
   just before it in its run (that tuple has a smaller key, so its
   position is already final); blocks that open their run go first, in
   run order.
+
+  When every run boundary is in key order (the last key of run ``r``
+  is no larger than the first key of run ``r + 1``), the batch is
+  already sorted and the stable sort is the identity, so it is
+  skipped.  A tie group inside one run is then in heap order, and a
+  group can span runs only where a boundary joins two equal keys; it
+  may cover several whole runs.  Each such group is found by bisecting
+  the rows around its boundary and re-ordered by the same rule.
+  Relations are stored in lexicographic order, so sorting one on its
+  first attribute gives such batches.
 * **Charges.**  The heap's page accesses follow from the order: a read
   of page 0 of every run, in run order; then, for each output position
   ``p`` in turn, a write if ``p`` fills an output page, and after it a
@@ -163,8 +173,10 @@ class _HeapOrder:
     it returns the output as indices into them.  One stable sort on the
     keys orders the batch; only the equal-key groups that span two or
     more runs are then re-ordered, by the heap's rule (see the module
-    docstring).  :meth:`position` then maps an index to its output
-    position.
+    docstring).  A batch whose run boundaries are already in key order
+    skips the sort: its stable order is the identity, and only the tie
+    groups at its boundaries are re-ordered.  :meth:`position` then
+    maps an index to its output position.
     """
 
     def __init__(self, key: Key, lengths: list[int]) -> None:
@@ -174,9 +186,34 @@ class _HeapOrder:
         self._keys: list[Any] = []
         self._sorted_keys: list[Any] = []
         self._moved: dict[int, int] = {}
+        #: Were the runs already in key order (see :meth:`__call__`)?
+        self._in_order = False
         self.order: list[int] = []
 
     def __call__(self, rows: list[Tuple]) -> list[int]:
+        key, bases = self._key, self._bases
+        ties = []
+        for b in bases[1:-1]:
+            last, first = key(rows[b - 1]), key(rows[b])
+            if first < last:
+                return self._sort(rows)
+            if not last < first:
+                ties.append((b, first))
+        # The batch is sorted, so the stable sort is the identity.  A
+        # tie group at a boundary may cover whole runs, so the
+        # boundaries inside it are skipped.
+        self._in_order = True
+        self.order = list(range(len(rows)))
+        hi = 0
+        for b, k in ties:
+            if b >= hi:
+                lo = bisect_left(rows, k, hi, b, key=key)
+                hi = bisect_right(rows, k, b + 1, len(rows), key=key)
+                self._settle(lo, hi)
+        return self.order
+
+    def _sort(self, rows: list[Tuple]) -> list[int]:
+        """The order of a batch whose runs overlap in key."""
         keys = self._keys = list(map(self._key, rows))
         order = self.order = sorted(range(len(keys)),
                                     key=keys.__getitem__)
@@ -240,6 +277,8 @@ class _HeapOrder:
 
     def position(self, i: int) -> int:
         """Output position of the batch's ``i``-th tuple."""
+        if self._in_order:
+            return self._moved.get(i, i)
         p = self._moved.get(i)
         if p is not None:
             return p

@@ -240,7 +240,8 @@ def merge_cases(draw):
     """Sorts whose merges a heap would tie-break in every way: B = 1,
     odd B and B = M; key domains from 1 to 10⁴; a last run shorter than
     a page; up to three merge levels; no pool, or an LRU, clock or MRU
-    pool with fewer frames than the fan-in."""
+    pool with fewer frames than the fan-in; and inputs already sorted,
+    as stored relations are, whose merges take the in-order path."""
     B_kind = draw(st.sampled_from(["1", "odd", "M"]))
     M = draw(st.integers(3 if B_kind == "odd" else 1, 16))
     if B_kind == "odd":
@@ -257,6 +258,8 @@ def merge_cases(draw):
     pool = (None if policy is None else
             PoolConfig(frames=draw(st.integers(1, max(1, fan_in - 1))),
                        policy=policy))
+    if draw(st.booleans()):
+        rows.sort()
     return rows, M, B, pool
 
 
@@ -267,6 +270,71 @@ def test_merge_matches_reference_heap_merge(case):
     output order, the same tracer event stream (pool events included)
     and the same memory peak."""
     assert _traced_sort(*case) == _reference_traced_sort(*case)
+
+
+# -- batches already in key order ---------------------------------------------
+
+#: Runs per merge in the in-order cases; ``M = (FAN_IN + 1) * B``.
+FAN_IN = 6
+
+
+def _in_order_case(name, M):
+    """Rows for one in-order case, and whether any merge of their sort
+    must take the general (key-sorting) path."""
+    if name == "lexicographic":
+        # Five rows per key: run boundaries cut key groups, and the
+        # input is long enough for two merge levels.
+        n = M * FAN_IN + M + 3
+        rows = [(i // 5, i % 5) for i in range(n)]
+        assert any(rows[b - 1][0] == rows[b][0] for b in range(M, n, M))
+        return rows, False
+    if name == "one_key_over_whole_runs":
+        # Key 5 opens mid-run 0, fills runs 1-3 and ends in run 4.
+        rows = [(0, i) for i in range(2)]
+        rows += [(5, i) for i in range(3 * M + 3)]
+        rows += [(9, i) for i in range(M * FAN_IN - 1 - len(rows))]
+        return rows, False
+    if name == "strictly_increasing":
+        return [(i, -i) for i in range(M * FAN_IN - 1)], False
+    # In order except at the last boundary: the last run's keys reach
+    # below the run before it.
+    rows = [(i // 3, i) for i in range(M * (FAN_IN - 1))]
+    rows += [(rows[-1][0] - 1 + i % 3, -i) for i in range(M - 1)]
+    return rows, True
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["pool_off", "pool_lru"])
+@pytest.mark.parametrize("B", [1, 2, 3])
+@pytest.mark.parametrize("case", ["lexicographic", "one_key_over_whole_runs",
+                                  "strictly_increasing",
+                                  "out_of_order_at_last_boundary"])
+def test_in_order_batches_match_reference_heap_merge(case, B, pool,
+                                                     monkeypatch):
+    """Batches whose run boundaries are in key order skip the key sort
+    and re-order only the tie groups at their boundaries; the heap merge
+    agrees on the event stream (pool events included), the output order
+    and the memory peak.  A batch out of order at one boundary takes
+    the general path."""
+    M = (FAN_IN + 1) * B
+    assert em_sort.merge_fan_in(M, B) == FAN_IN
+    rows, general = _in_order_case(case, M)
+    pool = PoolConfig(frames=FAN_IN - 1, policy="lru") if pool else None
+    sorted_batches = []
+    with monkeypatch.context() as m:
+        key_sort = em_sort._HeapOrder._sort
+
+        def counted(self, batch):
+            sorted_batches.append(len(batch))
+            return key_sort(self, batch)
+
+        m.setattr(em_sort._HeapOrder, "_sort", counted)
+        got = _traced_sort(rows, M, B, pool)
+    assert bool(sorted_batches) == general
+    with monkeypatch.context() as m:
+        m.setattr(em_sort, "_merge_once", _reference_merge_once)
+        want = _traced_sort(rows, M, B, pool)
+    assert got == want
+    assert in_key_order(got[1])
 
 
 def test_chained_ties_follow_the_reordered_predecessor():

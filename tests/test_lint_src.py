@@ -420,7 +420,7 @@ def test_em002_polices_only_the_scan_consuming_layers(layer):
 FREE_WRITE_CALLS = ("from_tuples", "_from_fresh", "file_from_tuples_free")
 FREE_WRITERS = {
     "repro/data/instance.py": {"_from_fresh": 1},
-    "repro/data/io.py": {"from_tuples": 1},
+    "repro/data/io.py": {"_from_fresh": 1},
     "repro/data/relation.py": {"_from_fresh": 1, "file_from_tuples_free": 1},
 }
 
