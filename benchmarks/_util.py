@@ -188,24 +188,30 @@ def measure_class(query, schemas, data, runner: Callable, M: int, B: int,
 def table1_baseline(tracer_summaries: dict | None = None) -> dict:
     """Measure every baseline class pool-off and pool-on.
 
-    When ``tracer_summaries`` is a dict, each class's pool-off leg runs
-    with a :class:`~repro.obs.Tracer` observing and its exact
-    summary is stored under the class name (the CI artifact) — the
-    counters are identical either way, which the tracer-transparency
-    test pins.
+    The pinned pool-off leg runs with no observer, the configuration
+    library callers run in (and the one that skips replaying the
+    merges' charge order, see ``Device.order_seen``).  When
+    ``tracer_summaries`` is a dict, each class's pool-off leg is run a
+    second time with a :class:`~repro.obs.Tracer` observing; its exact
+    summary is stored under the class name (the CI artifact), and a
+    :class:`RuntimeError` is raised if its counters differ from the
+    plain leg's.
     """
     out: dict = {}
     for name, (query, schemas, data, M, B, runner) in sorted(
             table1_baseline_cases().items()):
-        tracer = None
+        pool_off = measure_class(query, schemas, data, runner, M, B)
         if tracer_summaries is not None:
             tracer = Tracer(capacity=1024)
-        pool_off = measure_class(query, schemas, data, runner, M, B,
-                                 tracer=tracer)
+            traced = measure_class(query, schemas, data, runner, M, B,
+                                   tracer=tracer)
+            if traced != pool_off:
+                raise RuntimeError(
+                    f"{name}: pool off, the traced counters {traced} "
+                    f"differ from the plain ones {pool_off}")
+            tracer_summaries[name] = tracer.summary()
         pool_on = measure_class(query, schemas, data, runner, M, B,
                                 pool=_baseline_pool(M, B))
         out[name] = {"machine": {"M": M, "B": B},
                      "pool_off": pool_off, "pool_on": pool_on}
-        if tracer is not None:
-            tracer_summaries[name] = tracer.summary()
     return out

@@ -139,14 +139,31 @@ class Device:
 
     # -- I/O charging (called by readers and writers) ----------------
 
+    @property
+    def order_seen(self) -> bool:
+        """Can anything tell one order of the page charges from another?
+
+        With no pool and no observer a charge only adds one to
+        ``stats.reads`` or ``stats.writes``, so the same charges in any
+        order leave every counter identical.  A buffer pool (its hits,
+        misses and evictions) or an observer (the event stream) sees
+        the order.  Operators that compute a cursor's exact charge
+        order (the sort's merge, :func:`~repro.em.loaders.write_semijoin`)
+        replay it only when this is true, and otherwise charge the same
+        pages in file order.
+        """
+        return self.pool is not None or bool(self.observers)
+
     def charge_read(self, f: "EMFile", page: int) -> None:
         """Charge one logical page read, routed through the pool if any."""
         if self.stats.suspended:
             return
         if self.pool is not None:
             self.pool.read_page(f, page)
-        else:
+        elif self.observers:
             self._record_read(f, page)
+        else:
+            self.stats.reads += 1
 
     def charge_write(self, f: "EMFile", page: int) -> None:
         """Charge one logical page write (deferred when pooled)."""
@@ -154,14 +171,18 @@ class Device:
             return
         if self.pool is not None:
             self.pool.write_page(f, page)
-        else:
+        elif self.observers:
             self._record_write(f, page)
+        else:
+            self.stats.writes += 1
 
     def _record_read(self, f, page: int) -> None:
         """Count one *physical* page read (the model's unit of cost).
 
-        Every ``stats.reads`` increment in the codebase goes through
-        here, so observers see exactly the charged I/Os.
+        Every physical read an observer or a pool can see is counted
+        here, so observers see exactly the charged I/Os; only
+        :meth:`charge_read` with no pool and no observer adds to
+        ``stats.reads`` itself.
         """
         self.stats.reads += 1
         if self.observers:
@@ -203,8 +224,7 @@ class Device:
         """Materialize ``tuples`` on disk, charging the write I/Os."""
         f = self.new_file(name)
         with f.writer() as w:
-            for t in tuples:
-                w.append(t)
+            w.extend(tuples)
         return f
 
     def file_from_tuples_free(self, tuples, name: str | None = None) -> "EMFile":

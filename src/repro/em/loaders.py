@@ -228,11 +228,16 @@ def write_semijoin(left: FileSegment, right: FileSegment, key_l: Key,
     both inputs, test every left key against the set of right keys (a
     key up to the current right page's last key can only occur in that
     page, so the whole set answers as the page would) and fill the
-    output.  The charges are then replayed through the device in the
-    cursor pass's order, so pool events and traces are unchanged: the
-    left keys are cut into segments at left page ends and right page
-    fetches, one :func:`bisect_right` each, and the matches counted
-    per segment tell which output pages are full by its end.
+    output.  The charges then go through the device one page at a
+    time.  When a pool or an observer can see their order
+    (``Device.order_seen``), they are replayed in the cursor pass's
+    order, so pool events and traces are unchanged: the left keys are
+    cut into segments at left page ends and right page fetches, one
+    :func:`bisect_right` each, and the matches counted per segment
+    tell which output pages are full by its end.  Otherwise only the
+    counters see them, and the same pages are charged in file order:
+    the left pages, the :func:`semijoin_right_reads` right pages (one
+    :func:`bisect_left` finds them), then the output pages.
     """
     device = left.device
     out = device.new_file(name)
@@ -249,6 +254,18 @@ def write_semijoin(left: FileSegment, right: FileSegment, key_l: Key,
     read, write = device.charge_read, device.charge_write
     lfile, rfile = left.file, right.file
     lpage = left.start // B
+    if not device.order_seen:
+        # The same pages in file order (see ``Device.order_seen``).
+        for page in range(lpage, (left.stop - 1) // B + 1):
+            read(lfile, page)
+        fetched = min(bisect_left(rrows, lkeys[-1], key=key_r) + 1, nr)
+        for page in range(right.start // B,
+                          right.start // B + span_pages(right.start % B,
+                                                        fetched, B)):
+            read(rfile, page)
+        for page in range(out.n_pages):
+            write(out, page)
+        return out
     end = min(n, (lpage + 1) * B - left.start)  # the left page's end
     rnext = 0          # right index the next fetch starts at
     rlast: Any = None  # the last key of the right page fetched last

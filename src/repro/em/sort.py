@@ -35,13 +35,19 @@ It is computed without one, in three steps per batch of runs:
   read of run ``r``'s next page if ``p`` took the last tuple of ``r``'s
   current page; the final partial page is written last.  They go
   through ``Device.charge_read``/``charge_write`` one page at a time.
+  This order is replayed only when a buffer pool or an observer can
+  see it (``Device.order_seen``).  Otherwise a charge only adds one
+  to a counter, so the same pages are charged in file order instead:
+  every page of every run (page 0 of an empty one too), then every
+  output page.  The counters cannot tell the two apart.
 * **Rows.**  ``EMFile._fill_merged``, private to the merge, lays the
   merged rows into the output file inside ``stats.suspend()``, the
   one scope in which it may move rows uncharged.
 
 Both phases therefore charge the I/Os a tuple-at-a-time sort would,
-*in the identical order* — the sequence of page accesses, not just
-their count, is observable through the buffer pool, and
+*in the identical order* wherever the order can be seen — the
+sequence of page accesses, not just their count, is observable
+through the buffer pool and the observers, and
 ``tests/golden_io_streams.json`` pins it.  ``tests/test_em_sort.py``
 keeps the heap merge as the oracle.
 """
@@ -322,7 +328,8 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
     """Merge up to fan-in runs into one file, as a tournament would.
 
     Every page of the runs is read once and every output page is
-    written once.
+    written once, in the tournament's order when the device's order
+    is seen (see the module docstring).
     """
     if len(runs) == 1:
         return runs[0]
@@ -335,10 +342,19 @@ def _merge_once(device: Device, runs: list[EMFile], key: Key,
             out._fill_merged(runs, order)
         charge_read = device.charge_read
         charge_write = device.charge_write
-        for _, is_write, f, page in _merge_schedule(runs, out, B,
-                                                    order.position):
-            if is_write:
-                charge_write(f, page)
-            else:
-                charge_read(f, page)
+        if device.order_seen:
+            for _, is_write, f, page in _merge_schedule(runs, out, B,
+                                                        order.position):
+                if is_write:
+                    charge_write(f, page)
+                else:
+                    charge_read(f, page)
+        else:
+            # Nothing sees the order (see ``Device.order_seen``): the
+            # same pages in file order, page 0 of each run included.
+            for f in runs:
+                for page in range(max(f.n_pages, 1)):
+                    charge_read(f, page)
+            for page in range(out.n_pages):
+                charge_write(out, page)
     return out

@@ -210,6 +210,59 @@ def _traced_semijoin(lkeys, rkeys, *, M, B, loff=0, roff=0, pool=None,
             rows_of(out), device.memory.peak, device.stats.snapshot())
 
 
+def _draw_semijoin(data):
+    """One pool-off semijoin case, drawn as the tuple-merge test draws
+    its own: sorted left and right keys (either side may be empty, and
+    the right side may run out before the left; all, some or no left
+    keys match), and the machine and page offsets of
+    :func:`_counted_semijoin` — B = 1, odd B and B = M, segments
+    starting anywhere in a page."""
+    B = data.draw(st.sampled_from([1, 2, 3, 5, 8]), label="B")
+    M = data.draw(st.sampled_from([B, 4 * B]), label="M")
+    domain = data.draw(st.integers(1, 20), label="domain")
+    keys = st.lists(st.integers(0, domain), max_size=40).map(sorted)
+    lkeys, rkeys = data.draw(keys, label="left"), data.draw(keys,
+                                                            label="right")
+    match = data.draw(st.sampled_from(["some", "all", "none"]),
+                      label="match")
+    if match == "all":
+        rkeys = sorted(rkeys + lkeys)
+    elif match == "none":  # even keys on the left, odd on the right
+        lkeys = [2 * k for k in lkeys]
+        rkeys = [2 * k + 1 for k in rkeys]
+    kw = dict(M=M, B=B,
+              loff=data.draw(st.integers(0, B - 1), label="loff"),
+              roff=data.draw(st.integers(0, B - 1), label="roff"))
+    return lkeys, rkeys, kw
+
+
+def _counted_semijoin(lkeys, rkeys, *, M, B, loff, roff, observed,
+                      suspended=False):
+    """:func:`write_semijoin` on the segments of :func:`_traced_semijoin`,
+    pool off, with or without a tracer (and optionally inside
+    ``stats.suspend()``): the counters, the tracer's I/O total, the
+    memory peak and the output rows."""
+    tracer = Tracer(capacity=16)
+    device = Device(M=M, B=B, observers=[tracer] if observed else [])
+    assert device.order_seen == observed
+
+    def segment(keys, off, name):
+        rows = ([(-1, -1)] * off + [(k, i) for i, k in enumerate(keys)]
+                + [(-2, -2)] * (B - 1))
+        f = device.file_from_tuples_free(rows, name)
+        return f.segment(off, off + len(keys))
+
+    left, right = segment(lkeys, loff, "left"), segment(rkeys, roff, "right")
+    if suspended:
+        with device.stats.suspend():
+            out = write_semijoin(left, right, key0, key0, "out")
+    else:
+        out = write_semijoin(left, right, key0, key0, "out")
+    return (device.stats.reads, device.stats.writes,
+            tracer.summary()["io"]["total"], device.memory.peak,
+            rows_of(out))
+
+
 class TestSemijoinMatches:
     @pytest.mark.parametrize("pool", [False, True],
                              ids=["pool_off", "pool_on"])
@@ -265,6 +318,26 @@ class TestSemijoinMatches:
             assert len(got[1]) == len(lkeys)
         elif match == "none":
             assert got[1] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_unseen_charge_order_counts_the_same(self, data):
+        """With no pool and no observer the operator charges its pages
+        in file order instead of the cursor merge's; the reads, writes,
+        memory peak and rows are those of the traced run, which replays
+        the cursor merge's order.  Inside ``stats.suspend()`` neither
+        path charges anything."""
+        lkeys, rkeys, kw = _draw_semijoin(data)
+        unseen = _counted_semijoin(lkeys, rkeys, observed=False, **kw)
+        traced = _counted_semijoin(lkeys, rkeys, observed=True, **kw)
+        assert unseen[2] == 0
+        assert unseen[:2] + unseen[3:] == traced[:2] + traced[3:]
+        assert traced[2] == traced[0] + traced[1]
+        for observed in (False, True):
+            free = _counted_semijoin(lkeys, rkeys, observed=observed,
+                                     suspended=True, **kw)
+            assert free[:3] == (0, 0, 0)
+            assert free[4] == unseen[4]
 
     def test_writes_matches_in_left_order(self, small_device):
         left = sorted_file(small_device, [(k, i) for i, k in

@@ -272,6 +272,47 @@ def test_merge_matches_reference_heap_merge(case):
     assert _traced_sort(*case) == _reference_traced_sort(*case)
 
 
+# -- the charge order only a pool or an observer sees ------------------------
+
+def _counted_sort(rows, M, B, observed):
+    """Sort ``rows`` on their first field, pool off, with or without a
+    tracer: the counters, the memory peak and the output."""
+    observers = [Tracer(capacity=16)] if observed else []
+    device = Device(M=M, B=B, observers=observers, strict_memory=True)
+    assert device.order_seen == observed
+    f = device.file_from_tuples_free(rows, "src")
+    out = external_sort(f, lambda t: t[0], name="sorted")
+    return (device.stats.reads, device.stats.writes, device.memory.peak,
+            rows_of(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_unseen_charge_order_counts_the_same(case):
+    """With no pool and no observer the merge charges its pages in file
+    order instead of the heap's; the reads, writes, memory peak and
+    output are those of the traced run, which replays the heap's."""
+    rows, M, B, _ = case
+    assert _counted_sort(rows, M, B, False) == _counted_sort(rows, M, B,
+                                                             True)
+
+
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["unseen", "traced"])
+def test_sort_charges_nothing_while_suspended(observed):
+    """Both charge paths of the merge go through the device, which
+    drops every charge inside ``stats.suspend()``."""
+    tracer = Tracer(capacity=16)
+    device = Device(M=4, B=2, observers=[tracer] if observed else [])
+    rows = [(i % 7, i) for i in range(40)]
+    f = device.file_from_tuples_free(rows)
+    with device.stats.suspend():
+        out = external_sort(f, lambda t: t[0])
+    assert (device.stats.reads, device.stats.writes) == (0, 0)
+    assert tracer.summary()["io"]["total"] == 0
+    assert rows_of(out) == _counted_sort(rows, 4, 2, observed)[3]
+
+
 # -- batches already in key order ---------------------------------------------
 
 #: Runs per merge in the in-order cases; ``M = (FAN_IN + 1) * B``.

@@ -24,6 +24,7 @@ from repro.core import (AssignmentEmitter, CountingEmitter, acyclic_join,
 from repro.core.price import price_plan, snapshot
 from repro.em import PoolConfig
 from repro.internal import generic_join, join_query, yannakakis
+from repro.obs import Tracer
 from repro.query import full_reduce, gens_all, is_berge_acyclic, JoinQuery
 from repro.query.classify import has_island_bud_or_leaf
 from repro.workloads import skewed_instance, uniform_instance
@@ -187,6 +188,27 @@ def test_execute_under_strict_memory_matches_oracle(case, mb, pool):
     execute(query, Instance.from_dicts(device, schemas, data), em)
     assert em.assignment_set() == oracle
     assert em.count == len(oracle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(acyclic_query_and_data(max_edges=4, max_rows=24),
+       st.sampled_from([(4, 1), (4, 2), (8, 2), (6, 3)]))
+def test_a_tracer_changes_no_count_of_execute(case, mb):
+    """Pool off, only a traced run replays the heap merge's and the
+    semijoin cursor's charge order (``Device.order_seen``); the reads,
+    writes, phase totals, memory peak and results are the same
+    without one."""
+    query, schemas, data = case
+    M, B = mb
+    runs = []
+    for observers in ([], [Tracer(capacity=16)]):
+        device = Device(M=M, B=B, observers=observers)
+        em = CountingEmitter()
+        execute(query, Instance.from_dicts(device, schemas, data), em)
+        runs.append((device.stats.reads, device.stats.writes,
+                     device.phases.report(), device.memory.peak,
+                     em.signature()))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=60, deadline=None)
