@@ -20,6 +20,15 @@ It is computed without one, in three steps per batch of runs:
   position is already final); blocks that open their run go first, in
   run order.
 
+  Most such groups are a **pair**, one tuple from each of two runs:
+  birthday collisions of random keys (560 of the 589 cross-run groups,
+  of 981 tie groups, in one ``reduce_sort`` query of the end-to-end
+  benchmark, seed 1).  A pair ``a < b`` is settled without the general
+  machinery: ``a`` leaves first if it opens its run, else ``b`` does if
+  it opens its run, else the one whose predecessor has the smaller key
+  does; only equal predecessor keys (6 of the 560) compare the
+  predecessors' output positions.
+
   When every run boundary is in key order (the last key of run ``r``
   is no larger than the first key of run ``r + 1``), the batch is
   already sorted and the stable sort is the identity, so it is
@@ -179,10 +188,12 @@ class _HeapOrder:
     it returns the output as indices into them.  One stable sort on the
     keys orders the batch; only the equal-key groups that span two or
     more runs are then re-ordered, by the heap's rule (see the module
-    docstring).  A batch whose run boundaries are already in key order
-    skips the sort: its stable order is the identity, and only the tie
-    groups at its boundaries are re-ordered.  :meth:`position` then
-    maps an index to its output position.
+    docstring): a pair, one tuple from each of two runs, by
+    :meth:`_settle_pair`, a larger group by :meth:`_settle`.  A batch
+    whose run boundaries are already in key order skips the sort: its
+    stable order is the identity, and only the tie groups at its
+    boundaries are re-ordered.  :meth:`position` then maps an index to
+    its output position.
     """
 
     def __init__(self, key: Key, lengths: list[int]) -> None:
@@ -233,21 +244,51 @@ class _HeapOrder:
         # when its last index lies past its first index's run; a group
         # inside one run is already in heap order.  Groups are settled
         # in key order, so a block's predecessor (a smaller key)
-        # already sits where it will leave.
+        # already sits where it will leave.  A sentinel past the end
+        # closes the last group.
         bases = self._bases
         lo = hi = 0
-        for p in itertools.compress(range(1, len(sk)),
-                                    map(operator.eq, sk,
-                                        itertools.islice(sk, 1, None))):
+        for p in itertools.chain(
+                itertools.compress(range(1, len(sk)),
+                                   map(operator.eq, sk,
+                                       itertools.islice(sk, 1, None))),
+                (len(sk) + 1,)):
             if p != hi:
                 if hi and order[hi - 1] >= bases[bisect_right(bases,
                                                               order[lo])]:
-                    self._settle(lo, hi)
+                    if hi - lo == 2:
+                        self._settle_pair(lo)
+                    else:
+                        self._settle(lo, hi)
                 lo = p - 1
             hi = p + 1
-        if hi and order[hi - 1] >= bases[bisect_right(bases, order[lo])]:
-            self._settle(lo, hi)
         return order
+
+    def _settle_pair(self, lo: int) -> None:
+        """Put the cross-run tie pair ``order[lo:lo + 2]`` in heap order.
+
+        The stable sort lists it as ``a < b``, ``a`` in the earlier run.
+        A tuple that opens its run was pushed first, so ``a`` leaves
+        first if it opens its run, else ``b`` does if it opens its run.
+        Otherwise each was pushed when the tuple before it in its run
+        left.  Those predecessors have smaller keys than the pair (a
+        third equal key would make a larger group), so the smaller
+        predecessor key left first; only equal ones need
+        :meth:`position`.  Only a swap is recorded in ``_moved``; an
+        unmoved pair stays ascending, where :meth:`position` finds it.
+        """
+        order, bases = self.order, self._bases
+        a, b = order[lo], order[lo + 1]
+        if a == bases[bisect_right(bases, a) - 1]:
+            return
+        if b != bases[bisect_right(bases, b) - 1]:
+            ka, kb = self._keys[a - 1], self._keys[b - 1]
+            if ka < kb or not kb < ka and (self.position(a - 1)
+                                            < self.position(b - 1)):
+                return
+        order[lo], order[lo + 1] = b, a
+        self._moved[b] = lo
+        self._moved[a] = lo + 1
 
     def _rank(self, r: int, first: int) -> int:
         """When run ``r``'s tie block starting at index ``first`` enters

@@ -396,6 +396,129 @@ def test_chained_ties_follow_the_reordered_predecessor():
         "9c", "9b", "9a", "9c'", "9b'", '9c"']
 
 
+# -- cross-run tie pairs ------------------------------------------------------
+
+#: Per case: the leading keys of two runs (each is padded to ``M`` rows
+#: with unique larger keys, so the runs overlap and take the key sort),
+#: the pair rule's branch for their pair of 5s, and whether ``b``, the
+#: 5 in the later run, leaves first.
+PAIR_CASES = {
+    "a_opens": (([5], [1, 5]), "a_opens", False),
+    "b_opens": (([1, 5], [5]), "b_opens", True),
+    "pred_less": (([1, 5], [2, 5]), "pred_less", False),
+    "pred_greater": (([2, 5], [1, 5]), "pred_greater", True),
+    # The 1s open both runs, so the 5s' predecessors left 1a, 1b.
+    "pred_equal": (([1, 5], [1, 5]), "pred_equal", False),
+    # 3b opens its run and leaves before 3a, so 5b leaves before 5a.
+    "pred_equal_moved": (([0, 3, 5], [3, 5]), "pred_equal_moved", True),
+}
+
+
+def _pair_branch(heap, a, b):
+    """The branch of the pair rule that settles ``a < b``, named from
+    the batch's run starts and keys, before it is settled."""
+    if a in heap._bases:
+        return "a_opens"
+    if b in heap._bases:
+        return "b_opens"
+    ka, kb = heap._keys[a - 1], heap._keys[b - 1]
+    if ka != kb:
+        return "pred_less" if ka < kb else "pred_greater"
+    if {a - 1, b - 1} & heap._moved.keys():
+        return "pred_equal_moved"
+    return "pred_equal"
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["pool_off", "pool_lru"])
+@pytest.mark.parametrize("B", [1, 2, 3])
+@pytest.mark.parametrize("case", list(PAIR_CASES))
+def test_cross_run_pairs_match_reference_heap_merge(case, B, pool,
+                                                    monkeypatch):
+    """A tie group of one tuple from each of two runs is settled by the
+    pair rule, one case per branch; the heap merge agrees on the event
+    stream (pool events included), the output order and the memory
+    peak.  Wrapping ``_settle_pair`` shows the branch each pair takes,
+    and that only equal predecessor keys ask :meth:`position`."""
+    M = (FAN_IN + 1) * B
+    leads, branch, swapped = PAIR_CASES[case]
+    rows = []
+    for lead in leads:
+        keys = lead + [100 + len(rows) + j for j in range(len(lead), M)]
+        rows += [(k, len(rows) + j) for j, k in enumerate(keys)]
+    pool = PoolConfig(frames=FAN_IN - 1, policy="lru") if pool else None
+    settled, asked = [], []
+    settle_pair = em_sort._HeapOrder._settle_pair
+    position = em_sort._HeapOrder.position
+
+    def traced_pair(self, lo):
+        a, b = self.order[lo:lo + 2]
+        taken, before = _pair_branch(self, a, b), len(asked)
+        settle_pair(self, lo)
+        settled.append((self._keys[a], taken, self.order[lo] == b,
+                        len(asked) > before))
+
+    def traced_position(self, i):
+        asked.append(i)
+        return position(self, i)
+
+    with monkeypatch.context() as m:
+        m.setattr(em_sort._HeapOrder, "_settle_pair", traced_pair)
+        m.setattr(em_sort._HeapOrder, "position", traced_position)
+        got = _traced_sort(rows, M, B, pool)
+    assert (5, branch, swapped, branch.startswith("pred_equal")) in settled
+    assert all(fell_back == taken.startswith("pred_equal")
+               for _, taken, _, fell_back in settled)
+    with monkeypatch.context() as m:
+        m.setattr(em_sort, "_merge_once", _reference_merge_once)
+        want = _traced_sort(rows, M, B, pool)
+    assert got == want
+    assert in_key_order(got[1])
+
+
+class _GeneralOrder(em_sort._HeapOrder):
+    """The heap order with every cross-run pair settled by the general
+    :meth:`_settle`."""
+
+    def _settle_pair(self, lo):
+        self._settle(lo, lo + 2)
+
+
+def _merge_batches(rows, M, B):
+    """``(lengths, rows)`` of every merge batch in sorting ``rows`` on
+    their first field."""
+    batches = []
+    call = em_sort._HeapOrder.__call__
+
+    def recording(self, batch):
+        batches.append(([hi - lo for lo, hi in
+                         itertools.pairwise(self._bases)], batch))
+        return call(self, batch)
+
+    em_sort._HeapOrder.__call__ = recording
+    try:
+        device = Device(M=M, B=B)
+        external_sort(device.file_from_tuples_free(rows), lambda t: t[0])
+    finally:
+        em_sort._HeapOrder.__call__ = call
+    return batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_pair_rule_matches_general_settle(case):
+    """On every merge batch, settling cross-run pairs by the pair rule
+    gives the order and every index's :meth:`position` (which the
+    charge replay reads whenever the order is seen) that the general
+    ``_settle`` gives."""
+    rows, M, B, _ = case
+    for lengths, batch in _merge_batches(rows, M, B):
+        fast = em_sort._HeapOrder(lambda t: t[0], lengths)
+        general = _GeneralOrder(lambda t: t[0], lengths)
+        assert fast(batch) == general(batch)
+        assert ([fast.position(i) for i in range(len(batch))]
+                == [general.position(i) for i in range(len(batch))])
+
+
 @pytest.mark.parametrize("M,B", [(1, 1), (2, 1), (4, 1), (4, 2), (4, 4),
                                  (6, 3), (8, 2), (9, 3), (16, 4)])
 def test_sort_io_is_what_external_sort_charges(M, B):
